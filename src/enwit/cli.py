@@ -391,6 +391,11 @@ def cmd_robustness(cfg: RunConfig) -> int:
         bound = robustness_lower_bound(w, expectation(h, rho))
         ok = bound.bound <= cert.rg_value + 1e-6
         print(f"energy_bound = {bound.bound:.5f} ({'<=' if ok else '>!'} rg_value)")
+        if not ok:
+            raise NumericalError(
+                f"energy bound {bound.bound:.5f} exceeds the exact R_g {cert.rg_value:.5f}, "
+                f"so the certificate is unsound (E_sep = {w.esep}, source = {report.source})"
+            )
     return 0
 
 

@@ -120,51 +120,61 @@ def random_ansatz(
     return ProductStateAnsatz(part, states)
 
 
-def _effective_block_operator(
-    h_tensor: np.ndarray,
-    shape: SystemShape,
-    part: Partition,
-    states: Sequence[np.ndarray],
-    which: int,
+def _block_operators(
+    h: HermitianOperator, part: Partition, states: Sequence[np.ndarray], which: int
 ) -> np.ndarray:
-    """Contract every block but ``which`` into H, leaving a matrix on that block."""
+    """Effective operators on block ``which`` for a stack of product states.
+
+    ``states[bi]`` holds one block-``bi`` state per row.  The other blocks'
+    rows are multiplied out into one "rest" vector per row, and H is copied
+    once with its sites reordered as (rest rows, target rows, target columns;
+    rest columns), so a single GEMM against the rest vectors followed by one
+    contraction with their conjugates gives, for each row r, the (d, d)
+    matrix <rest_r a|H|rest_r b>.
+    """
+    shape = h.shape
     n = shape.n_sites
-    row = [chr(ord("a") + i) for i in range(n)]
-    col = [chr(ord("A") + i) for i in range(n)]
-    subs = ["".join(row) + "".join(col)]
-    ops = [h_tensor]
-    for bi, (block, state) in enumerate(zip(part.blocks, states)):
-        if bi == which:
-            continue
-        dims = tuple(shape.local_dims[s] for s in block)
-        ops.append(state.conj().reshape(dims))
-        subs.append("".join(row[s] for s in block))
-        ops.append(state.reshape(dims))
-        subs.append("".join(col[s] for s in block))
-    target = part.blocks[which]
-    out = "".join(row[s] for s in target) + "".join(col[s] for s in target)
-    d = math.prod(shape.local_dims[s] for s in target)
-    m = np.einsum(",".join(subs) + "->" + out, *ops).reshape(d, d)
-    return (m + m.conj().T) / 2.0
+    others = [bi for bi in range(len(part.blocks)) if bi != which]
+    rest = states[others[0]]
+    for bi in others[1:]:
+        rest = (rest[:, :, None] * states[bi][:, None, :]).reshape(rest.shape[0], -1)
+    rows, d_rest = rest.shape
+    d = states[which].shape[1]
+    rest_sites = [s for bi in others for s in part.blocks[bi]]
+    target = list(part.blocks[which])
+    perm = rest_sites + target + [n + s for s in target] + [n + s for s in rest_sites]
+    h_perm = h.entries.reshape(shape.local_dims * 2).transpose(perm).reshape(-1, d_rest)
+    y = (h_perm @ rest.T).reshape(d_rest, d, d, rows)
+    m = np.einsum("xabr,rx->rab", y, rest.conj())
+    return (m + m.conj().transpose(0, 2, 1)) / 2.0
 
 
-def _batched_expressions(shape: SystemShape, part: Partition) -> list[str]:
-    """Per-block einsum expressions contracting all other blocks, batched over
-    a leading restart axis ``z``."""
-    n = shape.n_sites
-    row = [chr(ord("a") + i) for i in range(n)]
-    col = [chr(ord("A") + i) for i in range(n)]
-    exprs = []
-    for which, target in enumerate(part.blocks):
-        subs = ["".join(row) + "".join(col)]
-        for bi, block in enumerate(part.blocks):
-            if bi == which:
-                continue
-            subs.append("z" + "".join(row[s] for s in block))
-            subs.append("z" + "".join(col[s] for s in block))
-        out = "z" + "".join(row[s] for s in target) + "".join(col[s] for s in target)
-        exprs.append(",".join(subs) + "->" + out)
-    return exprs
+def _qubit_ground(m: np.ndarray, prev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest eigenvalue and a unit ground vector of each 2x2 Hermitian matrix.
+
+    For M = [[p, q], [conj(q), s]] with u_z = (p - s)/2 and r = hypot(u_z, |q|)
+    the lowest eigenvalue is (p + s)/2 - r.  Of the two unnormalized ground
+    vectors (q, -(r + u_z)) and (-(r - u_z), conj(q)), the one used has
+    squared norm 2r(r + |u_z|), which never cancels.  A multiple of the
+    identity (r = 0) has every vector as a ground vector; its row of ``prev``
+    is returned unchanged.
+    """
+    p = m[:, 0, 0].real
+    s = m[:, 1, 1].real
+    q = m[:, 0, 1]
+    u_z = 0.5 * (p - s)
+    r = np.hypot(u_z, np.abs(q))
+    big = r + np.abs(u_z)
+    upper = u_z >= 0.0
+    vecs = np.empty_like(prev)
+    vecs[:, 0] = np.where(upper, q, -big)
+    vecs[:, 1] = np.where(upper, -big, q.conj())
+    # Where r = 0 the candidate is exactly (0, 0): dividing by 1 instead of 0
+    # and adding the previous state keeps that state.
+    flat = r == 0.0
+    vecs /= (np.sqrt(2.0 * r * big) + flat)[:, None]
+    vecs += prev * flat[:, None]
+    return 0.5 * (p + s) - r, vecs
 
 
 def esep_seesaw(
@@ -180,16 +190,22 @@ def esep_seesaw(
     once a full sweep lowers the energy by less than 1e-12 or the sweep cap
     is hit.  Each restart's random stream is derived solely from
     ``(seed, restart index)``, so results do not depend on execution order;
-    the restarts are merely executed in lockstep here, batched through one
-    stacked eigensolve per block update.
+    the restarts are merely executed in lockstep here.
+
+    One block update costs one O(R 4^n) GEMM for R restarts on n qubits (in
+    general O(R D^2) for total dimension D): the effective operators of all
+    restarts come from a single product of H, with its sites reordered so
+    the other blocks' column indices come last, and the restarts' states of
+    those blocks (see :func:`_block_operators`).  Qubit blocks then take their ground vector in
+    closed form (see :func:`_qubit_ground`); larger blocks use one stacked
+    ``eigh``.  The reordered H is built afresh for each update, so peak
+    memory is one extra copy of H.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     part.validate_for(h.shape)
-    h_tensor = h.entries.reshape(h.shape.local_dims * 2)
     n_blocks = len(part.blocks)
     block_dims = part.block_dims(h.shape)
-    exprs = _batched_expressions(h.shape, part)
 
     seed_u = int(seed) & 0xFFFFFFFFFFFFFFFF
     starts = [random_ansatz(h.shape, part, np.random.default_rng([seed_u, r])) for r in range(restarts)]
@@ -197,23 +213,8 @@ def esep_seesaw(
         np.stack([starts[r].block_states[bi] for r in range(restarts)])
         for bi in range(n_blocks)
     ]
-    block_shapes = [
-        tuple(h.shape.local_dims[s] for s in block) for block in part.blocks
-    ]
 
-    def batched_operator(which: int) -> np.ndarray:
-        ops = [h_tensor]
-        for bi in range(n_blocks):
-            if bi == which:
-                continue
-            v = states[bi].reshape((restarts,) + block_shapes[bi])
-            ops.append(v.conj())
-            ops.append(v)
-        d = block_dims[which]
-        m = np.einsum(exprs[which], *ops).reshape(restarts, d, d)
-        return (m + m.conj().transpose(0, 2, 1)) / 2.0
-
-    m0 = batched_operator(0)
+    m0 = _block_operators(h, part, states, 0)
     energies = np.einsum("rb,rbc,rc->r", states[0].conj(), m0, states[0]).real
     converged = np.zeros(restarts, dtype=bool)
     for _ in range(SEESAW_SWEEP_CAP):
@@ -222,10 +223,14 @@ def esep_seesaw(
             break
         sweep_start = energies.copy()
         for bi in range(n_blocks):
-            vals, vecs = np.linalg.eigh(batched_operator(bi))
-            new_e = vals[:, 0]
+            m = _block_operators(h, part, states, bi)
+            if block_dims[bi] == 2:
+                new_e, new_v = _qubit_ground(m, states[bi])
+            else:
+                vals, vecs = np.linalg.eigh(m)
+                new_e, new_v = vals[:, 0], vecs[:, :, 0]
             assert (new_e[active] <= energies[active] + 1e-10).all(), "seesaw energy increased"
-            states[bi][active] = vecs[active][:, :, 0]
+            states[bi][active] = new_v[active]
             energies[active] = new_e[active]
         converged |= active & (sweep_start - energies < SEESAW_ENERGY_TOL)
 

@@ -195,6 +195,17 @@ class TestRobustnessCommand:
         assert "energy_bound" in out
         assert "<=" in out
 
+    def test_unsound_bound_exits_3(self, capsys):
+        """A fixed E_sep above the product-state minimum lets the bound exceed R_g."""
+        argv = [
+            "robustness", "--state", "product:0,0,3.14159,0",
+            "--J", "1", "--B", "0", "--policy", "fixed:-0.5",
+        ]
+        code, out, err = run(argv, capsys)
+        assert code == 3
+        assert "energy_bound = 0.20000 (>! rg_value)" in out
+        assert "numerical failure" in err
+
 
 class TestMeasureCommand:
     def test_eigenstate_zero_stderr(self, capsys):

@@ -17,7 +17,8 @@ from enwit import (
 )
 from enwit.hamiltonians import PAULI
 from enwit.sep_energy import (
-    _effective_block_operator,
+    _block_operators,
+    _qubit_ground,
     closed_form_ansatz_xxx,
     full_vector,
     random_ansatz,
@@ -96,16 +97,6 @@ class TestSeesaw:
         for u, v in zip(a.minimizer.block_states, b.minimizer.block_states):
             assert np.array_equal(u, v)
 
-    def test_batched_matches_single_restart_operator(self, h_xxx):
-        h = h_xxx(1.0, 0.7)
-        rng = np.random.default_rng(4)
-        states = list(random_ansatz(Q2, SINGLETONS, rng).block_states)
-        h_t = h.entries.reshape((2, 2, 2, 2))
-        m = _effective_block_operator(h_t, Q2, SINGLETONS, states, 1)
-        v = states[0]
-        expected = np.einsum("a,abAB,A->bB", v.conj(), h_t, v)
-        assert np.abs(m - (expected + expected.conj().T) / 2).max() < 1e-12
-
     def test_product_states_never_beat_seesaw(self, h_xxx):
         h = h_xxx(1.0, 0.5)
         rep = esep_seesaw(h, SINGLETONS, restarts=32, seed=5)
@@ -113,6 +104,107 @@ class TestSeesaw:
         for _ in range(1000):
             sigma = random_ansatz(Q2, SINGLETONS, rng)
             assert ansatz_energy(h, sigma) >= rep.esep - 1e-9
+
+
+def random_hermitian(rng, dim):
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return (g + g.conj().T) / 2
+
+
+def random_unit_rows(rng, size):
+    z = rng.standard_normal((size, 2)) + 1j * rng.standard_normal((size, 2))
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
+class TestBlockOperators:
+    @pytest.mark.parametrize(
+        "dims,blocks",
+        [
+            ([2, 2, 2], [[0, 2], [1]]),
+            ([2, 2, 2, 2], [[1], [0, 2, 3]]),
+            ([3, 2], [[0], [1]]),
+        ],
+        ids=["three_qubits", "four_qubits", "qutrit_qubit"],
+    )
+    def test_matches_full_vector_reference(self, dims, blocks):
+        """Each row r gives <psi_rest_r a|H|psi_rest_r b>, with psi_rest_r ⊗ a
+        assembled in site order by full_vector."""
+        rng = np.random.default_rng(21)
+        shape = SystemShape(dims)
+        part = Partition(blocks)
+        h = HermitianOperator(shape, random_hermitian(rng, shape.total_dim))
+        ansatze = [random_ansatz(shape, part, rng) for _ in range(3)]
+        states = [np.stack([a.block_states[bi] for a in ansatze]) for bi in range(len(blocks))]
+        for which, d in enumerate(part.block_dims(shape)):
+            m = _block_operators(h, part, states, which)
+            assert m.shape == (len(ansatze), d, d)
+            for r, ansatz in enumerate(ansatze):
+                basis = []
+                for k in range(d):
+                    block_states = list(ansatz.block_states)
+                    block_states[which] = np.eye(d)[k]
+                    basis.append(full_vector(shape, ProductStateAnsatz(part, block_states)))
+                basis = np.stack(basis, axis=1)
+                expected = basis.conj().T @ h.entries @ basis
+                assert np.abs(m[r] - expected).max() < 1e-12
+
+    def test_qutrit_qubit_seesaw(self):
+        rng = np.random.default_rng(22)
+        shape = SystemShape([3, 2])
+        h = HermitianOperator(shape, random_hermitian(rng, 6))
+        part = Partition.singletons(2)
+        rep = esep_seesaw(h, part, restarts=16, seed=3)
+        assert ansatz_energy(h, rep.minimizer) == pytest.approx(rep.esep, abs=1e-10)
+        assert rep.esep <= esep_grid(h, part, 16) + 1e-9
+
+
+class TestQubitGround:
+    def check(self, m, prev):
+        vals, vecs = _qubit_ground(m, prev)
+        ref_vals, ref_vecs = np.linalg.eigh(m)
+        assert np.abs(vals - ref_vals[:, 0]).max() < 1e-12
+        assert np.abs(np.linalg.norm(vecs, axis=1) - 1.0).max() < 1e-14
+        overlap = np.abs(np.einsum("ra,ra->r", ref_vecs[:, :, 0].conj(), vecs))
+        assert np.abs(overlap - 1.0).max() < 1e-12
+
+    def test_matches_eigh_on_random_stacks(self):
+        rng = np.random.default_rng(23)
+        for size in (1, 8, 32):
+            g = rng.standard_normal((size, 2, 2)) + 1j * rng.standard_normal((size, 2, 2))
+            m = (g + g.conj().transpose(0, 2, 1)) / 2
+            prev = random_unit_rows(rng, size)
+            self.check(m, prev)
+
+    def test_edge_cases(self):
+        m = np.array(
+            [
+                [[0.3, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]],  # p = s, q != 0
+                [[-0.5, 0.0], [0.0, 0.7]],  # diagonal, p < s
+                [[0.7, 0.0], [0.0, -0.5]],  # diagonal, p > s
+                [[1.0, 1e-9j], [-1e-9j, 1.0 + 1e-12]],  # nearly degenerate
+            ],
+            dtype=np.complex128,
+        )
+        self.check(m, random_unit_rows(np.random.default_rng(24), len(m)))
+
+    def test_identity_keeps_previous_state(self):
+        m = np.stack([0.4 * np.eye(2), -2.0 * np.eye(2)]).astype(np.complex128)
+        prev = random_unit_rows(np.random.default_rng(25), 2)
+        vals, vecs = _qubit_ground(m, prev)
+        assert np.array_equal(vals, [0.4, -2.0])
+        assert np.array_equal(vecs, prev)
+
+
+class TestRing:
+    @pytest.mark.parametrize("n,b", [(4, 0.3), (4, 3.0), (4, 5.0), (6, 0.3), (6, 1.0)])
+    def test_matches_canted_neel_closed_form(self, h_xxx, n, b):
+        """Even periodic XXX ring: a canted Neel product state below |B| = 4J,
+        the field-polarized state above it."""
+        j = 1.0
+        expected = -n * j - n * b * b / (8 * j) if abs(b) <= 4 * j else n * j - n * abs(b)
+        rep = esep_seesaw(h_xxx(j, b, n, "periodic"), Partition.singletons(n), restarts=8)
+        assert abs(rep.esep - expected) < 1e-9
+        assert rep.converged
 
 
 class TestGrid:
