@@ -48,7 +48,6 @@ from .thermal import ThermalPoint, energy_curve, gibbs, ground_state
 from .witness import (
     BoundReport,
     EsepPolicy,
-    SweepCell,
     WitnessSpec,
     bound_sweep,
     make_witness,
@@ -74,7 +73,6 @@ __all__ = [
     "SepEnergyReport",
     "SpectralDecomposition",
     "SpectrumSummary",
-    "SweepCell",
     "SystemShape",
     "ThermalPoint",
     "WitnessSpec",

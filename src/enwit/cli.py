@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import states
 from .errors import NumericalError
 from .hamiltonians import (
@@ -27,10 +29,10 @@ from .hamiltonians import (
 from .measurement import bound_with_confidence, measure_energy
 from .operators import DensityMatrix, HermitianOperator, SystemShape, expectation
 from .robustness import rg_exact_2q
+from .sep_energy import SepEnergyReport
 from .thermal import gibbs, ground_state
 from .witness import (
     EsepPolicy,
-    SweepCell,
     bound_sweep,
     make_witness,
     resolve_esep,
@@ -95,30 +97,37 @@ class RunConfig:
             raise ConfigError("z must be >= 0")
 
 
-# option name -> (parser from string, default)
+def _flag(text: str) -> bool:
+    return text.lower() in ("1", "true", "yes")
+
+
+# option name -> (parser from string, default, extra argparse keywords).  The
+# table generates the subcommands' flags (dest = name with '-' -> '_') and
+# the config-file keys; the parser converts both flag and file values, except
+# for store_const flags, which take no value.
 _OPTION_SPECS: dict = {
-    "model": (str, "xxx"),
-    "J": (float, None),
-    "B": (float, None),
-    "B-min": (float, None),
-    "B-max": (float, None),
-    "B-steps": (int, None),
-    "T": (float, None),
-    "T-min": (float, None),
-    "T-max": (float, None),
-    "T-steps": (int, None),
-    "policy": (str, "exact"),
-    "restarts": (int, 32),
-    "seed": (int, 0),
-    "out": (str, None),
-    "precision": (int, 10),
-    "sites": (int, 2),
-    "boundary": (str, "open"),
-    "double-count-two-site-bond": (lambda s: s.lower() in ("1", "true", "yes"), False),
-    "pauli-file": (str, None),
-    "state": (str, "thermal"),
-    "shots": (int, 100000),
-    "z": (float, 3.0),
+    "model": (str, "xxx", {"choices": ["xxx", "pauli-file"]}),
+    "pauli-file": (str, None, {}),
+    "J": (float, None, {}),
+    "B": (float, None, {}),
+    "B-min": (float, None, {}),
+    "B-max": (float, None, {}),
+    "B-steps": (int, None, {}),
+    "T": (float, None, {}),
+    "T-min": (float, None, {}),
+    "T-max": (float, None, {}),
+    "T-steps": (int, None, {}),
+    "sites": (int, 2, {}),
+    "boundary": (str, "open", {"choices": ["open", "periodic"]}),
+    "double-count-two-site-bond": (_flag, False, {"action": "store_const", "const": True}),
+    "policy": (str, "exact", {"help": "exact | closed-form | fixed:<value>"}),
+    "restarts": (int, 32, {}),
+    "seed": (int, 0, {}),
+    "out": (str, None, {"help": "output path for CSV commands"}),
+    "precision": (int, 10, {"help": "significant digits for printed floats"}),
+    "state": (str, "thermal", {"help": "singlet | thermal | ground | product:th,ph[,th,ph]"}),
+    "shots": (int, 100000, {}),
+    "z": (float, 3.0, {}),
 }
 
 
@@ -138,7 +147,7 @@ def _read_config_file(path: str) -> dict:
         key, val = key.strip(), val.strip()
         if key not in _OPTION_SPECS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        parser, _ = _OPTION_SPECS[key]
+        parser = _OPTION_SPECS[key][0]
         try:
             values[key] = parser(val)
         except ValueError as exc:
@@ -149,7 +158,7 @@ def _read_config_file(path: str) -> dict:
 def _merged(args: argparse.Namespace) -> dict:
     file_values = _read_config_file(args.config) if getattr(args, "config", None) else {}
     merged = {}
-    for key, (_, default) in _OPTION_SPECS.items():
+    for key, (_, default, _) in _OPTION_SPECS.items():
         attr = key.replace("-", "_")
         cli_val = getattr(args, attr, None)
         if cli_val is not None:
@@ -207,10 +216,15 @@ def _require_j(cfg: RunConfig) -> float:
     return cfg.coupling_j
 
 
-def _build_hamiltonian(cfg: RunConfig, b_value: Optional[float] = None) -> HermitianOperator:
-    if cfg.model == "xxx":
-        b = b_value if b_value is not None else cfg.b_grid.lo
-        params = XXXParams(_require_j(cfg), b, cfg.n_sites, cfg.boundary)
+def _xxx_params(cfg: RunConfig) -> Optional[XXXParams]:
+    if cfg.model != "xxx":
+        return None
+    return XXXParams(_require_j(cfg), cfg.b_grid.lo, cfg.n_sites, cfg.boundary)
+
+
+def _build_hamiltonian(cfg: RunConfig) -> HermitianOperator:
+    params = _xxx_params(cfg)
+    if params is not None:
         return build_xxx(params, cfg.double_count_two_site_bond)
     if not cfg.pauli_file:
         raise ConfigError("--pauli-file is required for the pauli-file model")
@@ -228,18 +242,21 @@ def _build_hamiltonian(cfg: RunConfig, b_value: Optional[float] = None) -> Hermi
     return build_pauli(SystemShape([2] * n), terms)
 
 
-def _xxx_params(cfg: RunConfig, b_value: Optional[float] = None) -> Optional[XXXParams]:
-    if cfg.model != "xxx":
-        return None
-    b = b_value if b_value is not None else cfg.b_grid.lo
-    return XXXParams(_require_j(cfg), b, cfg.n_sites, cfg.boundary)
+def _esep_report(cfg: RunConfig, h: HermitianOperator) -> SepEnergyReport:
+    """E_sep for ``h`` under the configured policy."""
+    if cfg.esep_policy.kind == "closed-form" and cfg.model != "xxx":
+        raise ConfigError("closed-form policy needs the xxx model")
+    return resolve_esep(
+        cfg.esep_policy, h, params=_xxx_params(cfg), restarts=cfg.restarts, seed=cfg.seed
+    )
 
 
 def _fmt(x: float, digits: int) -> str:
     return format(float(x), f".{digits}g")
 
 
-def _state_from_spec(cfg: RunConfig) -> DensityMatrix:
+def _state_from_spec(cfg: RunConfig, h: Optional[HermitianOperator]) -> DensityMatrix:
+    """The state named by ``cfg.state``; ``h`` is needed for thermal and ground states."""
     spec = cfg.state
     if spec == "singlet":
         return states.singlet()
@@ -253,19 +270,15 @@ def _state_from_spec(cfg: RunConfig) -> DensityMatrix:
         if len(angles) != 4:
             raise ConfigError("product state spec needs 2 or 4 comma-separated angles")
         return states.product_state(*angles)
-    if spec == "thermal":
-        h = _build_hamiltonian(cfg)
-        t = cfg.t_grid.lo
-        if t == 0.0:
-            return ground_state(h)
-        rho, _ = gibbs(h, t)
+    if spec == "thermal" and cfg.t_grid.lo != 0.0:
+        rho, _ = gibbs(h, cfg.t_grid.lo)
         return rho
-    if spec == "ground":
-        return ground_state(_build_hamiltonian(cfg))
+    if spec in ("thermal", "ground"):
+        return ground_state(h)
     raise ConfigError(f"unknown state spec {spec!r}")
 
 
-def _write_sweep_csv(path: str, cells: Sequence[SweepCell], digits: int) -> None:
+def _write_sweep_csv(path: str, cells: np.recarray, digits: int) -> None:
     """Emit the sweep as CSV with LF endings.
 
     The bound columns are recomputed from the rounded mean/esep/A columns, so
@@ -273,22 +286,23 @@ def _write_sweep_csv(path: str, cells: Sequence[SweepCell], digits: int) -> None
     the file reproduces the column to the last printed digit.
     """
     lines = [CSV_HEADER]
-    for c in cells:
-        mean_s = _fmt(c.mean_energy, digits)
-        esep_s = _fmt(c.esep, digits)
-        a_s = _fmt(c.normalizer_a, digits)
+    columns = ("b", "t", "mean_energy", "esep", "normalizer_a", "detected")
+    for b, t, mean, esep, a, detected in zip(*(cells[c].tolist() for c in columns)):
+        mean_s = _fmt(mean, digits)
+        esep_s = _fmt(esep, digits)
+        a_s = _fmt(a, digits)
         bound = (float(esep_s) - float(mean_s)) / float(a_s)
         lines.append(
             ",".join(
                 [
-                    _fmt(c.b, digits),
-                    _fmt(c.t, digits),
+                    _fmt(b, digits),
+                    _fmt(t, digits),
                     mean_s,
                     esep_s,
                     a_s,
                     _fmt(bound, digits),
                     _fmt(max(0.0, bound), digits),
-                    "true" if c.detected else "false",
+                    "true" if detected else "false",
                 ]
             )
         )
@@ -308,16 +322,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 
 
 def cmd_esep(cfg: RunConfig) -> int:
-    h = _build_hamiltonian(cfg)
-    if cfg.esep_policy.kind == "closed-form" and cfg.model != "xxx":
-        raise ConfigError("closed-form policy needs the xxx model")
-    report = resolve_esep(
-        cfg.esep_policy,
-        h,
-        params=_xxx_params(cfg),
-        restarts=cfg.restarts,
-        seed=cfg.seed,
-    )
+    report = _esep_report(cfg, _build_hamiltonian(cfg))
     d = cfg.precision_digits
     print(f"esep = {report.esep:.{d}f}")
     print(f"source = {report.source}")
@@ -337,11 +342,7 @@ def cmd_esep(cfg: RunConfig) -> int:
 
 def cmd_witness(cfg: RunConfig) -> int:
     h = _build_hamiltonian(cfg)
-    if cfg.esep_policy.kind == "closed-form" and cfg.model != "xxx":
-        raise ConfigError("closed-form policy needs the xxx model")
-    report = resolve_esep(
-        cfg.esep_policy, h, params=_xxx_params(cfg), restarts=cfg.restarts, seed=cfg.seed
-    )
+    report = _esep_report(cfg, h)
     w = make_witness(h, report)
     d = cfg.precision_digits
     print(f"esep = {_fmt(w.esep, d)} (source = {report.source})")
@@ -356,8 +357,8 @@ def cmd_witness(cfg: RunConfig) -> int:
 
 def cmd_bound_sweep(cfg: RunConfig) -> int:
     t_values = cfg.t_grid.values()
-    if cfg.model == "xxx":
-        params = XXXParams(_require_j(cfg), 0.0, cfg.n_sites, cfg.boundary)
+    params = _xxx_params(cfg)
+    if params is not None:
         cells = bound_sweep(
             params,
             cfg.esep_policy,
@@ -367,26 +368,23 @@ def cmd_bound_sweep(cfg: RunConfig) -> int:
             seed=cfg.seed,
         )
     else:
-        if cfg.esep_policy.kind == "closed-form":
-            raise ConfigError("closed-form policy needs the xxx model")
         h = _build_hamiltonian(cfg)
-        report = resolve_esep(cfg.esep_policy, h, restarts=cfg.restarts, seed=cfg.seed)
-        cells = sweep_single_hamiltonian(h, report, t_values, b_value=0.0)
+        cells = sweep_single_hamiltonian(h, _esep_report(cfg, h), t_values, b_value=0.0)
     _write_sweep_csv(cfg.output_path, cells, cfg.precision_digits)
     print(f"wrote {cfg.output_path} ({len(cells)} rows)")
     return 0
 
 
 def cmd_robustness(cfg: RunConfig) -> int:
-    rho = _state_from_spec(cfg)
+    with_bound = cfg.model == "xxx" and cfg.coupling_j is not None
+    needs_h = with_bound or cfg.state in ("thermal", "ground")
+    h = _build_hamiltonian(cfg) if needs_h else None
+    rho = _state_from_spec(cfg, h)
     cert = rg_exact_2q(rho)
     print(f"rg_value = {cert.rg_value:.5f}")
     print(f"duality_gap = {cert.duality_gap:.3e}")
-    if cfg.model == "xxx" and cfg.coupling_j is not None:
-        h = _build_hamiltonian(cfg)
-        report = resolve_esep(
-            cfg.esep_policy, h, params=_xxx_params(cfg), restarts=cfg.restarts, seed=cfg.seed
-        )
+    if with_bound:
+        report = _esep_report(cfg, h)
         w = make_witness(h, report)
         bound = robustness_lower_bound(w, expectation(h, rho))
         ok = bound.bound <= cert.rg_value + 1e-6
@@ -401,12 +399,9 @@ def cmd_robustness(cfg: RunConfig) -> int:
 
 def cmd_measure(cfg: RunConfig) -> int:
     h = _build_hamiltonian(cfg)
-    rho = _state_from_spec(cfg)
+    rho = _state_from_spec(cfg, h)
     est = measure_energy(h, rho, cfg.shots, cfg.seed)
-    report = resolve_esep(
-        cfg.esep_policy, h, params=_xxx_params(cfg), restarts=cfg.restarts, seed=cfg.seed
-    )
-    w = make_witness(h, report)
+    w = make_witness(h, _esep_report(cfg, h))
     interval = bound_with_confidence(w, est, cfg.z)
     d = cfg.precision_digits
     print(f"mean = {_fmt(est.mean, d)}")
@@ -447,33 +442,9 @@ def cmd_reproduce_figure(out_dir: str, digits: int = 10) -> int:
 
 def _add_common_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="config file of 'key: value' lines; flags override")
-    p.add_argument("--model", choices=["xxx", "pauli-file"])
-    p.add_argument("--pauli-file", dest="pauli_file")
-    p.add_argument("--J", dest="J", type=float)
-    p.add_argument("--B", dest="B", type=float)
-    p.add_argument("--B-min", dest="B_min", type=float)
-    p.add_argument("--B-max", dest="B_max", type=float)
-    p.add_argument("--B-steps", dest="B_steps", type=int)
-    p.add_argument("--T", dest="T", type=float)
-    p.add_argument("--T-min", dest="T_min", type=float)
-    p.add_argument("--T-max", dest="T_max", type=float)
-    p.add_argument("--T-steps", dest="T_steps", type=int)
-    p.add_argument("--sites", type=int)
-    p.add_argument("--boundary", choices=["open", "periodic"])
-    p.add_argument(
-        "--double-count-two-site-bond",
-        dest="double_count_two_site_bond",
-        action="store_const",
-        const=True,
-    )
-    p.add_argument("--policy", help="exact | closed-form | fixed:<value>")
-    p.add_argument("--restarts", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", help="output path for CSV commands")
-    p.add_argument("--precision", type=int, help="significant digits for printed floats")
-    p.add_argument("--state", help="singlet | thermal | ground | product:th,ph[,th,ph]")
-    p.add_argument("--shots", type=int)
-    p.add_argument("--z", type=float)
+    for name, (parser, _, extra) in _OPTION_SPECS.items():
+        typed = {} if extra.get("action") == "store_const" else {"type": parser}
+        p.add_argument(f"--{name}", dest=name.replace("-", "_"), **typed, **extra)
 
 
 def _make_parser() -> argparse.ArgumentParser:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -58,7 +58,6 @@ class PauliString:
 class SpectrumSummary:
     e_min: float
     e_max: float
-    gap_to_esep: Optional[float] = None
 
     def __post_init__(self):
         if self.e_min > self.e_max:
@@ -129,20 +128,16 @@ def parse_pauli_terms(text: str) -> list[PauliString]:
     return terms
 
 
-def summarize(h: HermitianOperator, esep: Optional[float] = None) -> SpectrumSummary:
-    """Spectral range of ``h`` plus, when ``esep`` is given, the gap esep - e_min."""
+def summarize(h: HermitianOperator) -> SpectrumSummary:
+    """Spectral range of ``h``."""
     dec = eig(h)
-    gap = None if esep is None else float(esep) - dec.e_min
-    return SpectrumSummary(dec.e_min, dec.e_max, gap)
+    return SpectrumSummary(dec.e_min, dec.e_max)
 
 
-def level_degeneracies(h: HermitianOperator, tol: float = 1e-9) -> list[tuple[float, int]]:
-    """Distinct eigenvalues (within ``tol``) with their multiplicities, ascending."""
-    vals = eig(h).eigenvalues
-    levels: list[tuple[float, int]] = []
-    for v in vals:
-        if levels and abs(v - levels[-1][0]) <= tol:
-            levels[-1] = (levels[-1][0], levels[-1][1] + 1)
-        else:
-            levels.append((float(v), 1))
-    return levels
+def level_degeneracies(h: HermitianOperator) -> list[tuple[float, int]]:
+    """Distinct eigenvalues with their multiplicities, ascending.
+
+    Levels are merged by ``SpectralDecomposition.levels``.
+    """
+    levels, counts = eig(h).levels()
+    return [(float(v), int(k)) for v, k in zip(levels, counts)]

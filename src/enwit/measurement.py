@@ -16,8 +16,6 @@ from .errors import NumericalError
 from .operators import DensityMatrix, HermitianOperator, eig
 from .witness import WitnessSpec
 
-LEVEL_MERGE_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class EnergyEstimate:
@@ -48,19 +46,12 @@ def _eigenspace_distribution(
 ) -> tuple[np.ndarray, np.ndarray]:
     dec = eig(h)
     diag = np.einsum("ik,ij,jk->k", dec.eigenvectors.conj(), rho.entries, dec.eigenvectors).real
-    levels: list[float] = []
-    probs: list[float] = []
-    for lam, p in zip(dec.eigenvalues, diag):
-        if levels and abs(lam - levels[-1]) <= LEVEL_MERGE_TOL:
-            probs[-1] += p
-        else:
-            levels.append(float(lam))
-            probs.append(float(p))
-    pr = np.clip(np.asarray(probs), 0.0, None)
+    levels, counts = dec.levels()
+    pr = np.clip(np.add.reduceat(diag, np.cumsum(counts) - counts), 0.0, None)
     total = float(pr.sum())
     if abs(total - 1.0) > 1e-9:
         raise NumericalError(f"eigenspace probabilities sum to {total}, not 1")
-    return np.asarray(levels), pr / total
+    return levels, pr / total
 
 
 def measure_energy(

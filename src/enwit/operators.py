@@ -5,12 +5,18 @@ robustness solver) is built on the four value types defined here:
 ``SystemShape``, ``HermitianOperator``, ``DensityMatrix`` and
 ``SpectralDecomposition``.  All of them are immutable after construction
 and therefore safe to share between concurrent tasks.
+
+An operator's spectrum is computed once, on first use: ``eig(h)``
+diagonalizes ``h`` the first time it is called and hands back the same
+``SpectralDecomposition`` on every later call.  Degenerate levels are merged
+by one rule, ``SpectralDecomposition.levels``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -22,6 +28,7 @@ MAX_TOTAL_DIM = 4096
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
+LEVEL_TOL = 1e-9
 
 
 def _frozen_array(a: np.ndarray) -> np.ndarray:
@@ -102,6 +109,16 @@ class HermitianOperator:
 
     __rmul__ = __mul__
 
+    @cached_property
+    def _spectrum(self) -> "SpectralDecomposition":
+        # cached_property writes the instance __dict__ directly, which the
+        # frozen dataclass's __setattr__ guard does not see.
+        try:
+            vals, vecs = np.linalg.eigh(self.entries)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"eigendecomposition did not converge: {exc}") from exc
+        return SpectralDecomposition(_frozen_array(vals), _frozen_array(vecs))
+
 
 def identity(shape: SystemShape) -> HermitianOperator:
     return HermitianOperator(shape, np.eye(shape.total_dim))
@@ -158,6 +175,20 @@ class SpectralDecomposition:
     def e_max(self) -> float:
         return float(self.eigenvalues[-1])
 
+    def levels(self) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct eigenvalues, ascending, and their multiplicities.
+
+        An eigenvalue joins the current level when it lies within
+        ``LEVEL_TOL`` of that level's first eigenvalue, which is the value
+        reported for the level.
+        """
+        lam = self.eigenvalues
+        starts = [0]
+        for i in range(1, lam.size):
+            if lam[i] - lam[starts[-1]] > LEVEL_TOL:
+                starts.append(i)
+        return lam[starts], np.diff(starts + [lam.size])
+
 
 def tensor(a: HermitianOperator, b: HermitianOperator) -> HermitianOperator:
     """Kronecker product; the result's shape is the concatenation of the inputs'."""
@@ -168,14 +199,11 @@ def tensor(a: HermitianOperator, b: HermitianOperator) -> HermitianOperator:
 def eig(m: HermitianOperator) -> SpectralDecomposition:
     """Full spectral decomposition of a Hermitian operator.
 
-    Non-convergence of the underlying solver is raised as
-    :class:`~enwit.errors.NumericalError`, never returned silently.
+    Computed on the first call for ``m`` and kept with it, so
+    ``eig(m) is eig(m)``.  Non-convergence of the underlying solver is raised
+    as :class:`~enwit.errors.NumericalError`, never returned silently.
     """
-    try:
-        vals, vecs = np.linalg.eigh(m.entries)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigendecomposition did not converge: {exc}") from exc
-    return SpectralDecomposition(_frozen_array(vals), _frozen_array(vecs))
+    return m._spectrum
 
 
 def expectation(m: HermitianOperator, rho: DensityMatrix) -> float:

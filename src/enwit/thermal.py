@@ -7,14 +7,13 @@ down to 1e-3 J (beta up to 1e3) stay finite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
 from .operators import DensityMatrix, HermitianOperator, SpectralDecomposition, eig
 
-DEGENERACY_TOL = 1e-9
 _EXP_MAX = 700.0  # log of the largest finite float64, rounded down
 
 
@@ -38,13 +37,20 @@ class ThermalPoint:
             raise ValueError("beta must equal 1/T")
 
 
-def _thermal_weights(dec: SpectralDecomposition, beta: float) -> tuple[np.ndarray, float]:
-    """Boltzmann probabilities and log Z, via the max-shift trick."""
+def _thermal_table(dec: SpectralDecomposition, temps: np.ndarray) -> tuple[np.ndarray, np.recarray]:
+    """Boltzmann probabilities (T x levels) and the thermal points, via the max-shift trick."""
     lam = dec.eigenvalues
-    w = np.exp(-beta * (lam - lam[0]))
-    s = float(w.sum())
-    log_z = float(np.log(s) - beta * lam[0])
-    return w / s, log_z
+    beta = 1.0 / temps
+    w = np.exp(-beta[:, None] * (lam - lam[0]))
+    s = w.sum(axis=1)
+    log_z = np.log(s) - beta * lam[0]
+    probs = w / s[:, None]
+    mean = (probs * lam).sum(axis=1)
+    z = np.exp(np.where(log_z < _EXP_MAX, log_z, np.inf))
+    points = np.rec.fromarrays(
+        [temps, beta, z, mean, log_z], names=[f.name for f in fields(ThermalPoint)]
+    )
+    return probs, points
 
 
 def gibbs(h: HermitianOperator, temperature: float) -> tuple[DensityMatrix, ThermalPoint]:
@@ -52,39 +58,33 @@ def gibbs(h: HermitianOperator, temperature: float) -> tuple[DensityMatrix, Ther
     t = float(temperature)
     if t <= 0.0:
         raise ValueError("temperature must be positive; use ground_state for T = 0")
-    beta = 1.0 / t
     dec = eig(h)
-    probs, log_z = _thermal_weights(dec, beta)
-    mean = float(np.dot(probs, dec.eigenvalues))
+    probs, points = _thermal_table(dec, np.array([t]))
     v = dec.eigenvectors
-    rho = DensityMatrix.from_entries(h.shape, (v * probs) @ v.conj().T)
-    z = float(np.exp(log_z)) if log_z < _EXP_MAX else float("inf")
-    return rho, ThermalPoint(t, beta, z, mean, log_z)
+    rho = DensityMatrix.from_entries(h.shape, (v * probs[0]) @ v.conj().T)
+    return rho, ThermalPoint(*points[0].tolist())
 
 
 def ground_state(h: HermitianOperator) -> DensityMatrix:
     """Projector onto the ground level, maximally mixed over it if degenerate."""
     dec = eig(h)
-    k = int(np.sum(dec.eigenvalues <= dec.e_min + DEGENERACY_TOL))
+    _, counts = dec.levels()
+    k = int(counts[0])
     v = dec.eigenvectors[:, :k]
     return DensityMatrix.from_entries(h.shape, (v @ v.conj().T) / k)
 
 
-def energy_curve(h: HermitianOperator, temps: Sequence[float]) -> list[ThermalPoint]:
-    """Thermal points for an ascending temperature grid, one diagonalization total."""
-    ts = [float(t) for t in temps]
-    if any(t <= 0 for t in ts):
+def energy_curve(h: HermitianOperator, temps: Sequence[float]) -> np.recarray:
+    """Thermal points for an ascending temperature grid, one diagonalization total.
+
+    The result is a NumPy record array with ``ThermalPoint``'s field names,
+    one row per temperature.
+    """
+    ts = np.fromiter(temps, dtype=float)
+    if (ts <= 0).any():
         raise ValueError("all temperatures must be positive")
-    if any(b < a for a, b in zip(ts, ts[1:])):
+    if (np.diff(ts) < 0).any():
         raise ValueError("temperatures must be ascending")
-    dec = eig(h)
-    points = []
-    for t in ts:
-        beta = 1.0 / t
-        probs, log_z = _thermal_weights(dec, beta)
-        mean = float(np.dot(probs, dec.eigenvalues))
-        z = float(np.exp(log_z)) if log_z < _EXP_MAX else float("inf")
-        points.append(ThermalPoint(t, beta, z, mean, log_z))
-    for a, b in zip(points, points[1:]):
-        assert b.mean_energy >= a.mean_energy - 1e-12, "mean energy must not decrease with T"
+    _, points = _thermal_table(eig(h), ts)
+    assert (np.diff(points.mean_energy) >= -1e-12).all(), "mean energy must not decrease with T"
     return points

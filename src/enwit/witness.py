@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .hamiltonians import XXXParams, build_xxx
 from .operators import HermitianOperator, eig, expectation, identity
 from .sep_energy import (
@@ -46,9 +48,6 @@ class WitnessSpec:
         ident = identity(self.hamiltonian.shape)
         return (self.hamiltonian - self.esep * ident) * (1.0 / self.normalizer_a)
 
-    def unnormalized_witness(self) -> HermitianOperator:
-        return self.hamiltonian - self.esep * identity(self.hamiltonian.shape)
-
     @property
     def entanglement_gap(self) -> float:
         return self.esep - self.e_min
@@ -82,14 +81,21 @@ def make_witness(h: HermitianOperator, esep_report: SepEnergyReport) -> WitnessS
     )
 
 
+def _bound(w: WitnessSpec, mean_energy):
+    """(esep - <H>)/A for one mean energy or an array of them, each within the spectral range."""
+    m = np.asarray(mean_energy, dtype=float)
+    outside = (m < w.e_min - 1e-6) | (m > w.e_max + 1e-6)
+    if outside.any():
+        raise ValueError(
+            f"mean energy {m[outside][0]} lies outside the spectral range [{w.e_min}, {w.e_max}]"
+        )
+    return (w.esep - m) / w.normalizer_a
+
+
 def robustness_lower_bound(w: WitnessSpec, mean_energy: float) -> BoundReport:
     """Evaluate (esep - <H>)/A for a measured or computed mean energy."""
     m = float(mean_energy)
-    if m < w.e_min - 1e-6 or m > w.e_max + 1e-6:
-        raise ValueError(
-            f"mean energy {m} lies outside the spectral range [{w.e_min}, {w.e_max}]"
-        )
-    bound = (w.esep - m) / w.normalizer_a
+    bound = float(_bound(w, m))
     return BoundReport(
         mean_energy=m,
         esep=w.esep,
@@ -153,18 +159,18 @@ def resolve_esep(
     return esep_seesaw(h, part, restarts=restarts, seed=seed)
 
 
-@dataclass(frozen=True)
-class SweepCell:
-    """One (B, T) cell of a bound sweep; ``bound_raw`` is unclipped."""
-
-    b: float
-    t: float
-    mean_energy: float
-    esep: float
-    normalizer_a: float
-    bound_raw: float
-    detected: bool
-    entanglement_gap: float
+SWEEP_DTYPE = np.dtype(
+    [
+        ("b", float),
+        ("t", float),
+        ("mean_energy", float),
+        ("esep", float),
+        ("normalizer_a", float),
+        ("bound_raw", float),
+        ("detected", bool),
+        ("entanglement_gap", float),
+    ]
+)
 
 
 def sweep_single_hamiltonian(
@@ -172,35 +178,32 @@ def sweep_single_hamiltonian(
     esep_report: SepEnergyReport,
     t_grid: Sequence[float],
     b_value: float = 0.0,
-) -> list[SweepCell]:
-    """Bound reports along a temperature grid for one fixed Hamiltonian.
+) -> np.recarray:
+    """Bound columns along a temperature grid for one fixed Hamiltonian.
 
-    A temperature of exactly 0 is served by the ground state.
+    Returns a record array of ``SWEEP_DTYPE``, one row per temperature;
+    ``bound_raw`` is unclipped.  A temperature of exactly 0 is served by the
+    ground state.
     """
     w = make_witness(h, esep_report)
-    cells = []
-    positive = [t for t in t_grid if t > 0.0]
-    means: dict[float, float] = {}
-    if positive:
-        for t, pt in zip(positive, energy_curve(h, positive)):
-            means[t] = pt.mean_energy
-    for t in t_grid:
-        if t < 0.0:
-            raise ValueError("temperatures must be >= 0")
-        mean = means[t] if t > 0.0 else expectation(h, ground_state(h))
-        rep = robustness_lower_bound(w, mean)
-        cells.append(
-            SweepCell(
-                b=float(b_value),
-                t=float(t),
-                mean_energy=rep.mean_energy,
-                esep=rep.esep,
-                normalizer_a=w.normalizer_a,
-                bound_raw=rep.bound,
-                detected=rep.detected,
-                entanglement_gap=rep.entanglement_gap,
-            )
-        )
+    t = np.fromiter(t_grid, dtype=float)
+    if (t < 0.0).any():
+        raise ValueError("temperatures must be >= 0")
+    positive = t > 0.0
+    mean = np.empty_like(t)
+    mean[positive] = energy_curve(h, t[positive]).mean_energy
+    if not positive.all():
+        mean[~positive] = expectation(h, ground_state(h))
+    bound = _bound(w, mean)
+    cells = np.recarray(t.size, dtype=SWEEP_DTYPE)
+    cells.b = b_value
+    cells.t = t
+    cells.mean_energy = mean
+    cells.esep = w.esep
+    cells.normalizer_a = w.normalizer_a
+    cells.bound_raw = bound
+    cells.detected = bound > 0.0
+    cells.entanglement_gap = w.entanglement_gap
     return cells
 
 
@@ -211,11 +214,12 @@ def bound_sweep(
     b_grid: Sequence[float],
     restarts: int = 32,
     seed: int = 0,
-) -> list[SweepCell]:
+) -> np.recarray:
     """Robustness lower bounds on a (B, T) grid of thermal Heisenberg states.
 
     For each field value the Hamiltonian is rebuilt, E_sep resolved per the
-    policy, and every temperature evaluated; rows are ordered B-major then T.
+    policy, and every temperature evaluated.  Returns a record array of
+    ``SWEEP_DTYPE`` with rows ordered B-major then T.
     """
     t_list = [float(t) for t in t_grid]
     b_list = [float(b) for b in b_grid]
@@ -225,10 +229,10 @@ def bound_sweep(
         y < x for x, y in zip(b_list, b_list[1:])
     ):
         raise ValueError("grids must be ascending")
-    cells = []
+    parts = []
     for b in b_list:
         p = XXXParams(params.coupling_j, b, params.n_sites, params.boundary)
         h = build_xxx(p)
         report = resolve_esep(policy, h, params=p, restarts=restarts, seed=seed)
-        cells.extend(sweep_single_hamiltonian(h, report, t_list, b_value=b))
-    return cells
+        parts.append(sweep_single_hamiltonian(h, report, t_list, b_value=b))
+    return np.concatenate(parts).view(np.recarray)

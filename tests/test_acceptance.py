@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 report lines alongside the pytest verdicts.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -228,13 +229,26 @@ def test_criterion_10_measurement_statistics():
     )
 
 
+# sha256 of the reference figure files; any change to the sweep arithmetic or
+# the CSV writer that alters a printed digit changes these.
+FIGURE_SHA256 = {
+    "figure_preset_b0.csv": "90999b931eb260793f89c085920c72f9c7f2173bea39c50c19340e2eef498dd5",
+    "figure_closed_form.csv": "0495f82747e8c2093ca98f61850edf1054e9ffc26e2c3f956b0a0015c6b81f05",
+}
+
+
 def test_criterion_11_reproducible_figure_output(tmp_path, capsys):
     dir_a = tmp_path / "a"
     dir_b = tmp_path / "b"
     assert cmd_reproduce_figure(str(dir_a)) == 0
     assert cmd_reproduce_figure(str(dir_b)) == 0
     capsys.readouterr()
-    names = ["figure_preset_b0.csv", "figure_closed_form.csv"]
+    names = list(FIGURE_SHA256)
     for name in names:
-        assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
-    print(f"criterion 11 PASS: {' and '.join(names)} byte-identical across runs")
+        data = (dir_a / name).read_bytes()
+        assert data == (dir_b / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == FIGURE_SHA256[name], name
+    print(
+        f"criterion 11 PASS: {' and '.join(names)} byte-identical across runs "
+        "and to the recorded sha256 digests"
+    )

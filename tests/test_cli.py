@@ -1,6 +1,8 @@
 import math
 
-from enwit.cli import main
+import pytest
+
+from enwit.cli import _OPTION_SPECS, _build_run_config, _make_parser, main
 
 
 def run(argv, capsys):
@@ -242,6 +244,43 @@ class TestMeasureCommand:
         lo, hi = (float(v) for v in line.split("[")[1].split("]")[0].split(","))
         assert lo == hi
 
+    def test_closed_form_needs_xxx_model(self, tmp_path, capsys):
+        pf = tmp_path / "h.txt"
+        pf.write_text("1.0 XX\n1.0 YY\n1.0 ZZ\n")
+        argv = [
+            "measure", "--model", "pauli-file", "--pauli-file", str(pf),
+            "--T", "1", "--shots", "10", "--policy", "closed-form",
+        ]
+        code, _, err = run(argv, capsys)
+        assert code == 2
+        assert "closed-form policy needs the xxx model" in err
+
+
+class TestOneSpectrumPerHamiltonian:
+    XXX = ["--model", "xxx", "--J", "1", "--policy", "exact"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum", "--B", "0.5"],
+            ["robustness", "--B", "0.5", "--T", "1"],
+            ["measure", "--B", "0.5", "--T", "1", "--shots", "100"],
+        ],
+        ids=["spectrum", "robustness", "measure"],
+    )
+    def test_one_eigh_per_command(self, argv, eigh_calls, capsys):
+        assert run(argv + self.XXX, capsys)[0] == 0
+        assert len(eigh_calls) == 1
+
+    def test_one_eigh_per_sweep_field(self, tmp_path, eigh_calls, capsys):
+        argv = [
+            "bound-sweep", "--B-min", "0", "--B-max", "1", "--B-steps", "3",
+            "--T-min", "0", "--T-max", "2", "--T-steps", "5",
+            "--out", str(tmp_path / "s.csv"),
+        ]
+        assert run(argv + self.XXX, capsys)[0] == 0
+        assert len(eigh_calls) == 3
+
 
 class TestConfigFile:
     def test_file_values_used(self, tmp_path, capsys):
@@ -264,6 +303,46 @@ class TestConfigFile:
         code, _, err = run(["spectrum", "--config", str(cfg)], capsys)
         assert code == 2
         assert "unknown config key" in err
+
+    # option -> (value, flags that complete the option); None: a flag without value
+    SETTINGS = {
+        "model": ("pauli-file", []),
+        "pauli-file": ("h.txt", []),
+        "J": ("2.5", []),
+        "B": ("0.5", []),
+        "B-min": ("0.25", ["--B-max", "1", "--B-steps", "3"]),
+        "B-max": ("1.5", ["--B-min", "0", "--B-steps", "3"]),
+        "B-steps": ("4", ["--B-min", "0", "--B-max", "1"]),
+        "T": ("0.5", []),
+        "T-min": ("0.25", ["--T-max", "1", "--T-steps", "3"]),
+        "T-max": ("1.5", ["--T-min", "0.1", "--T-steps", "3"]),
+        "T-steps": ("4", ["--T-min", "0.1", "--T-max", "1"]),
+        "sites": ("3", []),
+        "boundary": ("periodic", []),
+        "double-count-two-site-bond": (None, []),
+        "policy": ("fixed:-2", []),
+        "restarts": ("5", []),
+        "seed": ("11", []),
+        "out": ("x.csv", []),
+        "precision": ("12", []),
+        "state": ("singlet", []),
+        "shots": ("7", []),
+        "z": ("2", []),
+    }
+
+    @pytest.mark.parametrize("name", list(_OPTION_SPECS))
+    def test_flag_and_file_give_same_config(self, name, tmp_path):
+        value, rest = self.SETTINGS[name]
+        flag = [f"--{name}"] + ([] if value is None else [value])
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"{name}: {'true' if value is None else value}\n")
+
+        def config(argv):
+            return _build_run_config(_make_parser().parse_args(["spectrum"] + argv))
+
+        from_flag = config(flag + rest)
+        assert from_flag == config(["--config", str(cfg_file)] + rest)
+        assert from_flag != config([])
 
     def test_bad_precision_exits_2(self, capsys):
         code, _, _ = run(

@@ -126,11 +126,6 @@ class TestSummarize:
         s = summarize(build_xxx(XXXParams(1.0, 0.0)))
         assert s.e_min == pytest.approx(-3.0, abs=1e-12)
         assert s.e_max == pytest.approx(1.0, abs=1e-12)
-        assert s.gap_to_esep is None
-
-    def test_gap_to_esep(self):
-        s = summarize(build_xxx(XXXParams(1.0, 0.0)), esep=-1.0)
-        assert s.gap_to_esep == pytest.approx(2.0, abs=1e-12)
 
     def test_zero_operator(self):
         from enwit import HermitianOperator
@@ -142,3 +137,7 @@ class TestSummarize:
     def test_level_degeneracies(self):
         levels = level_degeneracies(build_xxx(XXXParams(1.0, 0.0)))
         assert levels == [(pytest.approx(-3.0, abs=1e-9), 1), (pytest.approx(1.0, abs=1e-9), 3)]
+
+    def test_level_degeneracies_near_degenerate(self, near_degenerate):
+        levels = level_degeneracies(near_degenerate)
+        assert [k for _, k in levels] == [2, 2, 1, 1]

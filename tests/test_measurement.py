@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from enwit import (
+    DensityMatrix,
     bound_with_confidence,
     esep_reference,
     gibbs,
@@ -67,6 +68,12 @@ class TestMeasureEnergy:
     def test_rejects_shape_mismatch(self, h_xxx):
         with pytest.raises(ValueError):
             measure_energy(h_xxx(1.0, 0.0, 3), singlet(), shots=10, seed=0)
+
+    def test_draws_are_level_values(self, near_degenerate):
+        h = near_degenerate
+        rho = DensityMatrix.from_entries(h.shape, np.eye(6) / 6)
+        drawn = {measure_energy(h, rho, shots=1, seed=s).mean for s in range(200)}
+        assert drawn == {0.0, 1.0, 1.0 + 1.6e-9, 3.0}
 
     def test_mean_converges_over_seeds(self, h_xxx):
         h = h_xxx()

@@ -133,6 +133,16 @@ class TestEig:
             assert np.abs(gram - np.eye(dim)).max() <= 1e-9
             assert np.all(np.diff(dec.eigenvalues) >= 0)
 
+    def test_spectrum_computed_once(self, h_xxx, eigh_calls):
+        h = h_xxx(1.0, 0.5)
+        assert eig(h) is eig(h)
+        assert len(eigh_calls) == 1
+
+    def test_levels_merge_against_first_eigenvalue(self, near_degenerate):
+        values, counts = eig(near_degenerate).levels()
+        assert counts.tolist() == [2, 2, 1, 1]
+        assert values.tolist() == [0.0, 1.0, 1.0 + 1.6e-9, 3.0]
+
 
 class TestExpectation:
     def test_identity_gives_one(self, random_two_qubit_dm):
@@ -196,3 +206,12 @@ class TestPartialTranspose:
 
 def test_eig_raises_numerical_error_type():
     assert issubclass(NumericalError, RuntimeError)
+
+
+def test_eig_non_convergence_is_numerical_error(monkeypatch):
+    def diverge(m):
+        raise np.linalg.LinAlgError("forced non-convergence")
+
+    monkeypatch.setattr(np.linalg, "eigh", diverge)
+    with pytest.raises(NumericalError):
+        eig(op1(PAULI["Z"]))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from enwit import (
     DensityMatrix,
     HermitianOperator,
     SystemShape,
+    ThermalPoint,
+    eig,
     energy_curve,
     expectation,
     gibbs,
@@ -90,6 +93,11 @@ class TestGroundState:
         rho = ground_state(HermitianOperator(shape, np.zeros((4, 4))))
         assert np.abs(rho.entries - np.eye(4) / 4).max() < 1e-12
 
+    def test_near_degenerate_ground_level_has_rank_two(self, near_degenerate):
+        rho = ground_state(near_degenerate)
+        assert np.linalg.matrix_rank(rho.entries, tol=1e-9) == 2
+        assert np.abs(rho.entries - np.diag([0.5, 0.5, 0, 0, 0, 0])).max() < 1e-12
+
 
 class TestEnergyCurve:
     def test_monotone_mean_energy(self, h_xxx):
@@ -103,6 +111,19 @@ class TestEnergyCurve:
         _, ref = gibbs(h, 1.0)
         assert pt.mean_energy == ref.mean_energy
         assert pt.partition_z == ref.partition_z
+
+    def test_grid_matches_scalar_reference(self, h_xxx):
+        """The (T x levels) table against a per-temperature loop over the spectrum."""
+        h = h_xxx(1.0, 0.6)
+        temps = np.linspace(0.01, 6.0, 60)
+        pts = energy_curve(h, temps)
+        assert pts.dtype.names == tuple(f.name for f in fields(ThermalPoint))
+        lam = eig(h).eigenvalues
+        for t, pt in zip(temps, pts):
+            w = np.exp(-(lam - lam[0]) / t)
+            assert pt.temperature_t == t
+            assert pt.mean_energy == pytest.approx(np.dot(w / w.sum(), lam), abs=1e-12)
+            assert pt.log_partition_z == pytest.approx(np.log(w.sum()) - lam[0] / t, abs=1e-12)
 
     def test_detection_threshold_mean(self, h_xxx):
         # exp(4/T) = 9 makes <H> = -2
@@ -121,8 +142,6 @@ class TestEnergyCurve:
         h = h_xxx(1.0, 0.4)
         lo = energy_curve(h, [1e-3])[0].mean_energy
         hi = energy_curve(h, [1e9])[0].mean_energy
-        from enwit import eig
-
         assert lo == pytest.approx(eig(h).e_min, abs=1e-6)
         assert hi == pytest.approx(h.trace() / 4.0, abs=1e-6)
 
