@@ -32,8 +32,10 @@ from .robustness import rg_exact_2q
 from .sep_energy import SepEnergyReport
 from .thermal import gibbs, ground_state
 from .witness import (
+    CLOSED_FORM_BOND_ERROR,
     EsepPolicy,
     bound_sweep,
+    closed_form_misses_bond,
     make_witness,
     resolve_esep,
     robustness_lower_bound,
@@ -95,10 +97,18 @@ class RunConfig:
             raise ConfigError("shots must be >= 1")
         if self.z < 0:
             raise ConfigError("z must be >= 0")
+        double_count = self.double_count_two_site_bond
+        if closed_form_misses_bond(self.esep_policy, self.boundary, double_count):
+            raise ConfigError(CLOSED_FORM_BOND_ERROR)
 
 
 def _flag(text: str) -> bool:
-    return text.lower() in ("1", "true", "yes")
+    word = text.lower()
+    if word in ("1", "true", "yes"):
+        return True
+    if word in ("0", "false", "no"):
+        return False
+    raise ValueError(f"expected one of 1/true/yes/0/false/no, got {text!r}")
 
 
 # option name -> (parser from string, default, extra argparse keywords).  The
@@ -366,6 +376,7 @@ def cmd_bound_sweep(cfg: RunConfig) -> int:
             cfg.b_grid.values(),
             restarts=cfg.restarts,
             seed=cfg.seed,
+            double_count_two_site_bond=cfg.double_count_two_site_bond,
         )
     else:
         h = _build_hamiltonian(cfg)

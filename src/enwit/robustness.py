@@ -14,6 +14,18 @@ gap between them certifies the answer.  The solver is a plain log-barrier
 Newton method on the 16 real parameters of X: at this size nothing more
 elaborate is warranted, and the certificate invariants (not the algorithm)
 are the contract.
+
+Its cost is the per-call overhead of ``numpy.linalg`` on 4 x 4 matrices, so
+the two barrier blocks X and S = PT(rho) + PT(X) always travel as one
+(2, 4, 4) stack: one Cholesky per barrier evaluation and one inverse per
+Newton step cover both.  The barrier value of the accepted line-search
+trial is carried into the next step (and, with its log-determinants, into
+the next stage), so no point is evaluated twice.  With Y_b the inverse of
+block b and row-major vec, Tr(B_k Y_b B_l Y_b) = vec(B_k^T) . (Y_b kron
+Y_b^T) vec(B_l), so the Hessian is Re(T_b (Y_b kron Y_b^T) B_b^T) summed
+over both blocks: one stacked expression.  The last S^-1 of each stage
+gives the dual witness, and one ``eigvalsh`` on a (4, 4, 4) stack checks
+the certificate.  About 230 ``numpy.linalg`` calls make one solve.
 """
 
 from __future__ import annotations
@@ -41,6 +53,8 @@ _MU_START = 1.0
 _MU_FLOOR = 1e-9
 _EARLY_EXIT_GAP = 1e-6
 _CENTER_TOL = 1e-10  # Newton decrement^2 / 2
+_NEWTON_CAP = 60  # Newton steps per barrier stage
+_LINE_SEARCH_CAP = 70  # step halvings per Newton step
 
 
 @dataclass(frozen=True)
@@ -96,49 +110,65 @@ def _hermitian_basis(d: int) -> np.ndarray:
 _BASIS = _hermitian_basis(4)
 _PT_BASIS = np.stack([_pt(b) for b in _BASIS])
 _TRACE_VEC = np.einsum("kii->k", _BASIS).real
-# flattened views: _B_FLAT maps coefficients to matrices, _BT traces against them
-_B_FLAT = _BASIS.reshape(16, 16)
-_PB_FLAT = _PT_BASIS.reshape(16, 16)
-_BT = np.ascontiguousarray(_BASIS.transpose(0, 2, 1).reshape(16, 16))
-_PBT = np.ascontiguousarray(_PT_BASIS.transpose(0, 2, 1).reshape(16, 16))
+# The barrier blocks X and S = PT(rho) + PT(X) travel as one (2, 4, 4) stack,
+# so each block-wise constant below is stacked the same way, X first.
+_BASES = np.stack([_BASIS, _PT_BASIS])
+# coefficients -> both blocks, flattened (S still without PT(rho))
+_BLOCKS = _BASES.transpose(1, 0, 2, 3).reshape(16, 32)
+# rows vec(B_k^T), so _TRACES[b] @ vec(Y) = Tr(B_k Y); _TRACES_CAT sums both blocks
+_TRACES = _BASES.transpose(0, 1, 3, 2).reshape(2, 16, 16)
+_TRACES_CAT = _TRACES.transpose(1, 0, 2).reshape(16, 32)
+# columns vec(B_l), closing the Kronecker form of the Hessian
+_BLOCKS_T = np.ascontiguousarray(_BASES.reshape(2, 16, 16).transpose(0, 2, 1))
 
 
 def _to_coeffs(m: np.ndarray) -> np.ndarray:
-    return (_BT @ m.reshape(16)).real
+    return (_TRACES[0] @ m.reshape(16)).real
 
 
-def _chol_logdet(m: np.ndarray) -> Optional[float]:
-    """log det of a Hermitian matrix if positive definite, else None."""
+def _blocks(x: np.ndarray, offset: np.ndarray) -> np.ndarray:
+    """The stack (X, S) at coefficients ``x``; ``offset`` is (0, PT(rho))."""
+    return offset + (x @ _BLOCKS).reshape(2, 4, 4)
+
+
+def _logdets(m: np.ndarray) -> Optional[np.ndarray]:
+    """log det of both blocks if both are positive definite, else None."""
     try:
         ell = np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         return None
-    return 2.0 * float(np.log(np.diagonal(ell).real).sum())
+    return 2.0 * np.log(np.diagonal(ell, axis1=1, axis2=2).real).sum(axis=1)
 
 
-def _inv_herm(m: np.ndarray) -> np.ndarray:
+def _barrier(t: float, x: np.ndarray, logdets: np.ndarray) -> float:
+    return float(t * (x @ _TRACE_VEC) - logdets[0] - logdets[1])
+
+
+def _inverses(m: np.ndarray) -> np.ndarray:
     out = np.linalg.inv(m)
-    return (out + out.conj().T) / 2.0
+    return (out + out.conj().transpose(0, 2, 1)) / 2.0
 
 
-def _barrier_value(t: float, x: np.ndarray, pt_rho: np.ndarray) -> float:
-    xm = (x @ _B_FLAT).reshape(4, 4)
-    s = pt_rho + (x @ _PB_FLAT).reshape(4, 4)
-    ld_x = _chol_logdet(xm)
-    ld_s = _chol_logdet(s)
-    if ld_x is None or ld_s is None:
-        return np.inf
-    return float(t * (x @ _TRACE_VEC) - ld_x - ld_s)
+def _derivatives(t: float, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient and Hessian of the barrier from the block inverses ``y`` = (X^-1, S^-1).
+
+    grad_k = t Tr(B_k) - sum_b Tr(B_k Y_b) and, in Kronecker form,
+    hess = sum_b Re(T_b (Y_b kron Y_b^T) B_b^T), i.e. hess_kl = sum_b Tr(B_k Y_b B_l Y_b).
+    """
+    grad = t * _TRACE_VEC - (_TRACES_CAT @ y.reshape(32)).real
+    kron = (y[:, :, None, :, None] * y.transpose(0, 2, 1)[:, None, :, None, :]).reshape(2, 16, 16)
+    hess = np.matmul(np.matmul(_TRACES, kron), _BLOCKS_T).real.sum(axis=0)
+    return grad, hess
 
 
-def _dual_candidate(s: np.ndarray, t: float, rho_mat: np.ndarray) -> tuple[np.ndarray, float]:
-    """Feasible dual witness from the current slack block, and its objective.
+def _dual_candidate(s_inv: np.ndarray, t: float, rho_mat: np.ndarray) -> tuple[np.ndarray, float]:
+    """Feasible dual witness from the inverse of the slack block, and its objective.
 
     PT(S^-1)/t satisfies the stationarity split I = X^-1/t + PT(S^-1)/t at a
     centered point; scaling by the top eigenvalue enforces W <= I exactly
     even when centering is inexact, and leaves PT(W) >= 0 untouched.
     """
-    w = _pt(_inv_herm(s)) / t
+    w = _pt(s_inv) / t
     w = (w + w.conj().T) / 2.0
     top = float(np.linalg.eigvalsh(w)[-1])
     if top > 1.0:
@@ -161,25 +191,26 @@ def rg_exact_2q(
     _require_two_qubits(rho)
     rho_mat = rho.entries
     pt_rho = _pt(rho_mat)
+    offset = np.stack([np.zeros((4, 4), dtype=np.complex128), pt_rho])
 
     start = max(0.0, -float(np.linalg.eigvalsh(pt_rho)[0])) + 0.5
     x = _to_coeffs(start * np.eye(4, dtype=np.complex128))
+    m = _blocks(x, offset)
+    logdets = _logdets(m)
+    assert logdets is not None  # start * I lifts both blocks' eigenvalues to >= 0.5
 
     best: Optional[tuple[float, float, np.ndarray, np.ndarray]] = None
     t = 1.0 / _MU_START
     t_final = 1.0 / _MU_FLOOR
     while t <= t_final * (1.0 + 1e-9):
-        for _ in range(60):
-            xm = (x @ _B_FLAT).reshape(4, 4)
-            s = pt_rho + (x @ _PB_FLAT).reshape(4, 4)
-            xi = _inv_herm(xm)
-            si = _inv_herm(s)
-            grad = t * _TRACE_VEC - (_BT @ xi.reshape(16)).real - (_PBT @ si.reshape(16)).real
-            t1 = np.matmul(xi, np.matmul(_BASIS, xi))
-            h1 = (t1.reshape(16, 16) @ _BT.T).real
-            t2 = np.matmul(si, np.matmul(_PT_BASIS, si))
-            h2 = (t2.reshape(16, 16) @ _PBT.T).real
-            hess = h1 + h2
+        # the barrier value at x, carried from the accepted line-search trial
+        f0 = _barrier(t, x, logdets)
+        # the last pass only refreshes the inverses at the final x
+        for newton in range(_NEWTON_CAP + 1):
+            y = _inverses(m)
+            if newton == _NEWTON_CAP:
+                break
+            grad, hess = _derivatives(t, y)
             try:
                 step = np.linalg.solve(hess, -grad)
             except np.linalg.LinAlgError:
@@ -190,27 +221,26 @@ def rg_exact_2q(
                 decrement_sq = max(0.0, float(-grad @ step))
             if decrement_sq / 2.0 <= _CENTER_TOL:
                 break
-            f0 = _barrier_value(t, x, pt_rho)
             alpha = 1.0
             slope = float(grad @ step)
-            for _ in range(70):
+            for _ in range(_LINE_SEARCH_CAP):
                 x_new = x + alpha * step
-                f_new = _barrier_value(t, x_new, pt_rho)
+                m_new = _blocks(x_new, offset)
+                trial = _logdets(m_new)
+                f_new = np.inf if trial is None else _barrier(t, x_new, trial)
                 if np.isfinite(f_new) and f_new <= f0 + 1e-2 * alpha * slope:
-                    x = x_new
+                    x, m, logdets, f0 = x_new, m_new, trial, f_new
                     break
                 alpha *= 0.5
             else:
                 raise NumericalError("robustness solver line search stalled")
 
-        xm = (x @ _B_FLAT).reshape(4, 4)
-        s = pt_rho + (x @ _PB_FLAT).reshape(4, 4)
         primal = float(x @ _TRACE_VEC)
-        w, dual = _dual_candidate(s, t, rho_mat)
+        w, dual = _dual_candidate(y[1], t, rho_mat)
         if trace is not None:
             trace.append((t, primal, dual))
         if best is None or (primal - dual) < (best[0] - best[1]):
-            best = (primal, dual, xm.copy(), w.copy())
+            best = (primal, dual, m[0].copy(), w.copy())
         if primal - dual <= _EARLY_EXIT_GAP:
             break
         t *= 10.0
@@ -234,11 +264,12 @@ def rg_exact_2q(
 
 
 def _check_certificate(rho_mat: np.ndarray, xm: np.ndarray, w: np.ndarray) -> None:
+    eigs = np.linalg.eigvalsh(np.stack([xm, _pt(rho_mat + xm), w, _pt(w)]))
     checks = {
-        "primal mixing not PSD": float(np.linalg.eigvalsh(xm)[0]),
-        "mixed state not PPT": float(np.linalg.eigvalsh(_pt(rho_mat + xm))[0]),
-        "witness above identity": 1.0 - float(np.linalg.eigvalsh(w)[-1]),
-        "witness partial transpose not PSD": float(np.linalg.eigvalsh(_pt(w))[0]),
+        "primal mixing not PSD": float(eigs[0, 0]),
+        "mixed state not PPT": float(eigs[1, 0]),
+        "witness above identity": 1.0 - float(eigs[2, -1]),
+        "witness partial transpose not PSD": float(eigs[3, 0]),
     }
     for label, margin in checks.items():
         if margin < -FEAS_TOL:

@@ -134,6 +134,17 @@ class EsepPolicy:
         return f"fixed:{self.value}" if self.kind == "fixed" else self.kind
 
 
+CLOSED_FORM_BOND_ERROR = (
+    "the closed-form E_sep counts the two-site bond once; "
+    "use another policy with --double-count-two-site-bond"
+)
+
+
+def closed_form_misses_bond(policy: EsepPolicy, boundary: str, double_count: bool) -> bool:
+    """True when a closed-form E_sep would belong to a different H than the one built."""
+    return policy.kind == "closed-form" and double_count and boundary == "periodic"
+
+
 def resolve_esep(
     policy: EsepPolicy,
     h: HermitianOperator,
@@ -214,12 +225,14 @@ def bound_sweep(
     b_grid: Sequence[float],
     restarts: int = 32,
     seed: int = 0,
+    double_count_two_site_bond: bool = False,
 ) -> np.recarray:
     """Robustness lower bounds on a (B, T) grid of thermal Heisenberg states.
 
-    For each field value the Hamiltonian is rebuilt, E_sep resolved per the
-    policy, and every temperature evaluated.  Returns a record array of
-    ``SWEEP_DTYPE`` with rows ordered B-major then T.
+    For each field value the Hamiltonian is rebuilt (``double_count_two_site_bond``
+    as in :func:`build_xxx`), E_sep resolved per the policy, and every
+    temperature evaluated.  Returns a record array of ``SWEEP_DTYPE`` with
+    rows ordered B-major then T.
     """
     t_list = [float(t) for t in t_grid]
     b_list = [float(b) for b in b_grid]
@@ -229,10 +242,12 @@ def bound_sweep(
         y < x for x, y in zip(b_list, b_list[1:])
     ):
         raise ValueError("grids must be ascending")
+    if closed_form_misses_bond(policy, params.boundary, double_count_two_site_bond):
+        raise ValueError(CLOSED_FORM_BOND_ERROR)
     parts = []
     for b in b_list:
         p = XXXParams(params.coupling_j, b, params.n_sites, params.boundary)
-        h = build_xxx(p)
+        h = build_xxx(p, double_count_two_site_bond)
         report = resolve_esep(policy, h, params=p, restarts=restarts, seed=seed)
         parts.append(sweep_single_hamiltonian(h, report, t_list, b_value=b))
     return np.concatenate(parts).view(np.recarray)

@@ -151,6 +151,34 @@ class TestBoundSweep:
         assert b"\r" not in raw
         assert raw.endswith(b"\n")
 
+    def test_double_count_two_site_bond(self, tmp_path, capsys):
+        # the doubled bond makes H = 2 s1.s2: spectrum [-6, 2], so A = 2 - (-2) = 4
+        out_file = tmp_path / "sweep.csv"
+        argv = [
+            "bound-sweep", "--J", "1", "--B", "0", "--boundary", "periodic",
+            "--double-count-two-site-bond", "--policy", "fixed:-2", "--T", "1",
+            "--out", str(out_file),
+        ]
+        assert run(argv, capsys)[0] == 0
+        row = out_file.read_text().splitlines()[1].split(",")
+        assert row[4] == "4"
+        code, out, _ = run(["witness"] + argv[1:-2], capsys)
+        assert code == 0
+        assert "A = 4" in out
+
+    @pytest.mark.parametrize("command", ["bound-sweep", "esep", "witness"])
+    def test_closed_form_refuses_double_counted_bond(self, command, tmp_path, capsys):
+        # the closed form is E_sep of J s1.s2; with the bond counted twice it
+        # would give -1 where the true value is -2, an unsound witness
+        argv = [
+            command, "--J", "1", "--B", "0", "--boundary", "periodic",
+            "--double-count-two-site-bond", "--policy", "closed-form", "--T", "1",
+            "--out", str(tmp_path / "sweep.csv"),
+        ]
+        code, _, err = run(argv, capsys)
+        assert code == 2
+        assert "counts the two-site bond once" in err
+
     def test_pauli_file_sweep(self, tmp_path, capsys):
         pf = tmp_path / "h.txt"
         pf.write_text("1.0 XX\n1.0 YY\n1.0 ZZ\n")
@@ -343,6 +371,27 @@ class TestConfigFile:
         from_flag = config(flag + rest)
         assert from_flag == config(["--config", str(cfg_file)] + rest)
         assert from_flag != config([])
+
+    @pytest.mark.parametrize(
+        "word, expected",
+        [("1", True), ("True", True), ("yes", True), ("0", False), ("FALSE", False),
+         ("no", False)],
+    )
+    def test_boolean_words(self, word, expected, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"double-count-two-site-bond: {word}\n")
+        args = _make_parser().parse_args(["spectrum", "--config", str(cfg_file)])
+        assert _build_run_config(args).double_count_two_site_bond is expected
+
+    @pytest.mark.parametrize("word", ["ture", "", "2", "on"])
+    def test_bad_boolean_exits_2(self, word, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"J: 1\nboundary: periodic\ndouble-count-two-site-bond: {word}\n")
+        argv = ["witness", "--config", str(cfg_file), "--B", "0", "--policy", "fixed:-2"]
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert "bad value for double-count-two-site-bond" in err
+        assert out == ""
 
     def test_bad_precision_exits_2(self, capsys):
         code, _, _ = run(

@@ -122,6 +122,60 @@ class TestExactRobustness:
             )
 
 
+def _random_pd(rng, dim=4):
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return g @ g.conj().T + 0.1 * np.eye(dim)
+
+
+class TestFusedDerivatives:
+    def test_matches_basis_loop(self):
+        from enwit.robustness import _BASIS, _derivatives, _pt
+
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            y = np.stack([np.linalg.inv(_random_pd(rng)), np.linalg.inv(_random_pd(rng))])
+            y = (y + y.conj().transpose(0, 2, 1)) / 2.0
+            t = float(rng.uniform(0.5, 10.0))
+            grad, hess = _derivatives(t, y)
+            ref_grad = np.empty(16)
+            ref_hess = np.empty((16, 16))
+            bases = [_BASIS, np.stack([_pt(b) for b in _BASIS])]
+            for k in range(16):
+                ref_grad[k] = t * np.trace(_BASIS[k]).real - sum(
+                    np.trace(basis[k] @ y_b).real for basis, y_b in zip(bases, y)
+                )
+                for l in range(16):
+                    ref_hess[k, l] = sum(
+                        np.trace(basis[k] @ y_b @ basis[l] @ y_b).real
+                        for basis, y_b in zip(bases, y)
+                    )
+            assert np.abs(grad - ref_grad).max() <= 1e-12
+            assert np.abs(hess - ref_hess).max() <= 1e-12
+
+
+class TestLinalgBudget:
+    # numpy.linalg calls per solve with one Cholesky/inverse per block and a
+    # barrier re-evaluation per Newton step: singlet 478, seeded HS state 493
+    @pytest.mark.parametrize(
+        "make_rho",
+        [singlet, lambda: rand_dm(np.random.default_rng(0))],
+        ids=["singlet", "hs_seed0"],
+    )
+    def test_calls_per_solve(self, make_rho, monkeypatch):
+        rho = make_rho()
+        calls = []
+        for name in ("cholesky", "inv", "solve", "eigvalsh", "eigh"):
+            real = getattr(np.linalg, name)
+
+            def counting(*args, _real=real, **kwargs):
+                calls.append(1)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        rg_exact_2q(rho)
+        assert 0 < len(calls) <= 250
+
+
 class TestPureClosedForm:
     def test_product(self):
         assert rg_pure([1.0]) == pytest.approx(0.0, abs=1e-15)

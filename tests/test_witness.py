@@ -164,6 +164,16 @@ class TestSweep:
         with pytest.raises(ValueError):
             bound_sweep(XXXParams(1.0, 0.0), EsepPolicy("fixed", -2.0), [1.0, 0.5], [0.0])
 
+    def test_double_counted_bond(self):
+        p = XXXParams(1.0, 0.0, 2, "periodic")
+        fixed = EsepPolicy("fixed", -2.0)
+        assert bound_sweep(p, fixed, [1.0], [0.0]).normalizer_a[0] == pytest.approx(3.0, abs=1e-12)
+        doubled = bound_sweep(p, fixed, [1.0], [0.0], double_count_two_site_bond=True)
+        assert doubled.normalizer_a[0] == pytest.approx(4.0, abs=1e-12)
+        closed = EsepPolicy("closed-form")
+        with pytest.raises(ValueError, match="two-site bond once"):
+            bound_sweep(p, closed, [1.0], [0.0], double_count_two_site_bond=True)
+
 
 class TestPolicy:
     def test_parse_fixed(self):
