@@ -8,12 +8,10 @@ desk scale against an exact two-qubit oracle.
 from .errors import NumericalError
 from .hamiltonians import (
     PauliString,
-    SpectrumSummary,
     XXXParams,
     build_pauli,
     build_xxx,
     parse_pauli_terms,
-    summarize,
 )
 from .measurement import BoundInterval, EnergyEstimate, bound_with_confidence, measure_energy
 from .operators import (
@@ -40,7 +38,6 @@ from .sep_energy import (
     SepEnergyReport,
     ansatz_energy,
     esep_closed_form_xxx,
-    esep_grid,
     esep_reference,
     esep_seesaw,
 )
@@ -72,7 +69,6 @@ __all__ = [
     "RobustnessCertificate",
     "SepEnergyReport",
     "SpectralDecomposition",
-    "SpectrumSummary",
     "SystemShape",
     "ThermalPoint",
     "WitnessSpec",
@@ -85,7 +81,6 @@ __all__ = [
     "eig",
     "energy_curve",
     "esep_closed_form_xxx",
-    "esep_grid",
     "esep_reference",
     "esep_seesaw",
     "expectation",
@@ -101,6 +96,5 @@ __all__ = [
     "rg_exact_2q",
     "rg_pure",
     "robustness_lower_bound",
-    "summarize",
     "tensor",
 ]

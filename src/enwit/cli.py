@@ -3,12 +3,17 @@
 Subcommands: spectrum | esep | witness | bound-sweep | robustness | measure |
 reproduce-figure.  Options can also be supplied through a config file of
 ``key: value`` lines (same keys as the flags); flags override the file.
+Every option is declared once, in ``_OPTION_SPECS``, whose parser converts
+and checks flag and file values alike (``bad value for <key>``; NaN and
+infinities fail).  Rules on the physics inputs, such as J > 0 and the closed
+form's bond convention, are the library's and exit 2 as well.
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,24 +23,15 @@ import numpy as np
 
 from . import states
 from .errors import NumericalError
-from .hamiltonians import (
-    XXXParams,
-    build_pauli,
-    build_xxx,
-    level_degeneracies,
-    parse_pauli_terms,
-    summarize,
-)
+from .hamiltonians import XXXParams, build_pauli, build_xxx, parse_pauli_terms
 from .measurement import bound_with_confidence, measure_energy
-from .operators import DensityMatrix, HermitianOperator, SystemShape, expectation
+from .operators import DensityMatrix, HermitianOperator, SystemShape, eig, expectation
 from .robustness import rg_exact_2q
 from .sep_energy import SepEnergyReport
 from .thermal import gibbs, ground_state
 from .witness import (
-    CLOSED_FORM_BOND_ERROR,
     EsepPolicy,
     bound_sweep,
-    closed_form_misses_bond,
     make_witness,
     resolve_esep,
     robustness_lower_bound,
@@ -43,10 +39,6 @@ from .witness import (
 )
 
 CSV_HEADER = "B,T,mean_energy,esep,A,bound_raw,bound_clipped,detected"
-
-
-class ConfigError(Exception):
-    """Bad or missing configuration; maps to exit code 2."""
 
 
 @dataclass(frozen=True)
@@ -57,49 +49,14 @@ class GridSpec:
 
     def __post_init__(self):
         if self.steps < 1:
-            raise ConfigError("grid steps must be >= 1")
+            raise ValueError("grid steps must be >= 1")
         if self.lo > self.hi:
-            raise ConfigError("grid min must not exceed max")
+            raise ValueError("grid min must not exceed max")
 
     def values(self) -> list[float]:
         if self.steps == 1:
             return [self.lo]
         return [self.lo + (self.hi - self.lo) * k / (self.steps - 1) for k in range(self.steps)]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    model: str
-    coupling_j: Optional[float]
-    b_grid: GridSpec
-    t_grid: GridSpec
-    esep_policy: EsepPolicy
-    restarts: int
-    seed: int
-    output_path: str
-    precision_digits: int
-    n_sites: int
-    boundary: str
-    double_count_two_site_bond: bool
-    pauli_file: Optional[str]
-    state: str
-    shots: int
-    z: float
-
-    def __post_init__(self):
-        if self.model not in ("xxx", "pauli-file"):
-            raise ConfigError(f"model must be 'xxx' or 'pauli-file', got {self.model!r}")
-        if not (6 <= self.precision_digits <= 17):
-            raise ConfigError("precision must lie in [6, 17]")
-        if self.restarts < 1:
-            raise ConfigError("restarts must be >= 1")
-        if self.shots < 1:
-            raise ConfigError("shots must be >= 1")
-        if self.z < 0:
-            raise ConfigError("z must be >= 0")
-        double_count = self.double_count_two_site_bond
-        if closed_form_misses_bond(self.esep_policy, self.boundary, double_count):
-            raise ConfigError(CLOSED_FORM_BOND_ERROR)
 
 
 def _flag(text: str) -> bool:
@@ -108,37 +65,86 @@ def _flag(text: str) -> bool:
         return True
     if word in ("0", "false", "no"):
         return False
-    raise ValueError(f"expected one of 1/true/yes/0/false/no, got {text!r}")
+    raise ValueError("expected one of 1/true/yes/0/false/no")
 
 
-# option name -> (parser from string, default, extra argparse keywords).  The
-# table generates the subcommands' flags (dest = name with '-' -> '_') and
-# the config-file keys; the parser converts both flag and file values, except
-# for store_const flags, which take no value.
+def _number(kind: type, lo: float = -math.inf, hi: float = math.inf):
+    """Parser for a finite int or float in [lo, hi]; NaN and infinities fail."""
+
+    def parse(text: str):
+        x = kind(text)
+        if not (math.isfinite(x) and lo <= x <= hi):
+            bounds = "" if (lo, hi) == (-math.inf, math.inf) else f" in [{lo:g}, {hi:g}]"
+            raise ValueError(f"expected a finite number{bounds}")
+        return x
+
+    return parse
+
+
+def _one_of(*words: str):
+    """Parser accepting only ``words``; ``metavar`` lists them for --help."""
+
+    def parse(text: str) -> str:
+        if text not in words:
+            raise ValueError(f"expected one of {', '.join(words)}")
+        return text
+
+    parse.metavar = "{" + ",".join(words) + "}"
+    return parse
+
+
+def _state_spec(text: str):
+    """singlet | thermal | ground, or the four angles of product:th,ph[,th,ph]."""
+    if text in ("singlet", "thermal", "ground"):
+        return text
+    if not text.startswith("product:"):
+        raise ValueError("expected singlet, thermal, ground or product:th,ph[,th,ph]")
+    angles = [_number(float)(v) for v in text.split(":", 1)[1].split(",")]
+    if len(angles) not in (2, 4):
+        raise ValueError("product state spec needs 2 or 4 comma-separated angles")
+    return tuple(angles * (4 // len(angles)))
+
+
+# option name -> (parser from string, default, extra argparse keywords).  This
+# table is the CLI's configuration: it generates the subcommands' flags (dest =
+# name with '-' -> '_') and the config-file keys.  argparse converts nothing;
+# the parser converts and checks flag and file values alike.
 _OPTION_SPECS: dict = {
-    "model": (str, "xxx", {"choices": ["xxx", "pauli-file"]}),
+    "model": (_one_of("xxx", "pauli-file"), "xxx", {}),
     "pauli-file": (str, None, {}),
-    "J": (float, None, {}),
-    "B": (float, None, {}),
-    "B-min": (float, None, {}),
-    "B-max": (float, None, {}),
-    "B-steps": (int, None, {}),
-    "T": (float, None, {}),
-    "T-min": (float, None, {}),
-    "T-max": (float, None, {}),
-    "T-steps": (int, None, {}),
-    "sites": (int, 2, {}),
-    "boundary": (str, "open", {"choices": ["open", "periodic"]}),
-    "double-count-two-site-bond": (_flag, False, {"action": "store_const", "const": True}),
-    "policy": (str, "exact", {"help": "exact | closed-form | fixed:<value>"}),
-    "restarts": (int, 32, {}),
-    "seed": (int, 0, {}),
+    "J": (_number(float), None, {}),
+    "B": (_number(float), None, {}),
+    "B-min": (_number(float), None, {}),
+    "B-max": (_number(float), None, {}),
+    "B-steps": (_number(int), None, {}),
+    "T": (_number(float), None, {}),
+    "T-min": (_number(float), None, {}),
+    "T-max": (_number(float), None, {}),
+    "T-steps": (_number(int), None, {}),
+    "sites": (_number(int), 2, {}),
+    "boundary": (_one_of("open", "periodic"), "open", {}),
+    "double-count-two-site-bond": (_flag, False, {"action": "store_const", "const": "true"}),
+    "policy": (
+        EsepPolicy.parse, EsepPolicy("exact"), {"help": "exact | closed-form | fixed:<value>"}
+    ),
+    "restarts": (_number(int, 1), 32, {}),
+    "seed": (_number(int), 0, {}),
     "out": (str, None, {"help": "output path for CSV commands"}),
-    "precision": (int, 10, {"help": "significant digits for printed floats"}),
-    "state": (str, "thermal", {"help": "singlet | thermal | ground | product:th,ph[,th,ph]"}),
-    "shots": (int, 100000, {}),
-    "z": (float, 3.0, {}),
+    "precision": (_number(int, 6, 17), 10, {"help": "significant digits for printed floats"}),
+    "state": (
+        _state_spec, "thermal", {"help": "singlet | thermal | ground | product:th,ph[,th,ph]"}
+    ),
+    "shots": (_number(int, 1), 100000, {}),
+    "z": (_number(float, 0.0), 3.0, {}),
 }
+
+
+def _parse(key: str, text: str, where: str = ""):
+    """Option ``key``'s value given as ``text``; a bad value raises ValueError naming the key."""
+    try:
+        return _OPTION_SPECS[key][0](text)
+    except ValueError as exc:
+        raise ValueError(f"{where}bad value for {key}: {text!r} ({exc})") from exc
 
 
 def _read_config_file(path: str) -> dict:
@@ -146,146 +152,96 @@ def _read_config_file(path: str) -> dict:
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        raise ValueError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if ":" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key: value', got {raw!r}")
+            raise ValueError(f"{path}:{lineno}: expected 'key: value', got {raw!r}")
         key, _, val = line.partition(":")
         key, val = key.strip(), val.strip()
         if key not in _OPTION_SPECS:
-            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        parser = _OPTION_SPECS[key][0]
-        try:
-            values[key] = parser(val)
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {val!r}") from exc
+            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        values[key] = _parse(key, val, f"{path}:{lineno}: ")
     return values
 
 
-def _merged(args: argparse.Namespace) -> dict:
-    file_values = _read_config_file(args.config) if getattr(args, "config", None) else {}
-    merged = {}
-    for key, (_, default, _) in _OPTION_SPECS.items():
-        attr = key.replace("-", "_")
-        cli_val = getattr(args, attr, None)
-        if cli_val is not None:
-            merged[key] = cli_val
-        elif key in file_values:
-            merged[key] = file_values[key]
-        else:
-            merged[key] = default
-    return merged
-
-
-def _grid_from(merged: dict, prefix: str, default_scalar: float) -> GridSpec:
-    scalar = merged[prefix]
-    lo, hi, steps = merged[f"{prefix}-min"], merged[f"{prefix}-max"], merged[f"{prefix}-steps"]
+def _grid_from(values: dict, prefix: str, default_scalar: float) -> GridSpec:
+    scalar = values[prefix]
+    lo, hi, steps = values[f"{prefix}-min"], values[f"{prefix}-max"], values[f"{prefix}-steps"]
     if scalar is not None:
         if lo is not None or hi is not None or steps is not None:
-            raise ConfigError(f"give either --{prefix} or --{prefix}-min/max/steps, not both")
+            raise ValueError(f"give either --{prefix} or --{prefix}-min/max/steps, not both")
         return GridSpec(scalar, scalar, 1)
     if lo is None and hi is None and steps is None:
         return GridSpec(default_scalar, default_scalar, 1)
     if lo is None or hi is None or steps is None:
-        raise ConfigError(f"--{prefix}-min/max/steps must be given together")
+        raise ValueError(f"--{prefix}-min/max/steps must be given together")
     return GridSpec(lo, hi, steps)
 
 
-def _build_run_config(args: argparse.Namespace) -> RunConfig:
-    m = _merged(args)
-    try:
-        policy = EsepPolicy.parse(m["policy"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return RunConfig(
-        model=m["model"],
-        coupling_j=m["J"],
-        b_grid=_grid_from(m, "B", 0.0),
-        t_grid=_grid_from(m, "T", 1.0),
-        esep_policy=policy,
-        restarts=m["restarts"],
-        seed=m["seed"],
-        output_path=m["out"] or "bound_sweep.csv",
-        precision_digits=m["precision"],
-        n_sites=m["sites"],
-        boundary=m["boundary"],
-        double_count_two_site_bond=m["double-count-two-site-bond"],
-        pauli_file=m["pauli-file"],
-        state=m["state"],
-        shots=m["shots"],
-        z=m["z"],
-    )
+def _config(args: argparse.Namespace) -> argparse.Namespace:
+    """Parsed option values (defaults, then the config file, then flags) and the two grids."""
+    values = {key: default for key, (_, default, _) in _OPTION_SPECS.items()}
+    if args.config:
+        values.update(_read_config_file(args.config))
+    for key in _OPTION_SPECS:
+        flag = getattr(args, key.replace("-", "_"))
+        if flag is not None:
+            values[key] = _parse(key, flag)
+    cfg = argparse.Namespace(**{key.replace("-", "_"): v for key, v in values.items()})
+    cfg.b_grid = _grid_from(values, "B", 0.0)
+    cfg.t_grid = _grid_from(values, "T", 1.0)
+    return cfg
 
 
-def _require_j(cfg: RunConfig) -> float:
-    if cfg.coupling_j is None:
-        raise ConfigError("--J is required for the xxx model")
-    return cfg.coupling_j
-
-
-def _xxx_params(cfg: RunConfig) -> Optional[XXXParams]:
+def _xxx_params(cfg: argparse.Namespace) -> Optional[XXXParams]:
     if cfg.model != "xxx":
         return None
-    return XXXParams(_require_j(cfg), cfg.b_grid.lo, cfg.n_sites, cfg.boundary)
+    if cfg.J is None:
+        raise ValueError("--J is required for the xxx model")
+    return XXXParams(cfg.J, cfg.b_grid.lo, cfg.sites, cfg.boundary, cfg.double_count_two_site_bond)
 
 
-def _build_hamiltonian(cfg: RunConfig) -> HermitianOperator:
+def _build_hamiltonian(cfg: argparse.Namespace) -> HermitianOperator:
     params = _xxx_params(cfg)
     if params is not None:
-        return build_xxx(params, cfg.double_count_two_site_bond)
+        return build_xxx(params)
     if not cfg.pauli_file:
-        raise ConfigError("--pauli-file is required for the pauli-file model")
+        raise ValueError("--pauli-file is required for the pauli-file model")
     try:
         text = Path(cfg.pauli_file).read_text()
     except OSError as exc:
-        raise ConfigError(f"cannot read {cfg.pauli_file}: {exc}") from exc
-    try:
-        terms = parse_pauli_terms(text)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ValueError(f"cannot read {cfg.pauli_file}: {exc}") from exc
+    terms = parse_pauli_terms(text)
     if not terms:
-        raise ConfigError(f"{cfg.pauli_file} contains no terms")
+        raise ValueError(f"{cfg.pauli_file} contains no terms")
     n = len(terms[0].letters)
     return build_pauli(SystemShape([2] * n), terms)
 
 
-def _esep_report(cfg: RunConfig, h: HermitianOperator) -> SepEnergyReport:
+def _esep_report(cfg: argparse.Namespace, h: HermitianOperator) -> SepEnergyReport:
     """E_sep for ``h`` under the configured policy."""
-    if cfg.esep_policy.kind == "closed-form" and cfg.model != "xxx":
-        raise ConfigError("closed-form policy needs the xxx model")
-    return resolve_esep(
-        cfg.esep_policy, h, params=_xxx_params(cfg), restarts=cfg.restarts, seed=cfg.seed
-    )
+    params = _xxx_params(cfg)
+    return resolve_esep(cfg.policy, h, params=params, restarts=cfg.restarts, seed=cfg.seed)
 
 
 def _fmt(x: float, digits: int) -> str:
     return format(float(x), f".{digits}g")
 
 
-def _state_from_spec(cfg: RunConfig, h: Optional[HermitianOperator]) -> DensityMatrix:
+def _state_from_spec(cfg: argparse.Namespace, h: Optional[HermitianOperator]) -> DensityMatrix:
     """The state named by ``cfg.state``; ``h`` is needed for thermal and ground states."""
     spec = cfg.state
     if spec == "singlet":
         return states.singlet()
-    if spec.startswith("product:"):
-        try:
-            angles = [float(v) for v in spec.split(":", 1)[1].split(",")]
-        except ValueError as exc:
-            raise ConfigError(f"bad product state spec {spec!r}") from exc
-        if len(angles) == 2:
-            angles = angles * 2
-        if len(angles) != 4:
-            raise ConfigError("product state spec needs 2 or 4 comma-separated angles")
-        return states.product_state(*angles)
+    if isinstance(spec, tuple):
+        return states.product_state(*spec)
     if spec == "thermal" and cfg.t_grid.lo != 0.0:
         rho, _ = gibbs(h, cfg.t_grid.lo)
         return rho
-    if spec in ("thermal", "ground"):
-        return ground_state(h)
-    raise ConfigError(f"unknown state spec {spec!r}")
+    return ground_state(h)
 
 
 def _write_sweep_csv(path: str, cells: np.recarray, digits: int) -> None:
@@ -320,20 +276,18 @@ def _write_sweep_csv(path: str, cells: np.recarray, digits: int) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def cmd_spectrum(cfg: RunConfig) -> int:
-    h = _build_hamiltonian(cfg)
-    summary = summarize(h)
-    d = cfg.precision_digits
-    print(f"e_min = {_fmt(summary.e_min, d)}")
-    print(f"e_max = {_fmt(summary.e_max, d)}")
-    levels = level_degeneracies(h)
-    print("levels: " + ", ".join(f"{_fmt(v, d)} (x{k})" for v, k in levels))
+def cmd_spectrum(cfg: argparse.Namespace) -> int:
+    dec = eig(_build_hamiltonian(cfg))
+    d = cfg.precision
+    print(f"e_min = {_fmt(dec.e_min, d)}")
+    print(f"e_max = {_fmt(dec.e_max, d)}")
+    print("levels: " + ", ".join(f"{_fmt(v, d)} (x{k})" for v, k in zip(*dec.levels())))
     return 0
 
 
-def cmd_esep(cfg: RunConfig) -> int:
+def cmd_esep(cfg: argparse.Namespace) -> int:
     report = _esep_report(cfg, _build_hamiltonian(cfg))
-    d = cfg.precision_digits
+    d = cfg.precision
     print(f"esep = {report.esep:.{d}f}")
     print(f"source = {report.source}")
     print(f"restarts_used = {report.restarts_used}")
@@ -350,11 +304,11 @@ def cmd_esep(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_witness(cfg: RunConfig) -> int:
+def cmd_witness(cfg: argparse.Namespace) -> int:
     h = _build_hamiltonian(cfg)
     report = _esep_report(cfg, h)
     w = make_witness(h, report)
-    d = cfg.precision_digits
+    d = cfg.precision
     print(f"esep = {_fmt(w.esep, d)} (source = {report.source})")
     print(f"e_min = {_fmt(w.e_min, d)}")
     print(f"e_max = {_fmt(w.e_max, d)}")
@@ -365,38 +319,34 @@ def cmd_witness(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_bound_sweep(cfg: RunConfig) -> int:
+def cmd_bound_sweep(cfg: argparse.Namespace) -> int:
     t_values = cfg.t_grid.values()
     params = _xxx_params(cfg)
     if params is not None:
         cells = bound_sweep(
-            params,
-            cfg.esep_policy,
-            t_values,
-            cfg.b_grid.values(),
-            restarts=cfg.restarts,
-            seed=cfg.seed,
-            double_count_two_site_bond=cfg.double_count_two_site_bond,
+            params, cfg.policy, t_values, cfg.b_grid.values(), restarts=cfg.restarts, seed=cfg.seed
         )
     else:
         h = _build_hamiltonian(cfg)
         cells = sweep_single_hamiltonian(h, _esep_report(cfg, h), t_values, b_value=0.0)
-    _write_sweep_csv(cfg.output_path, cells, cfg.precision_digits)
-    print(f"wrote {cfg.output_path} ({len(cells)} rows)")
+    path = cfg.out or "bound_sweep.csv"
+    _write_sweep_csv(path, cells, cfg.precision)
+    print(f"wrote {path} ({len(cells)} rows)")
     return 0
 
 
-def cmd_robustness(cfg: RunConfig) -> int:
-    with_bound = cfg.model == "xxx" and cfg.coupling_j is not None
+def cmd_robustness(cfg: argparse.Namespace) -> int:
+    with_bound = cfg.model == "xxx" and cfg.J is not None
     needs_h = with_bound or cfg.state in ("thermal", "ground")
     h = _build_hamiltonian(cfg) if needs_h else None
     rho = _state_from_spec(cfg, h)
+    if with_bound:  # refuse a bad E_sep before any output
+        report = _esep_report(cfg, h)
+        w = make_witness(h, report)
     cert = rg_exact_2q(rho)
     print(f"rg_value = {cert.rg_value:.5f}")
     print(f"duality_gap = {cert.duality_gap:.3e}")
     if with_bound:
-        report = _esep_report(cfg, h)
-        w = make_witness(h, report)
         bound = robustness_lower_bound(w, expectation(h, rho))
         ok = bound.bound <= cert.rg_value + 1e-6
         print(f"energy_bound = {bound.bound:.5f} ({'<=' if ok else '>!'} rg_value)")
@@ -408,13 +358,13 @@ def cmd_robustness(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_measure(cfg: RunConfig) -> int:
+def cmd_measure(cfg: argparse.Namespace) -> int:
     h = _build_hamiltonian(cfg)
     rho = _state_from_spec(cfg, h)
-    est = measure_energy(h, rho, cfg.shots, cfg.seed)
     w = make_witness(h, _esep_report(cfg, h))
+    est = measure_energy(h, rho, cfg.shots, cfg.seed)
     interval = bound_with_confidence(w, est, cfg.z)
-    d = cfg.precision_digits
+    d = cfg.precision
     print(f"mean = {_fmt(est.mean, d)}")
     print(f"stderr = {_fmt(est.stderr, d)}")
     print(f"shots = {est.shots}")
@@ -454,8 +404,8 @@ def cmd_reproduce_figure(out_dir: str, digits: int = 10) -> int:
 def _add_common_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="config file of 'key: value' lines; flags override")
     for name, (parser, _, extra) in _OPTION_SPECS.items():
-        typed = {} if extra.get("action") == "store_const" else {"type": parser}
-        p.add_argument(f"--{name}", dest=name.replace("-", "_"), **typed, **extra)
+        metavar = getattr(parser, "metavar", None)
+        p.add_argument(f"--{name}", dest=name.replace("-", "_"), metavar=metavar, **extra)
 
 
 def _make_parser() -> argparse.ArgumentParser:
@@ -469,7 +419,7 @@ def _make_parser() -> argparse.ArgumentParser:
         _add_common_options(p)
     fig = sub.add_parser("reproduce-figure")
     fig.add_argument("--out-dir", dest="out_dir", default=".")
-    fig.add_argument("--precision", type=int, default=10)
+    fig.add_argument("--precision", default="10")
     return parser
 
 
@@ -487,12 +437,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _make_parser().parse_args(argv)
     try:
         if args.command == "reproduce-figure":
-            if not (6 <= args.precision <= 17):
-                raise ConfigError("precision must lie in [6, 17]")
-            return cmd_reproduce_figure(args.out_dir, args.precision)
-        cfg = _build_run_config(args)
-        return _DISPATCH[args.command](cfg)
-    except (ConfigError, ValueError) as exc:
+            return cmd_reproduce_figure(args.out_dir, _parse("precision", args.precision))
+        return _DISPATCH[args.command](_config(args))
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -9,7 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .operators import HermitianOperator, SystemShape, eig
+from .operators import HermitianOperator, SystemShape
 
 PAULI = {
     "I": np.eye(2, dtype=np.complex128),
@@ -24,16 +24,22 @@ class XXXParams:
     """Heisenberg chain parameters: J sum_i sigma_i . sigma_{i+1} + B sum_i sigma_z,i.
 
     Temperatures downstream are measured in units of J/k_B with k_B = 1.
+    A periodic two-site chain counts its single bond once unless
+    ``double_count_two_site_bond`` is set (a convention for chain formulas
+    that traverse the 1-2 bond twice).
     """
 
     coupling_j: float = 1.0
     field_b: float = 0.0
     n_sites: int = 2
     boundary: str = "open"
+    double_count_two_site_bond: bool = False
 
     def __post_init__(self):
-        if self.coupling_j <= 0:
-            raise ValueError("coupling_j must be positive")
+        if not (math.isfinite(self.coupling_j) and self.coupling_j > 0):
+            raise ValueError("coupling_j must be positive and finite")
+        if not math.isfinite(self.field_b):
+            raise ValueError("field_b must be finite")
         if self.n_sites < 2:
             raise ValueError("n_sites must be >= 2")
         if self.boundary not in ("open", "periodic"):
@@ -48,20 +54,12 @@ class PauliString:
     letters: str
 
     def __post_init__(self):
+        if not math.isfinite(self.coefficient):
+            raise ValueError(f"coefficient must be finite, got {self.coefficient!r}")
         up = self.letters.upper()
         if not up or any(c not in "IXYZ" for c in up):
             raise ValueError(f"letters must be over I,X,Y,Z, got {self.letters!r}")
         object.__setattr__(self, "letters", up)
-
-
-@dataclass(frozen=True)
-class SpectrumSummary:
-    e_min: float
-    e_max: float
-
-    def __post_init__(self):
-        if self.e_min > self.e_max:
-            raise ValueError("e_min must not exceed e_max")
 
 
 def _kron_all(mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -72,19 +70,18 @@ def _site_term(letter: str, site: int, n: int) -> np.ndarray:
     return _kron_all([PAULI[letter] if k == site else PAULI["I"] for k in range(n)])
 
 
-def build_xxx(p: XXXParams, double_count_two_site_bond: bool = False) -> HermitianOperator:
+def build_xxx(p: XXXParams) -> HermitianOperator:
     """Heisenberg Hamiltonian on n qubits.
 
     For ``n_sites=2`` this is J sigma_1.sigma_2 + B(sigma_z1 + sigma_z2); the
     single bond is counted once even for periodic boundaries unless
-    ``double_count_two_site_bond`` is set (a convention flag for chain
-    formulas that traverse the 1-2 bond twice).
+    ``p.double_count_two_site_bond`` is set.
     """
     n = p.n_sites
     d = 2**n
     h = np.zeros((d, d), dtype=np.complex128)
     bonds = [(i, i + 1) for i in range(n - 1)]
-    if p.boundary == "periodic" and (n > 2 or double_count_two_site_bond):
+    if p.boundary == "periodic" and (n > 2 or p.double_count_two_site_bond):
         bonds.append((n - 1, 0))
     for i, j in bonds:
         for a in "XYZ":
@@ -127,17 +124,3 @@ def parse_pauli_terms(text: str) -> list[PauliString]:
         terms.append(PauliString(coef, parts[1]))
     return terms
 
-
-def summarize(h: HermitianOperator) -> SpectrumSummary:
-    """Spectral range of ``h``."""
-    dec = eig(h)
-    return SpectrumSummary(dec.e_min, dec.e_max)
-
-
-def level_degeneracies(h: HermitianOperator) -> list[tuple[float, int]]:
-    """Distinct eigenvalues with their multiplicities, ascending.
-
-    Levels are merged by ``SpectralDecomposition.levels``.
-    """
-    levels, counts = eig(h).levels()
-    return [(float(v), int(k)) for v, k in zip(levels, counts)]

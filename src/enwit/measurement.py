@@ -75,8 +75,8 @@ def bound_with_confidence(w: WitnessSpec, est: EnergyEstimate, z: float) -> Boun
 
     Detection is claimed only when the whole interval is positive.
     """
-    if z < 0:
-        raise ValueError("z must be nonnegative")
+    if not 0.0 <= z < math.inf:
+        raise ValueError("z must be nonnegative and finite")
     lo = (w.esep - est.mean - z * est.stderr) / w.normalizer_a
     hi = (w.esep - est.mean + z * est.stderr) / w.normalizer_a
     return BoundInterval(lo=lo, hi=hi, detected=lo > 0.0)

@@ -39,14 +39,3 @@ def singlet() -> DensityMatrix:
     vec = np.array([0.0, 1.0, -1.0, 0.0], dtype=np.complex128) / math.sqrt(2.0)
     return DensityMatrix.pure(TWO_QUBITS, vec)
 
-
-def random_density_matrix(rng: np.random.Generator, dim: int = 4) -> np.ndarray:
-    """Hilbert-Schmidt random density matrix entries (caller wraps the type)."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    m = g @ g.conj().T
-    return m / np.trace(m).real
-
-
-def random_pure_state(rng: np.random.Generator, dim: int = 4) -> np.ndarray:
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)

@@ -56,7 +56,7 @@ def _thermal_table(dec: SpectralDecomposition, temps: np.ndarray) -> tuple[np.nd
 def gibbs(h: HermitianOperator, temperature: float) -> tuple[DensityMatrix, ThermalPoint]:
     """Thermal equilibrium state of ``h`` at temperature T > 0 (units J/k_B)."""
     t = float(temperature)
-    if t <= 0.0:
+    if not t > 0.0:
         raise ValueError("temperature must be positive; use ground_state for T = 0")
     dec = eig(h)
     probs, points = _thermal_table(dec, np.array([t]))
@@ -81,7 +81,7 @@ def energy_curve(h: HermitianOperator, temps: Sequence[float]) -> np.recarray:
     one row per temperature.
     """
     ts = np.fromiter(temps, dtype=float)
-    if (ts <= 0).any():
+    if not (ts > 0).all():
         raise ValueError("all temperatures must be positive")
     if (np.diff(ts) < 0).any():
         raise ValueError("temperatures must be ascending")

@@ -8,7 +8,8 @@ R_g >= (E_sep - <H>)/A.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -120,8 +121,8 @@ class EsepPolicy:
     def __post_init__(self):
         if self.kind not in ("exact", "closed-form", "fixed"):
             raise ValueError(f"unknown esep policy {self.kind!r}")
-        if self.kind == "fixed" and self.value is None:
-            raise ValueError("fixed policy needs a value")
+        if self.kind == "fixed" and (self.value is None or not math.isfinite(self.value)):
+            raise ValueError("fixed policy needs a finite value")
 
     @staticmethod
     def parse(text: str) -> "EsepPolicy":
@@ -129,20 +130,6 @@ class EsepPolicy:
         if t.startswith("fixed:"):
             return EsepPolicy("fixed", float(t.split(":", 1)[1]))
         return EsepPolicy(t)
-
-    def describe(self) -> str:
-        return f"fixed:{self.value}" if self.kind == "fixed" else self.kind
-
-
-CLOSED_FORM_BOND_ERROR = (
-    "the closed-form E_sep counts the two-site bond once; "
-    "use another policy with --double-count-two-site-bond"
-)
-
-
-def closed_form_misses_bond(policy: EsepPolicy, boundary: str, double_count: bool) -> bool:
-    """True when a closed-form E_sep would belong to a different H than the one built."""
-    return policy.kind == "closed-form" and double_count and boundary == "periodic"
 
 
 def resolve_esep(
@@ -158,7 +145,7 @@ def resolve_esep(
         return esep_reference(policy.value)
     if policy.kind == "closed-form":
         if params is None:
-            raise ValueError("closed-form policy needs Heisenberg parameters")
+            raise ValueError("closed-form policy needs the xxx model")
         return SepEnergyReport(
             esep=esep_closed_form_xxx(params),
             minimizer=closed_form_ansatz_xxx(params),
@@ -198,7 +185,7 @@ def sweep_single_hamiltonian(
     """
     w = make_witness(h, esep_report)
     t = np.fromiter(t_grid, dtype=float)
-    if (t < 0.0).any():
+    if not (t >= 0.0).all():
         raise ValueError("temperatures must be >= 0")
     positive = t > 0.0
     mean = np.empty_like(t)
@@ -225,14 +212,12 @@ def bound_sweep(
     b_grid: Sequence[float],
     restarts: int = 32,
     seed: int = 0,
-    double_count_two_site_bond: bool = False,
 ) -> np.recarray:
     """Robustness lower bounds on a (B, T) grid of thermal Heisenberg states.
 
-    For each field value the Hamiltonian is rebuilt (``double_count_two_site_bond``
-    as in :func:`build_xxx`), E_sep resolved per the policy, and every
-    temperature evaluated.  Returns a record array of ``SWEEP_DTYPE`` with
-    rows ordered B-major then T.
+    For each field value the Hamiltonian is rebuilt from ``params`` with that
+    field, E_sep resolved per the policy, and every temperature evaluated.
+    Returns a record array of ``SWEEP_DTYPE`` with rows ordered B-major then T.
     """
     t_list = [float(t) for t in t_grid]
     b_list = [float(b) for b in b_grid]
@@ -242,12 +227,10 @@ def bound_sweep(
         y < x for x, y in zip(b_list, b_list[1:])
     ):
         raise ValueError("grids must be ascending")
-    if closed_form_misses_bond(policy, params.boundary, double_count_two_site_bond):
-        raise ValueError(CLOSED_FORM_BOND_ERROR)
     parts = []
     for b in b_list:
-        p = XXXParams(params.coupling_j, b, params.n_sites, params.boundary)
-        h = build_xxx(p, double_count_two_site_bond)
+        p = replace(params, field_b=b)
+        h = build_xxx(p)
         report = resolve_esep(policy, h, params=p, restarts=restarts, seed=seed)
         parts.append(sweep_single_hamiltonian(h, report, t_list, b_value=b))
     return np.concatenate(parts).view(np.recarray)

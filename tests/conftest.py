@@ -31,6 +31,11 @@ def random_dm(rng, dim=4):
     return m / np.trace(m).real
 
 
+def random_pure_state(rng, dim=4):
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return v / np.linalg.norm(v)
+
+
 @pytest.fixture
 def random_two_qubit_dm():
     def make(rng):

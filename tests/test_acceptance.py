@@ -20,7 +20,6 @@ from enwit import (
     build_xxx,
     energy_curve,
     esep_closed_form_xxx,
-    esep_grid,
     esep_reference,
     esep_seesaw,
     gibbs,
@@ -34,7 +33,10 @@ from enwit import (
 from enwit.cli import cmd_reproduce_figure
 from enwit.operators import HermitianOperator
 from enwit.sep_energy import full_vector, random_ansatz
-from enwit.states import random_density_matrix, random_pure_state, singlet
+from enwit.states import singlet
+
+from conftest import random_dm, random_pure_state
+from grid_oracle import esep_grid
 
 Q2 = SystemShape([2, 2])
 SINGLETONS = Partition.singletons(2)
@@ -174,7 +176,7 @@ def test_criterion_07_witness_validity_on_product_states():
 def test_criterion_08_oracle_self_consistency():
     rng = np.random.default_rng(37)
     for _ in range(200):
-        rho = DensityMatrix.from_entries(Q2, random_density_matrix(rng))
+        rho = DensityMatrix.from_entries(Q2, random_dm(rng))
         trace = []
         cert = rg_exact_2q(rho, trace=trace)
         for _, primal, dual in trace:

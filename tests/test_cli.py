@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from enwit.cli import _OPTION_SPECS, _build_run_config, _make_parser, main
+from enwit.cli import _OPTION_SPECS, _config, _make_parser, main
 
 
 def run(argv, capsys):
@@ -166,18 +166,24 @@ class TestBoundSweep:
         assert code == 0
         assert "A = 4" in out
 
-    @pytest.mark.parametrize("command", ["bound-sweep", "esep", "witness"])
+    @pytest.mark.parametrize(
+        "command",
+        [["bound-sweep"], ["esep"], ["witness"], ["measure"], ["robustness", "--state", "singlet"]],
+        ids=["bound-sweep", "esep", "witness", "measure", "robustness"],
+    )
     def test_closed_form_refuses_double_counted_bond(self, command, tmp_path, capsys):
         # the closed form is E_sep of J s1.s2; with the bond counted twice it
         # would give -1 where the true value is -2, an unsound witness
-        argv = [
-            command, "--J", "1", "--B", "0", "--boundary", "periodic",
+        argv = command + [
+            "--J", "1", "--B", "0", "--boundary", "periodic",
             "--double-count-two-site-bond", "--policy", "closed-form", "--T", "1",
             "--out", str(tmp_path / "sweep.csv"),
         ]
-        code, _, err = run(argv, capsys)
+        code, out, err = run(argv, capsys)
         assert code == 2
         assert "counts the two-site bond once" in err
+        assert out == ""
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_pauli_file_sweep(self, tmp_path, capsys):
         pf = tmp_path / "h.txt"
@@ -366,7 +372,7 @@ class TestConfigFile:
         cfg_file.write_text(f"{name}: {'true' if value is None else value}\n")
 
         def config(argv):
-            return _build_run_config(_make_parser().parse_args(["spectrum"] + argv))
+            return _config(_make_parser().parse_args(["spectrum"] + argv))
 
         from_flag = config(flag + rest)
         assert from_flag == config(["--config", str(cfg_file)] + rest)
@@ -381,7 +387,7 @@ class TestConfigFile:
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(f"double-count-two-site-bond: {word}\n")
         args = _make_parser().parse_args(["spectrum", "--config", str(cfg_file)])
-        assert _build_run_config(args).double_count_two_site_bond is expected
+        assert _config(args).double_count_two_site_bond is expected
 
     @pytest.mark.parametrize("word", ["ture", "", "2", "on"])
     def test_bad_boolean_exits_2(self, word, tmp_path, capsys):
@@ -393,12 +399,54 @@ class TestConfigFile:
         assert "bad value for double-count-two-site-bond" in err
         assert out == ""
 
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize(
+        "key, value",
+        [("restarts", "0"), ("shots", "0"), ("z", "-1"), ("precision", "3"), ("J", "nan"),
+         ("model", "foo"), ("state", "product:0,nan")],
+    )
+    def test_bad_value_exits_2(self, key, value, source, tmp_path, capsys):
+        if source == "flag":
+            given = [f"--{key}", value]
+        else:
+            cfg_file = tmp_path / "run.cfg"
+            cfg_file.write_text(f"{key}: {value}\n")
+            given = ["--config", str(cfg_file)]
+        j = [] if key == "J" else ["--J", "1"]
+        argv = ["measure", "--T", "1", "--policy", "fixed:-2"] + j + given
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert f"bad value for {key}" in err
+        assert out == ""
+
     def test_bad_precision_exits_2(self, capsys):
         code, _, _ = run(
             ["spectrum", "--model", "xxx", "--J", "1", "--B", "0", "--precision", "3"],
             capsys,
         )
         assert code == 2
+
+
+class TestNonFiniteInputs:
+    """NaN fails every ordered comparison, so it must be refused, not slip through."""
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["bound-sweep", "--J", "1", "--T", "nan", "--policy", "fixed:-2"], "T"),
+            (["esep", "--J", "1", "--B", "nan", "--policy", "exact"], "B"),
+            (["witness", "--J", "1", "--B", "0", "--policy", "fixed:nan"], "policy"),
+            (["measure", "--J", "1", "--T", "1", "--policy", "fixed:-2", "--z", "nan"], "z"),
+        ],
+        ids=["bound-sweep", "esep", "witness", "measure"],
+    )
+    def test_exits_2(self, argv, key, tmp_path, capsys):
+        out_file = tmp_path / "s.csv"
+        code, out, err = run(argv + ["--out", str(out_file)], capsys)
+        assert code == 2
+        assert f"bad value for {key}" in err
+        assert out == ""
+        assert not out_file.exists()
 
 
 class TestReproduceFigure:
@@ -427,6 +475,15 @@ class TestReproduceFigure:
         closed_col = b0_column(closed)
         assert closed_col[3.64] > 0.0
         assert closed_col[3.65] == 0.0
+
+
+    def test_bad_precision_exits_2(self, tmp_path, capsys):
+        code, out, err = run(
+            ["reproduce-figure", "--out-dir", str(tmp_path / "fig"), "--precision", "3"], capsys
+        )
+        assert code == 2
+        assert "bad value for precision" in err
+        assert out == ""
 
 
 class TestNumericalFailureExitCode:

@@ -9,9 +9,8 @@ from enwit import (
     build_xxx,
     eig,
     parse_pauli_terms,
-    summarize,
 )
-from enwit.hamiltonians import PAULI, level_degeneracies
+from enwit.hamiltonians import PAULI
 
 
 class TestXXXParams:
@@ -26,6 +25,13 @@ class TestXXXParams:
     def test_rejects_bad_boundary(self):
         with pytest.raises(ValueError):
             XXXParams(boundary="twisted")
+
+    @pytest.mark.parametrize(
+        "j, b", [(np.nan, 0.0), (np.inf, 0.0), (1.0, np.nan), (1.0, -np.inf)]
+    )
+    def test_rejects_non_finite(self, j, b):
+        with pytest.raises(ValueError):
+            XXXParams(j, b)
 
 
 class TestBuildXXX:
@@ -65,7 +71,7 @@ class TestBuildXXX:
 
     def test_two_site_double_count_flag(self):
         single = build_xxx(XXXParams(1.0, 0.0, 2, "periodic"))
-        double = build_xxx(XXXParams(1.0, 0.0, 2, "periodic"), double_count_two_site_bond=True)
+        double = build_xxx(XXXParams(1.0, 0.0, 2, "periodic", double_count_two_site_bond=True))
         assert np.abs(double.entries - 2.0 * single.entries).max() < 1e-12
 
     def test_chain_periodic_adds_wrap_bond(self):
@@ -112,6 +118,11 @@ class TestParsePauliTerms:
         with pytest.raises(ValueError):
             parse_pauli_terms("one XX")
 
+    @pytest.mark.parametrize("text", ["nan XX", "inf ZZ"])
+    def test_non_finite_coefficient(self, text):
+        with pytest.raises(ValueError, match="finite"):
+            parse_pauli_terms(text)
+
     def test_bad_letters(self):
         with pytest.raises(ValueError):
             parse_pauli_terms("1.0 XQ")
@@ -123,7 +134,7 @@ class TestParsePauliTerms:
 
 class TestSummarize:
     def test_xxx_range(self):
-        s = summarize(build_xxx(XXXParams(1.0, 0.0)))
+        s = eig(build_xxx(XXXParams(1.0, 0.0)))
         assert s.e_min == pytest.approx(-3.0, abs=1e-12)
         assert s.e_max == pytest.approx(1.0, abs=1e-12)
 
@@ -131,13 +142,14 @@ class TestSummarize:
         from enwit import HermitianOperator
 
         z = HermitianOperator(SystemShape([2, 2]), np.zeros((4, 4)))
-        s = summarize(z)
+        s = eig(z)
         assert s.e_min == s.e_max == 0.0
 
     def test_level_degeneracies(self):
-        levels = level_degeneracies(build_xxx(XXXParams(1.0, 0.0)))
-        assert levels == [(pytest.approx(-3.0, abs=1e-9), 1), (pytest.approx(1.0, abs=1e-9), 3)]
+        levels, counts = eig(build_xxx(XXXParams(1.0, 0.0))).levels()
+        assert levels == pytest.approx([-3.0, 1.0], abs=1e-9)
+        assert counts.tolist() == [1, 3]
 
     def test_level_degeneracies_near_degenerate(self, near_degenerate):
-        levels = level_degeneracies(near_degenerate)
-        assert [k for _, k in levels] == [2, 2, 1, 1]
+        _, counts = eig(near_degenerate).levels()
+        assert counts.tolist() == [2, 2, 1, 1]

@@ -134,3 +134,11 @@ class TestBoundWithConfidence:
         est = measure_energy(h, ground_state(h), shots=10, seed=0)
         with pytest.raises(ValueError):
             bound_with_confidence(w, est, z=-1.0)
+
+    @pytest.mark.parametrize("z", [math.nan, math.inf])
+    def test_rejects_non_finite_z(self, h_xxx, z):
+        h = h_xxx()
+        w = make_witness(h, esep_reference(-2.0))
+        est = measure_energy(h, ground_state(h), shots=10, seed=0)
+        with pytest.raises(ValueError):
+            bound_with_confidence(w, est, z=z)

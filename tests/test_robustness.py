@@ -19,13 +19,15 @@ from enwit import (
     robustness_lower_bound,
 )
 from enwit.errors import NumericalError
-from enwit.states import product_state, random_density_matrix, random_pure_state, singlet
+from enwit.states import product_state, singlet
+
+from conftest import random_dm, random_pure_state
 
 Q2 = SystemShape([2, 2])
 
 
 def rand_dm(rng):
-    return DensityMatrix.from_entries(Q2, random_density_matrix(rng))
+    return DensityMatrix.from_entries(Q2, random_dm(rng))
 
 
 class TestExactRobustness:

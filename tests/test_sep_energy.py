@@ -11,7 +11,6 @@ from enwit import (
     build_xxx,
     eig,
     esep_closed_form_xxx,
-    esep_grid,
     esep_reference,
     esep_seesaw,
 )
@@ -23,6 +22,8 @@ from enwit.sep_energy import (
     full_vector,
     random_ansatz,
 )
+
+from grid_oracle import esep_grid
 
 Q2 = SystemShape([2, 2])
 SINGLETONS = Partition.singletons(2)

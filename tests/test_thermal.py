@@ -32,6 +32,10 @@ class TestGibbs:
         with pytest.raises(ValueError):
             gibbs(h_xxx(), 0.0)
 
+    def test_rejects_nan_temperature(self, h_xxx):
+        with pytest.raises(ValueError):
+            gibbs(h_xxx(), math.nan)
+
     def test_infinite_temperature_limit(self, h_xxx):
         rho, pt = gibbs(h_xxx(), 1e9)
         assert np.abs(rho.entries - np.eye(4) / 4).max() < 1e-6
@@ -137,6 +141,10 @@ class TestEnergyCurve:
     def test_rejects_nonpositive(self, h_xxx):
         with pytest.raises(ValueError):
             energy_curve(h_xxx(), [0.0, 1.0])
+
+    def test_rejects_nan(self, h_xxx):
+        with pytest.raises(ValueError):
+            energy_curve(h_xxx(), [math.nan, 1.0])
 
     def test_limits(self, h_xxx):
         h = h_xxx(1.0, 0.4)

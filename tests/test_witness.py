@@ -156,6 +156,11 @@ class TestSweep:
         bounds = [c.bound_raw for c in cells]
         assert all(b2 <= b1 + 1e-12 for b1, b2 in zip(bounds, bounds[1:]))
 
+    def test_rejects_nan_temperature(self, h_xxx):
+        # NaN fails both t < 0 and t > 0; it must not be served by the ground state
+        with pytest.raises(ValueError, match="temperatures"):
+            sweep_single_hamiltonian(h_xxx(), esep_reference(-2.0), [math.nan])
+
     def test_temperature_zero_uses_ground_state(self, h_xxx):
         cells = sweep_single_hamiltonian(h_xxx(), esep_reference(-2.0), [0.0])
         assert cells[0].mean_energy == pytest.approx(-3.0, abs=1e-12)
@@ -166,23 +171,28 @@ class TestSweep:
 
     def test_double_counted_bond(self):
         p = XXXParams(1.0, 0.0, 2, "periodic")
+        doubled_p = XXXParams(1.0, 0.0, 2, "periodic", double_count_two_site_bond=True)
         fixed = EsepPolicy("fixed", -2.0)
         assert bound_sweep(p, fixed, [1.0], [0.0]).normalizer_a[0] == pytest.approx(3.0, abs=1e-12)
-        doubled = bound_sweep(p, fixed, [1.0], [0.0], double_count_two_site_bond=True)
+        doubled = bound_sweep(doubled_p, fixed, [1.0], [0.0])
         assert doubled.normalizer_a[0] == pytest.approx(4.0, abs=1e-12)
         closed = EsepPolicy("closed-form")
         with pytest.raises(ValueError, match="two-site bond once"):
-            bound_sweep(p, closed, [1.0], [0.0], double_count_two_site_bond=True)
+            bound_sweep(doubled_p, closed, [1.0], [0.0])
 
 
 class TestPolicy:
     def test_parse_fixed(self):
         p = EsepPolicy.parse("fixed:-2")
         assert p.kind == "fixed" and p.value == -2.0
-        assert p.describe() == "fixed:-2.0"
 
     def test_parse_exact(self):
         assert EsepPolicy.parse("exact").kind == "exact"
+
+    @pytest.mark.parametrize("text", ["fixed:nan", "fixed:inf", "fixed:-inf"])
+    def test_rejects_non_finite_fixed_value(self, text):
+        with pytest.raises(ValueError, match="finite"):
+            EsepPolicy.parse(text)
 
     def test_rejects_unknown(self):
         with pytest.raises(ValueError):
@@ -204,7 +214,7 @@ class TestSoundnessVsOracle:
     def test_bound_never_exceeds_exact_robustness(self, h_xxx, singlet):
         """Random low-energy states: the energy bound stays below the oracle value."""
         from enwit import rg_exact_2q
-        from enwit.states import random_density_matrix
+        from conftest import random_dm
         from enwit import DensityMatrix
 
         h = h_xxx()
@@ -213,7 +223,7 @@ class TestSoundnessVsOracle:
         rng = np.random.default_rng(13)
         checked = 0
         while checked < 200:
-            base = random_density_matrix(rng)
+            base = random_dm(rng)
             m_base = float(np.einsum("ij,ji->", h.entries, base).real)
             # mix toward the singlet until the mean energy drops below esep
             lam_min = (m_base - w.esep) / (m_base + 3.0)
