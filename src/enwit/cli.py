@@ -138,6 +138,11 @@ _OPTION_SPECS: dict = {
     "z": (_number(float, 0.0), 3.0, {}),
 }
 
+# Options that describe the XXX chain; the pauli-file model refuses them.
+_XXX_ONLY_OPTIONS = (
+    "J", "B", "B-min", "B-max", "B-steps", "sites", "boundary", "double-count-two-site-bond"
+)
+
 
 def _parse(key: str, text: str, where: str = ""):
     """Option ``key``'s value given as ``text``; a bad value raises ValueError naming the key."""
@@ -190,6 +195,10 @@ def _config(args: argparse.Namespace) -> argparse.Namespace:
         flag = getattr(args, key.replace("-", "_"))
         if flag is not None:
             values[key] = _parse(key, flag)
+    if values["model"] == "pauli-file":
+        for key in _XXX_ONLY_OPTIONS:
+            if values[key] != _OPTION_SPECS[key][1]:
+                raise ValueError(f"{key} does not apply to the pauli-file model")
     cfg = argparse.Namespace(**{key.replace("-", "_"): v for key, v in values.items()})
     cfg.b_grid = _grid_from(values, "B", 0.0)
     cfg.t_grid = _grid_from(values, "T", 1.0)

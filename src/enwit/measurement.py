@@ -45,7 +45,9 @@ def _eigenspace_distribution(
     h: HermitianOperator, rho: DensityMatrix
 ) -> tuple[np.ndarray, np.ndarray]:
     dec = eig(h)
-    diag = np.einsum("ik,ij,jk->k", dec.eigenvectors.conj(), rho.entries, dec.eigenvectors).real
+    v = dec.eigenvectors
+    # <v_k|rho|v_k> for every k: one GEMM, then a row-wise dot product.
+    diag = np.einsum("ki,ik->k", v.conj().T @ rho.entries, v).real
     levels, counts = dec.levels()
     pr = np.clip(np.add.reduceat(diag, np.cumsum(counts) - counts), 0.0, None)
     total = float(pr.sum())

@@ -6,6 +6,13 @@ from enwit.states import singlet as _singlet
 
 TWO_QUBITS = SystemShape([2, 2])
 
+PAULI = {
+    "I": np.eye(2, dtype=np.complex128),
+    "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
+    "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
+}
+
 
 @pytest.fixture
 def two_qubits():

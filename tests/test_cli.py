@@ -197,6 +197,30 @@ class TestBoundSweep:
         assert run(argv, capsys)[0] == 0
         assert len(out_file.read_text().splitlines()) == 4
 
+    @pytest.mark.parametrize(
+        "extra, key",
+        [
+            (["--B", "0.7"], "B"),
+            (["--B-min", "0", "--B-max", "1", "--B-steps", "3"], "B-min"),
+            (["--sites", "4"], "sites"),
+            (["--boundary", "periodic", "--double-count-two-site-bond"], "boundary"),
+        ],
+        ids=["B", "B-grid", "sites", "boundary-doubled"],
+    )
+    def test_pauli_file_refuses_xxx_options(self, extra, key, tmp_path, capsys):
+        pf = tmp_path / "h.txt"
+        pf.write_text("1.0 XX\n1.0 YY\n1.0 ZZ\n")
+        out_file = tmp_path / "p.csv"
+        argv = [
+            "bound-sweep", "--model", "pauli-file", "--pauli-file", str(pf),
+            "--T", "1", "--policy", "fixed:-2", "--out", str(out_file),
+        ]
+        code, out, err = run(argv + extra, capsys)
+        assert code == 2
+        assert f"{key} does not apply to the pauli-file model" in err
+        assert out == ""
+        assert not out_file.exists()
+
 
 class TestRobustnessCommand:
     def test_singlet(self, capsys):

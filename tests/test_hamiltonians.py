@@ -1,7 +1,11 @@
+from functools import reduce
+from typing import Sequence
+
 import numpy as np
 import pytest
 
 from enwit import (
+    HermitianOperator,
     PauliString,
     SystemShape,
     XXXParams,
@@ -10,7 +14,50 @@ from enwit import (
     eig,
     parse_pauli_terms,
 )
-from enwit.hamiltonians import PAULI
+
+from conftest import PAULI
+
+# Reference builders from Kronecker and matrix products of single-site Paulis,
+# sharing no code with the library.  Every entry receives the same additions in
+# the same order as in the library, so the two must agree bit for bit.
+
+
+def _kron_all(mats: Sequence[np.ndarray]) -> np.ndarray:
+    return reduce(np.kron, mats)
+
+
+def _site_term(letter: str, site: int, n: int) -> np.ndarray:
+    return _kron_all([PAULI[letter] if k == site else PAULI["I"] for k in range(n)])
+
+
+def reference_xxx(p: XXXParams) -> HermitianOperator:
+    n = p.n_sites
+    d = 2**n
+    h = np.zeros((d, d), dtype=np.complex128)
+    bonds = [(i, i + 1) for i in range(n - 1)]
+    if p.boundary == "periodic" and (n > 2 or p.double_count_two_site_bond):
+        bonds.append((n - 1, 0))
+    for i, j in bonds:
+        for a in "XYZ":
+            h += p.coupling_j * _site_term(a, i, n) @ _site_term(a, j, n)
+    for i in range(n):
+        h += p.field_b * _site_term("Z", i, n)
+    return HermitianOperator(SystemShape([2] * n), h)
+
+
+def reference_pauli(shape: SystemShape, terms: Sequence[PauliString]) -> HermitianOperator:
+    n = shape.n_sites
+    d = shape.total_dim
+    h = np.zeros((d, d), dtype=np.complex128)
+    for term in terms:
+        h += term.coefficient * _kron_all([PAULI[c] for c in term.letters])
+    return HermitianOperator(shape, h)
+
+
+def random_terms(rng, n: int, count: int) -> list[PauliString]:
+    letters = rng.choice(list("IXYZ"), size=(count, n))
+    coefs = rng.standard_normal(count)
+    return [PauliString(float(c), "".join(row)) for c, row in zip(coefs, letters)]
 
 
 class TestXXXParams:
@@ -35,6 +82,15 @@ class TestXXXParams:
 
 
 class TestBuildXXX:
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("boundary", ["open", "periodic"])
+    @pytest.mark.parametrize("doubled", [False, True])
+    def test_matches_reference(self, n, boundary, doubled):
+        for j in (1.0, 0.37):
+            for b in (0.0, 0.3, -1.7, 5.0):
+                p = XXXParams(j, b, n, boundary, doubled)
+                assert np.array_equal(build_xxx(p).entries, reference_xxx(p).entries), p
+
     def test_field_free_spectrum(self):
         h = build_xxx(XXXParams(1.0, 0.0))
         assert np.allclose(eig(h).eigenvalues, [-3, 1, 1, 1], atol=1e-12)
@@ -84,6 +140,24 @@ class TestBuildXXX:
 
 
 class TestBuildPauli:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_reference_on_random_terms(self, n):
+        rng = np.random.default_rng(100 + n)
+        shape = SystemShape([2] * n)
+        for count in (1, 3, 12):
+            terms = random_terms(rng, n, count)
+            assert np.array_equal(
+                build_pauli(shape, terms).entries, reference_pauli(shape, terms).entries
+            )
+
+    @pytest.mark.parametrize("letters", ["Y", "YY", "YYY", "XYZ", "ZYX", "YIYIY", "YYYYYY"])
+    def test_matches_reference_on_y_heavy_strings(self, letters):
+        shape = SystemShape([2] * len(letters))
+        terms = [PauliString(0.37, letters), PauliString(-1.3, letters[::-1])]
+        assert np.array_equal(
+            build_pauli(shape, terms).entries, reference_pauli(shape, terms).entries
+        )
+
     def test_heisenberg_from_strings(self):
         shape = SystemShape([2, 2])
         terms = [PauliString(1.0, "XX"), PauliString(1.0, "YY"), PauliString(1.0, "ZZ")]

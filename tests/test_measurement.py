@@ -5,14 +5,52 @@ import pytest
 
 from enwit import (
     DensityMatrix,
+    XXXParams,
     bound_with_confidence,
+    build_xxx,
+    eig,
     esep_reference,
     gibbs,
     ground_state,
     make_witness,
     measure_energy,
 )
+from enwit.measurement import _eigenspace_distribution
 from enwit.states import singlet
+
+from conftest import random_dm
+
+
+def reference_distribution(h, rho):
+    """Level probabilities from the three-operand einsum, merged as the library merges."""
+    dec = eig(h)
+    diag = np.einsum("ik,ij,jk->k", dec.eigenvectors.conj(), rho.entries, dec.eigenvectors).real
+    levels, counts = dec.levels()
+    pr = np.clip(np.add.reduceat(diag, np.cumsum(counts) - counts), 0.0, None)
+    return levels, pr / pr.sum()
+
+
+class TestEigenspaceDistribution:
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_matches_einsum_on_random_states(self, n):
+        rng = np.random.default_rng(40 + n)
+        h = build_xxx(XXXParams(1.0, float(rng.uniform(-2, 2)), n, "periodic"))
+        for _ in range(3):
+            rho = DensityMatrix.from_entries(h.shape, random_dm(rng, 2**n))
+            levels, probs = _eigenspace_distribution(h, rho)
+            ref_levels, ref_probs = reference_distribution(h, rho)
+            assert np.array_equal(levels, ref_levels)
+            assert np.abs(probs - ref_probs).max() <= 1e-12
+
+    def test_matches_einsum_on_degenerate_spectrum(self, near_degenerate):
+        rng = np.random.default_rng(46)
+        for _ in range(3):
+            rho = DensityMatrix.from_entries(near_degenerate.shape, random_dm(rng, 6))
+            levels, probs = _eigenspace_distribution(near_degenerate, rho)
+            ref_levels, ref_probs = reference_distribution(near_degenerate, rho)
+            assert np.array_equal(levels, ref_levels)
+            assert probs.size == 4
+            assert np.abs(probs - ref_probs).max() <= 1e-12
 
 
 class TestMeasureEnergy:

@@ -12,8 +12,9 @@ from enwit import (
     tensor,
 )
 from enwit.errors import NumericalError
-from enwit.hamiltonians import PAULI
 from enwit.states import singlet
+
+from conftest import PAULI
 
 Q1 = SystemShape([2])
 Q2 = SystemShape([2, 2])

@@ -14,7 +14,6 @@ from enwit import (
     esep_reference,
     esep_seesaw,
 )
-from enwit.hamiltonians import PAULI
 from enwit.sep_energy import (
     _block_operators,
     _qubit_ground,
@@ -23,6 +22,7 @@ from enwit.sep_energy import (
     random_ansatz,
 )
 
+from conftest import PAULI
 from grid_oracle import esep_grid
 
 Q2 = SystemShape([2, 2])

@@ -15,8 +15,9 @@ from enwit import (
     gibbs,
     ground_state,
 )
-from enwit.hamiltonians import PAULI
 from enwit.states import singlet
+
+from conftest import PAULI
 
 
 def xxx_mean_energy(temperature):

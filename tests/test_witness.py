@@ -18,9 +18,10 @@ from enwit import (
     make_witness,
     robustness_lower_bound,
 )
-from enwit.hamiltonians import PAULI
 from enwit.sep_energy import random_ansatz, full_vector
 from enwit.witness import resolve_esep, sweep_single_hamiltonian
+
+from conftest import PAULI
 
 Q2 = SystemShape([2, 2])
 
