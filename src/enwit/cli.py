@@ -6,7 +6,8 @@ reproduce-figure.  Options can also be supplied through a config file of
 Every option is declared once, in ``_OPTION_SPECS``, whose parser converts
 and checks flag and file values alike (``bad value for <key>``; NaN and
 infinities fail).  Rules on the physics inputs, such as J > 0 and the closed
-form's bond convention, are the library's and exit 2 as well.
+form's bond convention, are the library's and exit 2 as well.  The
+pauli-file model refuses the XXX chain's options (``_XXX_ONLY_OPTIONS``).
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
 
