@@ -203,6 +203,12 @@ def _config(args: argparse.Namespace) -> argparse.Namespace:
     cfg = argparse.Namespace(**{key.replace("-", "_"): v for key, v in values.items()})
     cfg.b_grid = _grid_from(values, "B", 0.0)
     cfg.t_grid = _grid_from(values, "T", 1.0)
+    if args.command != "bound-sweep":
+        for prefix, grid in (("B", cfg.b_grid), ("T", cfg.t_grid)):
+            if grid.steps > 1:
+                raise ValueError(
+                    f"{args.command} takes one {prefix}; only bound-sweep takes a grid"
+                )
     return cfg
 
 

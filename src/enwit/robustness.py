@@ -11,21 +11,25 @@ positive partial transpose are exactly the separable ones.  Its dual is
 
 so every solve returns both a mixing operator and a witness; the duality
 gap between them certifies the answer.  The solver is a plain log-barrier
-Newton method on the 16 real parameters of X: at this size nothing more
-elaborate is warranted, and the certificate invariants (not the algorithm)
-are the contract.
+Newton method on the matrix X itself: at this size nothing more elaborate
+is warranted, and the certificate invariants (not the algorithm) are the
+contract.
 
 Its cost is the per-call overhead of ``numpy.linalg`` on 4 x 4 matrices, so
 the two barrier blocks X and S = PT(rho) + PT(X) always travel as one
 (2, 4, 4) stack: one Cholesky per barrier evaluation and one inverse per
 Newton step cover both.  The barrier value of the accepted line-search
 trial is carried into the next step (and, with its log-determinants, into
-the next stage), so no point is evaluated twice.  With Y_b the inverse of
-block b and row-major vec, Tr(B_k Y_b B_l Y_b) = vec(B_k^T) . (Y_b kron
-Y_b^T) vec(B_l), so the Hessian is Re(T_b (Y_b kron Y_b^T) B_b^T) summed
-over both blocks: one stacked expression.  The last S^-1 of each stage
-gives the dual witness, and one ``eigvalsh`` on a (4, 4, 4) stack checks
-the certificate.  About 230 ``numpy.linalg`` calls make one solve.
+the next stage), so no point is evaluated twice.  With row-major vec, the
+partial transpose is a permutation P of the 16 entries, and one gather of
+vec(X) builds the stack.  With Y_b the inverse of block b, the Newton
+system is the 4 x 4 matrix equation Y_X D Y_X + PT(Y_S PT(D) Y_S) =
+-(t I - Y_X - PT(Y_S)); since vec(A D B) = (A kron B^T) vec(D), it is one
+complex 16 x 16 solve with the Hermitian positive-definite matrix
+(Y_X kron Y_X^T) + P (Y_S kron Y_S^T) P, and the step is D made Hermitian.
+The last S^-1 of each stage gives the dual witness, and one ``eigvalsh``
+on a (4, 4, 4) stack checks the certificate.  About 230 ``numpy.linalg``
+calls make one solve.
 """
 
 from __future__ import annotations
@@ -87,48 +91,11 @@ def _pt(mat: np.ndarray) -> np.ndarray:
     return _partial_transpose_entries(mat, _TWO_QUBIT_DIMS, _PT_BLOCK)
 
 
-def _hermitian_basis(d: int) -> np.ndarray:
-    """Orthonormal real basis of d x d Hermitian matrices, stacked (d^2, d, d)."""
-    mats = []
-    for i in range(d):
-        m = np.zeros((d, d), dtype=np.complex128)
-        m[i, i] = 1.0
-        mats.append(m)
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for i in range(d):
-        for j in range(i + 1, d):
-            m = np.zeros((d, d), dtype=np.complex128)
-            m[i, j] = m[j, i] = inv_sqrt2
-            mats.append(m)
-            m = np.zeros((d, d), dtype=np.complex128)
-            m[i, j] = 1j * inv_sqrt2
-            m[j, i] = -1j * inv_sqrt2
-            mats.append(m)
-    return np.stack(mats)
-
-
-_BASIS = _hermitian_basis(4)
-_PT_BASIS = np.stack([_pt(b) for b in _BASIS])
-_TRACE_VEC = np.einsum("kii->k", _BASIS).real
-# The barrier blocks X and S = PT(rho) + PT(X) travel as one (2, 4, 4) stack,
-# so each block-wise constant below is stacked the same way, X first.
-_BASES = np.stack([_BASIS, _PT_BASIS])
-# coefficients -> both blocks, flattened (S still without PT(rho))
-_BLOCKS = _BASES.transpose(1, 0, 2, 3).reshape(16, 32)
-# rows vec(B_k^T), so _TRACES[b] @ vec(Y) = Tr(B_k Y); _TRACES_CAT sums both blocks
-_TRACES = _BASES.transpose(0, 1, 3, 2).reshape(2, 16, 16)
-_TRACES_CAT = _TRACES.transpose(1, 0, 2).reshape(16, 32)
-# columns vec(B_l), closing the Kronecker form of the Hessian
-_BLOCKS_T = np.ascontiguousarray(_BASES.reshape(2, 16, 16).transpose(0, 2, 1))
-
-
-def _to_coeffs(m: np.ndarray) -> np.ndarray:
-    return (_TRACES[0] @ m.reshape(16)).real
-
-
-def _blocks(x: np.ndarray, offset: np.ndarray) -> np.ndarray:
-    """The stack (X, S) at coefficients ``x``; ``offset`` is (0, PT(rho))."""
-    return offset + (x @ _BLOCKS).reshape(2, 4, 4)
+# Row-major vec indices: PT(M).reshape(16) == M.reshape(16)[_PT_PERM], and
+# vec(X)[_BOTH] lists vec(X) then vec(PT(X)), so offset + vec(X)[_BOTH]
+# reshaped to (2, 4, 4) is the stack (X, S) when offset is (0, PT(rho)).
+_PT_PERM = _pt(np.arange(16).reshape(4, 4)).reshape(16)
+_BOTH = np.concatenate([np.arange(16), _PT_PERM])
 
 
 def _logdets(m: np.ndarray) -> Optional[np.ndarray]:
@@ -141,7 +108,8 @@ def _logdets(m: np.ndarray) -> Optional[np.ndarray]:
 
 
 def _barrier(t: float, x: np.ndarray, logdets: np.ndarray) -> float:
-    return float(t * (x @ _TRACE_VEC) - logdets[0] - logdets[1])
+    # x[::5] is the diagonal of X, so its sum is Tr X
+    return float(t * x[::5].sum().real - logdets[0] - logdets[1])
 
 
 def _inverses(m: np.ndarray) -> np.ndarray:
@@ -152,13 +120,23 @@ def _inverses(m: np.ndarray) -> np.ndarray:
 def _derivatives(t: float, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gradient and Hessian of the barrier from the block inverses ``y`` = (X^-1, S^-1).
 
-    grad_k = t Tr(B_k) - sum_b Tr(B_k Y_b) and, in Kronecker form,
-    hess = sum_b Re(T_b (Y_b kron Y_b^T) B_b^T), i.e. hess_kl = sum_b Tr(B_k Y_b B_l Y_b).
+    As row-major 16-vectors, grad = vec(t I - Y_X - PT(Y_S)) and
+    hess = (Y_X kron Y_X^T) + P (Y_S kron Y_S^T) P, so hess @ vec(D) =
+    vec(Y_X D Y_X + PT(Y_S PT(D) Y_S)); P is the permutation ``_PT_PERM``.
     """
-    grad = t * _TRACE_VEC - (_TRACES_CAT @ y.reshape(32)).real
+    flat = y.reshape(2, 16)
+    grad = -flat[0] - flat[1][_PT_PERM]
+    grad[::5] += t
     kron = (y[:, :, None, :, None] * y.transpose(0, 2, 1)[:, None, :, None, :]).reshape(2, 16, 16)
-    hess = np.matmul(np.matmul(_TRACES, kron), _BLOCKS_T).real.sum(axis=0)
+    hess = kron[0] + kron[1][_PT_PERM[:, None], _PT_PERM]
     return grad, hess
+
+
+def _newton_step(hess: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, float]:
+    """Solve hess @ vec(D) = -grad, make D Hermitian; return vec(D) and the decrement^2."""
+    step = np.linalg.solve(hess, -grad).reshape(4, 4)
+    step = ((step + step.conj().T) / 2.0).reshape(16)
+    return step, -float(np.vdot(grad, step).real)
 
 
 def _dual_candidate(s_inv: np.ndarray, t: float, rho_mat: np.ndarray) -> tuple[np.ndarray, float]:
@@ -194,8 +172,8 @@ def rg_exact_2q(
     offset = np.stack([np.zeros((4, 4), dtype=np.complex128), pt_rho])
 
     start = max(0.0, -float(np.linalg.eigvalsh(pt_rho)[0])) + 0.5
-    x = _to_coeffs(start * np.eye(4, dtype=np.complex128))
-    m = _blocks(x, offset)
+    x = (start * np.eye(4, dtype=np.complex128)).reshape(16)
+    m = offset + x[_BOTH].reshape(2, 4, 4)
     logdets = _logdets(m)
     assert logdets is not None  # start * I lifts both blocks' eigenvalues to >= 0.5
 
@@ -212,20 +190,19 @@ def rg_exact_2q(
                 break
             grad, hess = _derivatives(t, y)
             try:
-                step = np.linalg.solve(hess, -grad)
+                step, decrement_sq = _newton_step(hess, grad)
             except np.linalg.LinAlgError:
-                step = np.linalg.solve(hess + 1e-10 * np.trace(hess) * np.eye(16), -grad)
-            decrement_sq = float(-grad @ step)
+                step, decrement_sq = _newton_step(hess + 1e-10 * np.trace(hess) * np.eye(16), grad)
             if not np.isfinite(decrement_sq) or decrement_sq < 0:
-                step = np.linalg.solve(hess + 1e-10 * np.trace(hess) * np.eye(16), -grad)
-                decrement_sq = max(0.0, float(-grad @ step))
+                step, decrement_sq = _newton_step(hess + 1e-10 * np.trace(hess) * np.eye(16), grad)
+                decrement_sq = max(0.0, decrement_sq)
             if decrement_sq / 2.0 <= _CENTER_TOL:
                 break
             alpha = 1.0
-            slope = float(grad @ step)
+            slope = -decrement_sq
             for _ in range(_LINE_SEARCH_CAP):
                 x_new = x + alpha * step
-                m_new = _blocks(x_new, offset)
+                m_new = offset + x_new[_BOTH].reshape(2, 4, 4)
                 trial = _logdets(m_new)
                 f_new = np.inf if trial is None else _barrier(t, x_new, trial)
                 if np.isfinite(f_new) and f_new <= f0 + 1e-2 * alpha * slope:
@@ -235,7 +212,7 @@ def rg_exact_2q(
             else:
                 raise NumericalError("robustness solver line search stalled")
 
-        primal = float(x @ _TRACE_VEC)
+        primal = float(x[::5].sum().real)
         w, dual = _dual_candidate(y[1], t, rho_mat)
         if trace is not None:
             trace.append((t, primal, dual))

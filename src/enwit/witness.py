@@ -136,11 +136,14 @@ def resolve_esep(
     policy: EsepPolicy,
     h: HermitianOperator,
     params: Optional[XXXParams] = None,
-    partition: Optional[Partition] = None,
     restarts: int = 32,
     seed: int = 0,
 ) -> SepEnergyReport:
-    """Produce a SepEnergyReport for ``h`` according to the policy."""
+    """Produce a SepEnergyReport for ``h`` according to the policy.
+
+    ``exact`` runs the seesaw over single sites; call :func:`esep_seesaw`
+    directly for another partition.
+    """
     if policy.kind == "fixed":
         return esep_reference(policy.value)
     if policy.kind == "closed-form":
@@ -153,8 +156,7 @@ def resolve_esep(
             converged=True,
             source="closed-form",
         )
-    part = partition if partition is not None else Partition.singletons(h.shape.n_sites)
-    return esep_seesaw(h, part, restarts=restarts, seed=seed)
+    return esep_seesaw(h, Partition.singletons(h.shape.n_sites), restarts=restarts, seed=seed)
 
 
 SWEEP_DTYPE = np.dtype(

@@ -396,7 +396,8 @@ class TestConfigFile:
         cfg_file.write_text(f"{name}: {'true' if value is None else value}\n")
 
         def config(argv):
-            return _config(_make_parser().parse_args(["spectrum"] + argv))
+            # bound-sweep is the one command that takes every option, grids included
+            return _config(_make_parser().parse_args(["bound-sweep"] + argv))
 
         from_flag = config(flag + rest)
         assert from_flag == config(["--config", str(cfg_file)] + rest)
@@ -471,6 +472,36 @@ class TestNonFiniteInputs:
         assert f"bad value for {key}" in err
         assert out == ""
         assert not out_file.exists()
+
+
+class TestGridOutsideBoundSweep:
+    """A B or T grid given to a one-point command is refused, not cut to its lowest point."""
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["witness", "--J", "1", "--B-min", "1", "--B-max", "2", "--B-steps", "3",
+              "--policy", "fixed:-2"], "B"),
+            (["measure", "--J", "1", "--B", "0", "--T-min", "1", "--T-max", "3", "--T-steps",
+              "3", "--policy", "fixed:-2", "--shots", "10"], "T"),
+            (["esep", "--J", "1", "--B-min", "0.5", "--B-max", "1", "--B-steps", "2",
+              "--policy", "closed-form"], "B"),
+        ],
+        ids=["witness", "measure", "esep"],
+    )
+    def test_exits_2(self, argv, key, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert f"takes one {key}" in err
+
+    def test_config_file_grid_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("J: 1\nT-min: 1\nT-max: 3\nT-steps: 3\n")
+        code, out, err = run(["robustness", "--config", str(cfg), "--state", "thermal"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "takes one T" in err
 
 
 class TestReproduceFigure:

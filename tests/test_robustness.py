@@ -9,6 +9,7 @@ from enwit import (
     Partition,
     SystemShape,
     XXXParams,
+    build_xxx,
     esep_seesaw,
     expectation,
     gibbs,
@@ -129,10 +130,33 @@ def _random_pd(rng, dim=4):
     return g @ g.conj().T + 0.1 * np.eye(dim)
 
 
+def _hermitian_basis(d: int) -> np.ndarray:
+    """Orthonormal real basis of d x d Hermitian matrices, stacked (d^2, d, d)."""
+    mats = []
+    for i in range(d):
+        m = np.zeros((d, d), dtype=np.complex128)
+        m[i, i] = 1.0
+        mats.append(m)
+    inv_sqrt2 = 1.0 / np.sqrt(2.0)
+    for i in range(d):
+        for j in range(i + 1, d):
+            m = np.zeros((d, d), dtype=np.complex128)
+            m[i, j] = m[j, i] = inv_sqrt2
+            mats.append(m)
+            m = np.zeros((d, d), dtype=np.complex128)
+            m[i, j] = 1j * inv_sqrt2
+            m[j, i] = -1j * inv_sqrt2
+            mats.append(m)
+    return np.stack(mats)
+
+
 class TestFusedDerivatives:
     def test_matches_basis_loop(self):
-        from enwit.robustness import _BASIS, _derivatives, _pt
+        from enwit.robustness import _derivatives, _pt
 
+        basis = _hermitian_basis(4)
+        # columns vec(B_k): the basis coefficients of vec(M) are V^dagger vec(M)
+        v = basis.reshape(16, 16).T
         rng = np.random.default_rng(11)
         for _ in range(5):
             y = np.stack([np.linalg.inv(_random_pd(rng)), np.linalg.inv(_random_pd(rng))])
@@ -141,23 +165,61 @@ class TestFusedDerivatives:
             grad, hess = _derivatives(t, y)
             ref_grad = np.empty(16)
             ref_hess = np.empty((16, 16))
-            bases = [_BASIS, np.stack([_pt(b) for b in _BASIS])]
+            bases = [basis, np.stack([_pt(b) for b in basis])]
             for k in range(16):
-                ref_grad[k] = t * np.trace(_BASIS[k]).real - sum(
-                    np.trace(basis[k] @ y_b).real for basis, y_b in zip(bases, y)
+                ref_grad[k] = t * np.trace(basis[k]).real - sum(
+                    np.trace(basis_b[k] @ y_b).real for basis_b, y_b in zip(bases, y)
                 )
                 for l in range(16):
                     ref_hess[k, l] = sum(
-                        np.trace(basis[k] @ y_b @ basis[l] @ y_b).real
-                        for basis, y_b in zip(bases, y)
+                        np.trace(basis_b[k] @ y_b @ basis_b[l] @ y_b).real
+                        for basis_b, y_b in zip(bases, y)
                     )
-            assert np.abs(grad - ref_grad).max() <= 1e-12
-            assert np.abs(hess - ref_hess).max() <= 1e-12
+            assert np.abs((v.conj().T @ grad).real - ref_grad).max() <= 1e-12
+            assert np.abs(v.conj().T @ hess @ v - ref_hess).max() <= 1e-12
+
+            g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            d = g + g.conj().T
+            applied = y[0] @ d @ y[0] + _pt(y[1] @ _pt(d) @ y[1])
+            assert np.abs(hess @ d.reshape(16) - applied.reshape(16)).max() <= 1e-12
+
+
+class TestRgPin:
+    """R_g on seeded states, pinned to 12 digits from the basis-coefficient solver."""
+
+    @staticmethod
+    def _thermal(j, b, t):
+        return gibbs(build_xxx(XXXParams(j, b, 2, "open")), t)[0]
+
+    @pytest.mark.parametrize(
+        "make_rho, expected",
+        [
+            (singlet, 0.999999804546),
+            (lambda: TestRgPin._thermal(1.0, 0.0, 1.0), 0.895829792186),
+            (lambda: TestRgPin._thermal(1.0, 0.3, 0.5), 0.996904050157),
+            (lambda: TestRgPin._thermal(2.0, 1.5, 1.2), 0.966798373511),
+            (lambda: TestRgPin._thermal(0.5, -0.2, 0.1), 0.999999575556),
+            (lambda: rand_dm(np.random.default_rng(0)), 0.0193270609395),
+            (lambda: rand_dm(np.random.default_rng(1)), 0.0377292906608),
+            (lambda: rand_dm(np.random.default_rng(2)), 0.0576920656057),
+        ],
+        ids=[
+            "singlet",
+            "thermal_b0_t1",
+            "thermal_b03_t05",
+            "thermal_j2",
+            "thermal_cold",
+            "hs_seed0",
+            "hs_seed1",
+            "hs_seed2",
+        ],
+    )
+    def test_value(self, make_rho, expected):
+        assert abs(rg_exact_2q(make_rho()).rg_value - expected) <= 1e-8
 
 
 class TestLinalgBudget:
-    # numpy.linalg calls per solve with one Cholesky/inverse per block and a
-    # barrier re-evaluation per Newton step: singlet 478, seeded HS state 493
+    # numpy.linalg calls per solve: singlet 219, seeded HS state 225
     @pytest.mark.parametrize(
         "make_rho",
         [singlet, lambda: rand_dm(np.random.default_rng(0))],
