@@ -184,21 +184,21 @@ class TestFusedDerivatives:
             assert np.abs(hess @ d.reshape(16) - applied.reshape(16)).max() <= 1e-12
 
 
+def _thermal(j, b, t):
+    return gibbs(build_xxx(XXXParams(j, b, 2, "open")), t)[0]
+
+
 class TestRgPin:
     """R_g on seeded states, pinned to 12 digits from the basis-coefficient solver."""
-
-    @staticmethod
-    def _thermal(j, b, t):
-        return gibbs(build_xxx(XXXParams(j, b, 2, "open")), t)[0]
 
     @pytest.mark.parametrize(
         "make_rho, expected",
         [
             (singlet, 0.999999804546),
-            (lambda: TestRgPin._thermal(1.0, 0.0, 1.0), 0.895829792186),
-            (lambda: TestRgPin._thermal(1.0, 0.3, 0.5), 0.996904050157),
-            (lambda: TestRgPin._thermal(2.0, 1.5, 1.2), 0.966798373511),
-            (lambda: TestRgPin._thermal(0.5, -0.2, 0.1), 0.999999575556),
+            (lambda: _thermal(1.0, 0.0, 1.0), 0.895829792186),
+            (lambda: _thermal(1.0, 0.3, 0.5), 0.996904050157),
+            (lambda: _thermal(2.0, 1.5, 1.2), 0.966798373511),
+            (lambda: _thermal(0.5, -0.2, 0.1), 0.999999575556),
             (lambda: rand_dm(np.random.default_rng(0)), 0.0193270609395),
             (lambda: rand_dm(np.random.default_rng(1)), 0.0377292906608),
             (lambda: rand_dm(np.random.default_rng(2)), 0.0576920656057),
