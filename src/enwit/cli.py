@@ -5,8 +5,9 @@ reproduce-figure.  Options can also be supplied through a config file of
 ``key: value`` lines (same keys as the flags); flags override the file.
 Every option is declared once, in ``_OPTION_SPECS``, whose parser converts
 and checks flag and file values alike (``bad value for <key>``; NaN and
-infinities fail).  Rules on the physics inputs, such as J > 0 and the closed
-form's bond convention, are the library's and exit 2 as well.  The
+infinities fail).  Each command takes only the options ``_COMMANDS`` lists
+for it and refuses any other (``<command> does not take <flag>``).  Rules on
+the physics inputs, such as J > 0, are the library's and exit 2 as well.  The
 pauli-file model refuses the XXX chain's options (``_XXX_ONLY_OPTIONS``).
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -53,20 +54,13 @@ class GridSpec:
             raise ValueError("grid steps must be >= 1")
         if self.lo > self.hi:
             raise ValueError("grid min must not exceed max")
+        if self.lo == self.hi and self.steps > 1:
+            raise ValueError("grid min equals max, so its points would repeat; give one point")
 
     def values(self) -> list[float]:
         if self.steps == 1:
             return [self.lo]
         return [self.lo + (self.hi - self.lo) * k / (self.steps - 1) for k in range(self.steps)]
-
-
-def _flag(text: str) -> bool:
-    word = text.lower()
-    if word in ("1", "true", "yes"):
-        return True
-    if word in ("0", "false", "no"):
-        return False
-    raise ValueError("expected one of 1/true/yes/0/false/no")
 
 
 def _number(kind: type, lo: float = -math.inf, hi: float = math.inf):
@@ -106,43 +100,36 @@ def _state_spec(text: str):
     return tuple(angles * (4 // len(angles)))
 
 
-# option name -> (parser from string, default, extra argparse keywords).  This
+# option name -> (parser from string, default, help).  With ``_COMMANDS`` this
 # table is the CLI's configuration: it generates the subcommands' flags (dest =
-# name with '-' -> '_') and the config-file keys.  argparse converts nothing;
-# the parser converts and checks flag and file values alike.
+# name with '-' -> '_') and config-file keys.  argparse converts nothing; the
+# parser converts and checks flag and file values alike.
 _OPTION_SPECS: dict = {
-    "model": (_one_of("xxx", "pauli-file"), "xxx", {}),
-    "pauli-file": (str, None, {}),
-    "J": (_number(float), None, {}),
-    "B": (_number(float), None, {}),
-    "B-min": (_number(float), None, {}),
-    "B-max": (_number(float), None, {}),
-    "B-steps": (_number(int), None, {}),
-    "T": (_number(float), None, {}),
-    "T-min": (_number(float), None, {}),
-    "T-max": (_number(float), None, {}),
-    "T-steps": (_number(int), None, {}),
-    "sites": (_number(int), 2, {}),
-    "boundary": (_one_of("open", "periodic"), "open", {}),
-    "double-count-two-site-bond": (_flag, False, {"action": "store_const", "const": "true"}),
-    "policy": (
-        EsepPolicy.parse, EsepPolicy("exact"), {"help": "exact | closed-form | fixed:<value>"}
-    ),
-    "restarts": (_number(int, 1), 32, {}),
-    "seed": (_number(int), 0, {}),
-    "out": (str, None, {"help": "output path for CSV commands"}),
-    "precision": (_number(int, 6, 17), 10, {"help": "significant digits for printed floats"}),
-    "state": (
-        _state_spec, "thermal", {"help": "singlet | thermal | ground | product:th,ph[,th,ph]"}
-    ),
-    "shots": (_number(int, 1), 100000, {}),
-    "z": (_number(float, 0.0), 3.0, {}),
+    "model": (_one_of("xxx", "pauli-file"), "xxx", None),
+    "pauli-file": (str, None, None),
+    "J": (_number(float), None, None),
+    "B": (_number(float), 0.0, None),
+    "B-min": (_number(float), None, None),
+    "B-max": (_number(float), None, None),
+    "B-steps": (_number(int), None, None),
+    "T": (_number(float), 1.0, None),
+    "T-min": (_number(float), None, None),
+    "T-max": (_number(float), None, None),
+    "T-steps": (_number(int), None, None),
+    "sites": (_number(int), 2, None),
+    "boundary": (_one_of("open", "periodic"), "open", None),
+    "policy": (EsepPolicy.parse, EsepPolicy("exact"), "exact | closed-form | fixed:<value>"),
+    "restarts": (_number(int, 1), 32, None),
+    "seed": (_number(int), 0, None),
+    "out": (str, None, "output path for CSV commands"),
+    "precision": (_number(int, 6, 17), 10, "significant digits for printed floats"),
+    "state": (_state_spec, "thermal", "singlet | thermal | ground | product:th,ph[,th,ph]"),
+    "shots": (_number(int, 1), 100000, None),
+    "z": (_number(float, 0.0), 3.0, None),
 }
 
 # Options that describe the XXX chain; the pauli-file model refuses them.
-_XXX_ONLY_OPTIONS = (
-    "J", "B", "B-min", "B-max", "B-steps", "sites", "boundary", "double-count-two-site-bond"
-)
+_XXX_ONLY_OPTIONS = ("J", "B", "B-min", "B-max", "B-steps", "sites", "boundary")
 
 
 def _parse(key: str, text: str, where: str = ""):
@@ -153,7 +140,7 @@ def _parse(key: str, text: str, where: str = ""):
         raise ValueError(f"{where}bad value for {key}: {text!r} ({exc})") from exc
 
 
-def _read_config_file(path: str) -> dict:
+def _read_config_file(path: str, command: str, options: Sequence[str]) -> dict:
     values = {}
     try:
         text = Path(path).read_text()
@@ -169,46 +156,44 @@ def _read_config_file(path: str) -> dict:
         key, val = key.strip(), val.strip()
         if key not in _OPTION_SPECS:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key not in options:
+            raise ValueError(f"{path}:{lineno}: {command} does not take {key}")
         values[key] = _parse(key, val, f"{path}:{lineno}: ")
     return values
 
 
-def _grid_from(values: dict, prefix: str, default_scalar: float) -> GridSpec:
-    scalar = values[prefix]
-    lo, hi, steps = values[f"{prefix}-min"], values[f"{prefix}-max"], values[f"{prefix}-steps"]
-    if scalar is not None:
-        if lo is not None or hi is not None or steps is not None:
-            raise ValueError(f"give either --{prefix} or --{prefix}-min/max/steps, not both")
-        return GridSpec(scalar, scalar, 1)
-    if lo is None and hi is None and steps is None:
-        return GridSpec(default_scalar, default_scalar, 1)
-    if lo is None or hi is None or steps is None:
+def _grid_from(given: dict, prefix: str) -> GridSpec:
+    """bound-sweep's B or T grid: the single value ``prefix`` or ``prefix``-min/max/steps."""
+    keys = [f"{prefix}-min", f"{prefix}-max", f"{prefix}-steps"]
+    present = [key for key in keys if key in given]
+    if not present:
+        value = given.get(prefix, _OPTION_SPECS[prefix][1])
+        return GridSpec(value, value, 1)
+    if prefix in given:
+        raise ValueError(f"give either --{prefix} or --{prefix}-min/max/steps, not both")
+    if len(present) < len(keys):
         raise ValueError(f"--{prefix}-min/max/steps must be given together")
-    return GridSpec(lo, hi, steps)
+    return GridSpec(*(given[key] for key in keys))
 
 
 def _config(args: argparse.Namespace) -> argparse.Namespace:
-    """Parsed option values (defaults, then the config file, then flags) and the two grids."""
-    values = {key: default for key, (_, default, _) in _OPTION_SPECS.items()}
-    if args.config:
-        values.update(_read_config_file(args.config))
-    for key in _OPTION_SPECS:
+    """The command's options (defaults, then config file, then flags); bound-sweep's grids."""
+    options = _COMMANDS[args.command][1]
+    given = _read_config_file(args.config, args.command, options) if args.config else {}
+    for key in options:
         flag = getattr(args, key.replace("-", "_"))
         if flag is not None:
-            values[key] = _parse(key, flag)
-    if values["model"] == "pauli-file":
+            given[key] = _parse(key, flag)
+    if given.get("model") == "pauli-file":
         for key in _XXX_ONLY_OPTIONS:
-            if values[key] != _OPTION_SPECS[key][1]:
+            if key in given:
                 raise ValueError(f"{key} does not apply to the pauli-file model")
-    cfg = argparse.Namespace(**{key.replace("-", "_"): v for key, v in values.items()})
-    cfg.b_grid = _grid_from(values, "B", 0.0)
-    cfg.t_grid = _grid_from(values, "T", 1.0)
-    if args.command != "bound-sweep":
-        for prefix, grid in (("B", cfg.b_grid), ("T", cfg.t_grid)):
-            if grid.steps > 1:
-                raise ValueError(
-                    f"{args.command} takes one {prefix}; only bound-sweep takes a grid"
-                )
+    cfg = argparse.Namespace(
+        **{key.replace("-", "_"): given.get(key, _OPTION_SPECS[key][1]) for key in options}
+    )
+    if args.command == "bound-sweep":
+        cfg.b_grid = _grid_from(given, "B")
+        cfg.t_grid = _grid_from(given, "T")
     return cfg
 
 
@@ -217,7 +202,7 @@ def _xxx_params(cfg: argparse.Namespace) -> Optional[XXXParams]:
         return None
     if cfg.J is None:
         raise ValueError("--J is required for the xxx model")
-    return XXXParams(cfg.J, cfg.b_grid.lo, cfg.sites, cfg.boundary, cfg.double_count_two_site_bond)
+    return XXXParams(cfg.J, cfg.B, cfg.sites, cfg.boundary)
 
 
 def _build_hamiltonian(cfg: argparse.Namespace) -> HermitianOperator:
@@ -243,6 +228,18 @@ def _esep_report(cfg: argparse.Namespace, h: HermitianOperator) -> SepEnergyRepo
     return resolve_esep(cfg.policy, h, params=params, restarts=cfg.restarts, seed=cfg.seed)
 
 
+def _print_agreement(cfg: argparse.Namespace, report: SepEnergyReport) -> None:
+    """Under the exact policy, how many seesaw restarts reached the best E_sep.
+
+    The seesaw is a local search, so a best value that one restart alone
+    reached may lie above the true E_sep; that case is warned about.
+    """
+    if cfg.policy.kind == "exact":
+        print(f"restarts_agreeing = {report.restarts_agreeing}")
+        if report.restarts_agreeing == 1:
+            print("warning: a single restart reached this esep; raise --restarts", file=sys.stderr)
+
+
 def _fmt(x: float, digits: int) -> str:
     return format(float(x), f".{digits}g")
 
@@ -254,8 +251,8 @@ def _state_from_spec(cfg: argparse.Namespace, h: Optional[HermitianOperator]) ->
         return states.singlet()
     if isinstance(spec, tuple):
         return states.product_state(*spec)
-    if spec == "thermal" and cfg.t_grid.lo != 0.0:
-        rho, _ = gibbs(h, cfg.t_grid.lo)
+    if spec == "thermal" and cfg.T != 0.0:
+        rho, _ = gibbs(h, cfg.T)
         return rho
     return ground_state(h)
 
@@ -307,6 +304,7 @@ def cmd_esep(cfg: argparse.Namespace) -> int:
     print(f"esep = {report.esep:.{d}f}")
     print(f"source = {report.source}")
     print(f"restarts_used = {report.restarts_used}")
+    _print_agreement(cfg, report)
     print(f"converged = {str(report.converged).lower()}")
     if report.minimizer is not None:
         for i, (block, vec) in enumerate(
@@ -326,6 +324,7 @@ def cmd_witness(cfg: argparse.Namespace) -> int:
     w = make_witness(h, report)
     d = cfg.precision
     print(f"esep = {_fmt(w.esep, d)} (source = {report.source})")
+    _print_agreement(cfg, report)
     print(f"e_min = {_fmt(w.e_min, d)}")
     print(f"e_max = {_fmt(w.e_max, d)}")
     print(f"A = {_fmt(w.normalizer_a, d)}")
@@ -417,11 +416,19 @@ def cmd_reproduce_figure(out_dir: str, digits: int = 10) -> int:
     return 0
 
 
-def _add_common_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="config file of 'key: value' lines; flags override")
-    for name, (parser, _, extra) in _OPTION_SPECS.items():
-        metavar = getattr(parser, "metavar", None)
-        p.add_argument(f"--{name}", dest=name.replace("-", "_"), metavar=metavar, **extra)
+# command -> (function, the options it reads).  A command declares only these,
+# as flags and as config keys, and refuses any other.
+_MODEL = ("model", "pauli-file", "J", "B", "sites", "boundary")
+_SEARCH = ("policy", "restarts", "seed")
+_GRIDS = ("B-min", "B-max", "B-steps", "T", "T-min", "T-max", "T-steps")
+_COMMANDS = {
+    "spectrum": (cmd_spectrum, _MODEL + ("precision",)),
+    "esep": (cmd_esep, _MODEL + _SEARCH + ("precision",)),
+    "witness": (cmd_witness, _MODEL + _SEARCH + ("precision",)),
+    "bound-sweep": (cmd_bound_sweep, _MODEL + _GRIDS + _SEARCH + ("out", "precision")),
+    "robustness": (cmd_robustness, _MODEL + ("T",) + _SEARCH + ("state",)),
+    "measure": (cmd_measure, _MODEL + ("T",) + _SEARCH + ("state", "shots", "z", "precision")),
+}
 
 
 def _make_parser() -> argparse.ArgumentParser:
@@ -430,31 +437,27 @@ def _make_parser() -> argparse.ArgumentParser:
         description="Energy-based entanglement witnesses and robustness bounds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("spectrum", "esep", "witness", "bound-sweep", "robustness", "measure"):
+    for name, (_, options) in _COMMANDS.items():
         p = sub.add_parser(name)
-        _add_common_options(p)
+        p.add_argument("--config", help="config file of 'key: value' lines; flags override")
+        for key in options:
+            parse, _, help_text = _OPTION_SPECS[key]
+            metavar = getattr(parse, "metavar", None)
+            p.add_argument(f"--{key}", dest=key.replace("-", "_"), metavar=metavar, help=help_text)
     fig = sub.add_parser("reproduce-figure")
     fig.add_argument("--out-dir", dest="out_dir", default=".")
     fig.add_argument("--precision", default="10")
     return parser
 
 
-_DISPATCH = {
-    "spectrum": cmd_spectrum,
-    "esep": cmd_esep,
-    "witness": cmd_witness,
-    "bound-sweep": cmd_bound_sweep,
-    "robustness": cmd_robustness,
-    "measure": cmd_measure,
-}
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _make_parser().parse_args(argv)
+    args, undeclared = _make_parser().parse_known_args(argv)
     try:
+        if undeclared:
+            raise ValueError(f"{args.command} does not take {undeclared[0].split('=')[0]}")
         if args.command == "reproduce-figure":
             return cmd_reproduce_figure(args.out_dir, _parse("precision", args.precision))
-        return _DISPATCH[args.command](_config(args))
+        return _COMMANDS[args.command][0](_config(args))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

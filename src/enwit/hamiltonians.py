@@ -24,16 +24,14 @@ class XXXParams:
     """Heisenberg chain parameters: J sum_i sigma_i . sigma_{i+1} + B sum_i sigma_z,i.
 
     Temperatures downstream are measured in units of J/k_B with k_B = 1.
-    A periodic two-site chain counts its single bond once unless
-    ``double_count_two_site_bond`` is set (a convention for chain formulas
-    that traverse the 1-2 bond twice).
+    A periodic two-site chain counts its single bond once; the convention
+    that counts it twice is the same Hamiltonian at 2J.
     """
 
     coupling_j: float = 1.0
     field_b: float = 0.0
     n_sites: int = 2
     boundary: str = "open"
-    double_count_two_site_bond: bool = False
 
     def __post_init__(self):
         if not (math.isfinite(self.coupling_j) and self.coupling_j > 0):
@@ -66,7 +64,7 @@ def _xxx_terms(p: XXXParams) -> list[PauliString]:
     """The chain's Pauli strings: bonds in order with X, Y, Z on each, then the fields."""
     n = p.n_sites
     bonds = [(i, i + 1) for i in range(n - 1)]
-    if p.boundary == "periodic" and (n > 2 or p.double_count_two_site_bond):
+    if p.boundary == "periodic" and n > 2:
         bonds.append((n - 1, 0))
     terms = []
     for i, j in bonds:
@@ -85,8 +83,7 @@ def build_xxx(p: XXXParams) -> HermitianOperator:
     """Heisenberg Hamiltonian on n qubits, as a sum of Pauli strings.
 
     For ``n_sites=2`` this is J sigma_1.sigma_2 + B(sigma_z1 + sigma_z2); the
-    single bond is counted once even for periodic boundaries unless
-    ``p.double_count_two_site_bond`` is set.
+    single bond is counted once even for periodic boundaries.
     """
     return build_pauli(SystemShape([2] * p.n_sites), _xxx_terms(p))
 

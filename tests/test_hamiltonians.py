@@ -1,3 +1,4 @@
+from dataclasses import replace
 from functools import reduce
 from typing import Sequence
 
@@ -30,12 +31,13 @@ def _site_term(letter: str, site: int, n: int) -> np.ndarray:
     return _kron_all([PAULI[letter] if k == site else PAULI["I"] for k in range(n)])
 
 
-def reference_xxx(p: XXXParams) -> HermitianOperator:
+def reference_xxx(p: XXXParams, doubled: bool = False) -> HermitianOperator:
+    """``doubled`` counts a periodic two-site chain's bond twice."""
     n = p.n_sites
     d = 2**n
     h = np.zeros((d, d), dtype=np.complex128)
     bonds = [(i, i + 1) for i in range(n - 1)]
-    if p.boundary == "periodic" and (n > 2 or p.double_count_two_site_bond):
+    if p.boundary == "periodic" and (n > 2 or doubled):
         bonds.append((n - 1, 0))
     for i, j in bonds:
         for a in "XYZ":
@@ -86,10 +88,13 @@ class TestBuildXXX:
     @pytest.mark.parametrize("boundary", ["open", "periodic"])
     @pytest.mark.parametrize("doubled", [False, True])
     def test_matches_reference(self, n, boundary, doubled):
+        # the doubled two-site bond is the same Hamiltonian at 2J, bit for bit
+        scale = 2.0 if doubled and n == 2 and boundary == "periodic" else 1.0
         for j in (1.0, 0.37):
             for b in (0.0, 0.3, -1.7, 5.0):
-                p = XXXParams(j, b, n, boundary, doubled)
-                assert np.array_equal(build_xxx(p).entries, reference_xxx(p).entries), p
+                p = XXXParams(j, b, n, boundary)
+                built = build_xxx(replace(p, coupling_j=scale * j)).entries
+                assert np.array_equal(built, reference_xxx(p, doubled).entries), p
 
     def test_field_free_spectrum(self):
         h = build_xxx(XXXParams(1.0, 0.0))
@@ -126,8 +131,9 @@ class TestBuildXXX:
         assert np.array_equal(open_h.entries, per_h.entries)
 
     def test_two_site_double_count_flag(self):
+        # counting the two-site bond twice is J -> 2J
         single = build_xxx(XXXParams(1.0, 0.0, 2, "periodic"))
-        double = build_xxx(XXXParams(1.0, 0.0, 2, "periodic", double_count_two_site_bond=True))
+        double = build_xxx(XXXParams(2.0, 0.0, 2, "periodic"))
         assert np.abs(double.entries - 2.0 * single.entries).max() < 1e-12
 
     def test_chain_periodic_adds_wrap_bond(self):

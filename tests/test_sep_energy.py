@@ -81,6 +81,17 @@ class TestSeesaw:
         rep = esep_seesaw(h, SINGLETONS, restarts=8, seed=2)
         assert rep.esep == pytest.approx(-1.0, abs=1e-10)
 
+    def test_counts_agreeing_restarts(self):
+        # every restart reaches the minimum of Z1 Z2; under -Z1 Z2 - 0.1 (Z1 + Z2)
+        # the pair pointing down (-0.8) is a local minimum above the global -1.2
+        zz = np.kron(PAULI["Z"], PAULI["Z"])
+        h = HermitianOperator(Q2, zz)
+        assert esep_seesaw(h, SINGLETONS, restarts=8, seed=2).restarts_agreeing == 8
+        fields = np.kron(PAULI["Z"], PAULI["I"]) + np.kron(PAULI["I"], PAULI["Z"])
+        rep = esep_seesaw(HermitianOperator(Q2, -zz - 0.1 * fields), SINGLETONS, restarts=16)
+        assert rep.esep == pytest.approx(-1.2, abs=1e-12)
+        assert rep.restarts_agreeing == 8
+
     def test_never_below_ground_energy(self, h_xxx):
         for b in (0.0, 0.9, 2.5):
             h = h_xxx(1.0, b)
@@ -281,6 +292,7 @@ class TestReference:
         assert rep.esep == -2.0
         assert rep.source == "user-supplied"
         assert rep.minimizer is None
+        assert rep.restarts_agreeing == 0
 
     def test_vacuous_value_detects_nothing(self, h_xxx):
         from enwit import make_witness, robustness_lower_bound

@@ -171,15 +171,17 @@ class TestSweep:
             bound_sweep(XXXParams(1.0, 0.0), EsepPolicy("fixed", -2.0), [1.0, 0.5], [0.0])
 
     def test_double_counted_bond(self):
+        # counting the two-site bond twice is the same chain at 2J
         p = XXXParams(1.0, 0.0, 2, "periodic")
-        doubled_p = XXXParams(1.0, 0.0, 2, "periodic", double_count_two_site_bond=True)
+        doubled_p = XXXParams(2.0, 0.0, 2, "periodic")
         fixed = EsepPolicy("fixed", -2.0)
         assert bound_sweep(p, fixed, [1.0], [0.0]).normalizer_a[0] == pytest.approx(3.0, abs=1e-12)
         doubled = bound_sweep(doubled_p, fixed, [1.0], [0.0])
         assert doubled.normalizer_a[0] == pytest.approx(4.0, abs=1e-12)
-        closed = EsepPolicy("closed-form")
-        with pytest.raises(ValueError, match="two-site bond once"):
-            bound_sweep(doubled_p, closed, [1.0], [0.0])
+        closed = bound_sweep(doubled_p, EsepPolicy("closed-form"), [1.0], [0.0]).esep[0]
+        exact = bound_sweep(doubled_p, EsepPolicy("exact"), [1.0], [0.0]).esep[0]
+        assert closed == -2.0
+        assert closed == pytest.approx(exact, abs=1e-9)
 
 
 class TestPolicy:
@@ -204,6 +206,7 @@ class TestPolicy:
         rep = resolve_esep(EsepPolicy("closed-form"), h_xxx(1.0, 0.5), params=p)
         assert rep.source == "closed-form"
         assert rep.minimizer is not None
+        assert rep.restarts_agreeing == 0
         from enwit import ansatz_energy
 
         assert ansatz_energy(h_xxx(1.0, 0.5), rep.minimizer) == pytest.approx(
