@@ -1,0 +1,252 @@
+"""Product-state energies of qubit Hamiltonians on Bloch vectors, and a
+second-order local search over them.
+
+On qubits a pure product state is one Bloch vector r_i in S^2 per site, and
+its energy is multilinear in them: with H = sum_k c_k P_k over Pauli
+strings, <H> = sum_k c_k prod_i v_i[letter_i(k)] with v_i = (1, r_i).  So
+the gradient and Hessian follow from the strings in O(terms), and
+:func:`bloch_search` minimizes over (S^2)^n by mean-field sweeps and
+saddle-free Riemannian Newton steps (Absil, Mahony & Sepulchre,
+*Optimization Algorithms on Matrix Manifolds*, 2008).
+
+:func:`enwit.sep_energy.esep_seesaw` runs this search when every block is
+one qubit, and imports this module on first use, so code that never
+searches does not load it.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .operators import HermitianOperator
+
+MEAN_FIELD_SWEEPS = 20
+NEWTON_STEP_CAP = 50
+NEWTON_TOL = 1e-9  # relative to the sum of |c_k| over the non-identity Pauli strings
+
+_STEP_NORM_CAP = 1.0
+_ARMIJO = 1e-4
+_ROUNDOFF = 1e3 * np.finfo(float).eps
+_LINE_SEARCH_HALVINGS = 40
+_TERM_CHUNK = 1 << 20  # elements of the largest (n, n, K, R) array in _bloch_derivatives
+
+
+# Row s, column 2a + b: P_s[b, a] / 2 for P = I, X, Y, Z, so contracting one
+# site's (row bit a, column bit b) pair of an operator M gives Tr(P_s M) / 2.
+_PAULI_TRANSFORM = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0], [1, 0, 0, -1]]) / 2.0
+# Coefficients below this fraction of the largest are round-off of the transform.
+_PAULI_ZERO = 1e-13
+
+
+def pauli_terms(h: HermitianOperator) -> tuple[np.ndarray, np.ndarray]:
+    """Pauli expansion of a qubit operator, H = sum_k c_k P_k.
+
+    Returns the letters of the nonzero strings as a (K, n) array coded
+    I, X, Y, Z = 0, 1, 2, 3 (site 0 first) and their real coefficients
+    c_k = Tr(P_k H) / 2^n.  The transform regroups H as one 4-index axis per
+    site and contracts each with ``_PAULI_TRANSFORM`` in turn: O(n 4^n).
+    """
+    n = h.shape.n_sites
+    t = h.entries.reshape((2,) * (2 * n))
+    t = t.transpose([ax for s in range(n) for ax in (s, n + s)]).reshape((4,) * n)
+    for _ in range(n):  # each pass contracts the leading axis and appends its Pauli axis
+        t = np.tensordot(t, _PAULI_TRANSFORM, axes=([0], [1]))
+    coeffs = t.real
+    letters = np.argwhere(np.abs(coeffs) > _PAULI_ZERO * np.abs(coeffs).max())
+    return letters, coeffs[tuple(letters.T)]
+
+
+def _states_to_bloch(states: np.ndarray) -> np.ndarray:
+    """Unit Bloch vectors (..., 3) of qubit states (..., 2)."""
+    a, b = states[..., 0], states[..., 1]
+    ab = a.conj() * b
+    r = np.stack([2.0 * ab.real, 2.0 * ab.imag, abs(a) ** 2 - abs(b) ** 2], axis=-1)
+    return r / np.linalg.norm(r, axis=-1, keepdims=True)
+
+
+def _bloch_to_states(r: np.ndarray) -> np.ndarray:
+    """Unit qubit states (..., 2) with Bloch vectors r (..., 3), up to global phase.
+
+    The larger of |a| = sqrt((1 + z)/2) and |b| = sqrt((1 - z)/2) is taken
+    real, so no denominator is below sqrt(2).
+    """
+    x, y, z = r[..., 0], r[..., 1], r[..., 2]
+    s = np.sqrt(2.0 * (1.0 + abs(z)))
+    north = z >= 0.0
+    out = np.empty(r.shape[:-1] + (2,), dtype=np.complex128)
+    out[..., 0] = np.where(north, s / 2.0, (x - 1j * y) / s)
+    out[..., 1] = np.where(north, (x + 1j * y) / s, s / 2.0)
+    return out / np.linalg.norm(out, axis=-1, keepdims=True)
+
+
+def _factors(v: np.ndarray, letters: np.ndarray) -> np.ndarray:
+    """f[i, k, r] = v[r, i, letters[k, i]]: each string's one-site factors, (n, K, R)."""
+    return v.transpose(1, 2, 0)[np.arange(v.shape[1])[:, None], letters.T]
+
+
+def _excluding_each(f: np.ndarray) -> np.ndarray:
+    """out[i] = product of f[l] over l != i (along axis 0): prefix times suffix products."""
+    out = np.empty_like(f)
+    out[0] = 1.0
+    for l in range(1, len(f)):
+        np.multiply(out[l - 1], f[l - 1], out=out[l])
+    suffix = f[-1].copy()
+    for l in range(len(f) - 2, -1, -1):
+        out[l] *= suffix
+        suffix *= f[l]
+    return out
+
+
+def _bloch_energy(v: np.ndarray, letters: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    return coeffs @ _factors(v, letters).prod(axis=0)
+
+
+def _bloch_derivatives(
+    v: np.ndarray, letters: np.ndarray, coeffs: np.ndarray, onehot: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Energy (R,), gradient (R, n, 3) and Hessian (R, n, 3, n, 3) in the Bloch vectors.
+
+    The energy sum_k c_k prod_i v[i, letters[k, i]] is multilinear, so the
+    gradient of site i drops factor i of each string and the Hessian block
+    (i, j != i) drops factors i and j; the (i, i) blocks are zero.  The sums
+    over strings are matrix products batched over the sites; terms go in
+    chunks so the (n, n, K, R) products stay small.
+    """
+    rows, n = v.shape[:2]
+    energy = np.zeros(rows)
+    grad = np.zeros((n, 3, rows))
+    hess = np.zeros((n, n, 9, rows))
+    chunk = max(1, _TERM_CHUNK // (rows * n * n))
+    diag = (range(n), range(n))
+    for lo in range(0, len(coeffs), chunk):
+        part = slice(lo, lo + chunk)
+        f = _factors(v, letters[part])
+        pairs = np.repeat(f[:, None], n, axis=1)
+        pairs[diag] = 1.0
+        drop = _excluding_each(pairs)  # [j, i, k, r]: prod over l != i, j
+        drop *= coeffs[part, None]
+        one = drop[diag]  # [i, k, r]: c_k prod over l != i
+        energy += (one[0] * f[0]).sum(axis=0)
+        sites = onehot[part].transpose(1, 2, 0)  # (n, 3, K)
+        grad += sites @ one
+        drop[diag] = 0.0
+        hess += (sites[None, :, :, None] * sites[:, None, None]).reshape(n, n, 9, -1) @ drop
+    return (
+        energy,
+        grad.transpose(2, 0, 1),
+        hess.reshape(n, n, 3, 3, rows).transpose(4, 1, 2, 0, 3),
+    )
+
+
+def _tangent_bases(r: np.ndarray) -> np.ndarray:
+    """Orthonormal bases (..., 3, 2) of the tangent planes of S^2 at unit vectors r."""
+    axis = np.eye(3)[np.argmin(abs(r), axis=-1)]
+    u = np.cross(r, axis)
+    u /= np.linalg.norm(u, axis=-1, keepdims=True)
+    return np.stack([u, np.cross(r, u)], axis=-1)
+
+
+def _riemannian(
+    r: np.ndarray, grad: np.ndarray, hess: np.ndarray, bases: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Riemannian gradient (R, 2n) and Hessian (R, 2n, 2n) on (S^2)^n in the tangent bases.
+
+    Hess[xi]_i = P_i (sum_j H_ij xi_j) - (r_i . g_i) xi_i, with P_i the
+    projector onto the tangent plane at r_i.
+    """
+    rows, n = r.shape[:2]
+    g = np.einsum("rixa,rix->ria", bases, grad).reshape(rows, 2 * n)
+    h = np.einsum("rixa,rixjy,rjyb->riajb", bases, hess, bases)
+    shift = np.einsum("rix,rix->ri", r, grad)
+    h[:, range(n), :, range(n), :] -= shift.T[:, :, None, None] * np.eye(2)
+    h = h.reshape(rows, 2 * n, 2 * n)
+    return g, (h + h.transpose(0, 2, 1)) / 2.0
+
+
+def bloch_search(
+    h: HermitianOperator, sites: list[int], starts: list[np.ndarray]
+) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
+    """Minimize the energy over one qubit state per site, for a stack of starts.
+
+    ``starts[b]`` holds the (R, 2) start states of site ``sites[b]``.  Returns
+    the final states in the same layout, and per restart the Riemannian
+    gradient norm, the smallest reduced-Hessian eigenvalue and whether both
+    are within the tolerance (a second-order certificate of a local minimum).
+    """
+    n = h.shape.n_sites
+    letters, coeffs = pauli_terms(h)
+    onehot = (letters[..., None] == np.arange(1, 4)).astype(float)  # (K, n, 3)
+    tol = NEWTON_TOL * np.abs(coeffs[letters.any(axis=1)]).sum()
+    # Energy differences below this are round-off; without the slack, Armijo
+    # would refuse a last Newton step whose true decrease is smaller still.
+    slack = _ROUNDOFF * np.abs(coeffs).sum()
+    v = np.ones((len(starts[0]), n, 4))
+    for site, s in zip(sites, starts):
+        v[:, site, 1:] = _states_to_bloch(s)
+    r = v[..., 1:]
+
+    # Mean-field sweeps: r_i <- -g_i/|g_i| minimizes the energy, affine in r_i,
+    # exactly; a site whose g_i is zero keeps its vector.  They end early once
+    # a sweep lowers no energy by more than round-off.
+    weighted = coeffs[:, None, None] * onehot
+    energy = _bloch_energy(v, letters, coeffs)
+    for _ in range(MEAN_FIELD_SWEEPS):
+        f = _factors(v, letters)
+        for i in range(n):
+            g = (f[:i].prod(axis=0) * f[i + 1 :].prod(axis=0)).T @ weighted[:, i]
+            norm = np.linalg.norm(g, axis=1)
+            turn = norm > 0.0
+            r[turn, i] = -g[turn] / norm[turn, None]
+            f[i] = v[:, i, letters[:, i]].T
+        new = _bloch_energy(v, letters, coeffs)
+        assert (new <= energy + slack).all(), "seesaw energy increased"
+        settled = (energy - new <= slack).all()
+        energy = new
+        if settled:
+            break
+
+    # Saddle-free Newton steps, all restarts at once: the reduced Hessian with
+    # its eigenvalues replaced by max(|lambda|, tol), then Armijo backtracking
+    # along the retraction r_i <- (r_i + t xi_i)/|r_i + t xi_i|.
+    gnorm = np.empty(len(r))
+    red = np.empty((len(r), 2 * n, 2 * n))
+    moved = np.arange(len(r))  # restarts whose point changed since their derivatives were taken
+    for step in range(NEWTON_STEP_CAP + 1):
+        e, grad, hess = _bloch_derivatives(v[moved], letters, coeffs, onehot)
+        bases = _tangent_bases(r[moved])
+        g, red[moved] = _riemannian(r[moved], grad, hess, bases)
+        gnorm[moved] = np.linalg.norm(g, axis=1)
+        go = gnorm[moved] > tol
+        if step == NEWTON_STEP_CAP or not go.any():
+            break
+        act, g, e, bases = moved[go], g[go], e[go], bases[go]
+        # For a symmetric matrix the singular values are |lambda| and the right
+        # singular vectors are eigenvectors, so one SVD gives |Hessian|.
+        _, sigma, vt = np.linalg.svd(red[act])
+        coef = np.einsum("rkj,rj->rk", vt, g) / np.maximum(sigma, tol)
+        eta = -np.einsum("rki,rk->ri", vt, coef)
+        eta *= np.minimum(1.0, _STEP_NORM_CAP / np.linalg.norm(eta, axis=1))[:, None]
+        slope = np.einsum("ri,ri->r", g, eta)
+        move = np.einsum("rixa,ria->rix", bases, eta.reshape(len(act), n, 2))
+        t = 1.0
+        pending = np.arange(len(act))
+        for _ in range(_LINE_SEARCH_HALVINGS):
+            trial = v[act[pending]]
+            trial[..., 1:] += t * move[pending]
+            trial[..., 1:] /= np.linalg.norm(trial[..., 1:], axis=-1, keepdims=True)
+            e_trial = _bloch_energy(trial, letters, coeffs)
+            ok = e_trial <= e[pending] + _ARMIJO * t * slope[pending] + slack
+            assert (e_trial[ok] <= e[pending[ok]] + slack).all(), "seesaw energy increased"
+            v[act[pending[ok]]] = trial[ok]
+            pending = pending[~ok]
+            if pending.size == 0:
+                break
+            t /= 2.0
+        # a restart still pending found no decrease above round-off along a
+        # descent direction: its line search stalled, and it stops here
+        moved = np.delete(act, pending)
+        if moved.size == 0:
+            break
+    hmin = np.linalg.eigvalsh(red)[:, 0]
+    converged = (gnorm <= tol) & (hmin >= -tol)
+    return [_bloch_to_states(r[:, site]) for site in sites], gnorm, hmin, converged

@@ -9,6 +9,7 @@ infinities fail).  Each command takes only the options ``_COMMANDS`` lists
 for it and refuses any other (``<command> does not take <flag>``).  Rules on
 the physics inputs, such as J > 0, are the library's and exit 2 as well.  The
 pauli-file model refuses the XXX chain's options (``_XXX_ONLY_OPTIONS``).
+``measure`` refuses a ``fixed:`` E_sep that a product state undercuts.
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
 
@@ -41,6 +42,7 @@ from .witness import (
 )
 
 CSV_HEADER = "B,T,mean_energy,esep,A,bound_raw,bound_clipped,detected"
+FIXED_REFUTATION_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -228,16 +230,40 @@ def _esep_report(cfg: argparse.Namespace, h: HermitianOperator) -> SepEnergyRepo
     return resolve_esep(cfg.policy, h, params=params, restarts=cfg.restarts, seed=cfg.seed)
 
 
-def _print_agreement(cfg: argparse.Namespace, report: SepEnergyReport) -> None:
-    """Under the exact policy, how many seesaw restarts reached the best E_sep.
+def _warn_if_one_restart(cfg: argparse.Namespace, agreeing: int, where: str = "") -> None:
+    """Under the exact policy, warn on stderr when one restart alone reached the best E_sep.
 
-    The seesaw is a local search, so a best value that one restart alone
-    reached may lie above the true E_sep; that case is warned about.
+    The search is local, so such a value may lie above the true E_sep.
     """
+    if cfg.policy.kind == "exact" and agreeing == 1:
+        message = f"warning: a single restart reached this esep{where}; raise --restarts"
+        print(message, file=sys.stderr)
+
+
+def _print_agreement(cfg: argparse.Namespace, report: SepEnergyReport) -> None:
+    """Under the exact policy, how many restarts reached the best E_sep."""
     if cfg.policy.kind == "exact":
         print(f"restarts_agreeing = {report.restarts_agreeing}")
-        if report.restarts_agreeing == 1:
-            print("warning: a single restart reached this esep; raise --restarts", file=sys.stderr)
+    _warn_if_one_restart(cfg, report.restarts_agreeing)
+
+
+def _refute_fixed(cfg: argparse.Namespace, h: HermitianOperator) -> None:
+    """Under ``fixed:<v>``, refuse v when a product state reaches an energy below it.
+
+    Such a state proves that v is not E_sep; the search runs with the
+    command's ``--restarts`` and ``--seed``.
+    """
+    if cfg.policy.kind != "fixed":
+        return
+    found = resolve_esep(EsepPolicy("exact"), h, restarts=cfg.restarts, seed=cfg.seed)
+    if found.esep < cfg.policy.value - FIXED_REFUTATION_TOL:
+        angles = ", ".join(
+            "({:.6f}, {:.6f})".format(*states.bloch_angles(v)) for v in found.minimizer.block_states
+        )
+        raise ValueError(
+            f"fixed esep {cfg.policy.value:g} is refuted: the product state with Bloch angles "
+            f"(theta, phi) = {angles} has energy {found.esep:.10g}"
+        )
 
 
 def _fmt(x: float, digits: int) -> str:
@@ -306,6 +332,9 @@ def cmd_esep(cfg: argparse.Namespace) -> int:
     print(f"restarts_used = {report.restarts_used}")
     _print_agreement(cfg, report)
     print(f"converged = {str(report.converged).lower()}")
+    if report.gradient_norm is not None:
+        print(f"gradient_norm = {report.gradient_norm:.3e}")
+        print(f"hessian_min = {report.hessian_min:.3e}")
     if report.minimizer is not None:
         for i, (block, vec) in enumerate(
             zip(report.minimizer.partition.blocks, report.minimizer.block_states)
@@ -344,6 +373,8 @@ def cmd_bound_sweep(cfg: argparse.Namespace) -> int:
     else:
         h = _build_hamiltonian(cfg)
         cells = sweep_single_hamiltonian(h, _esep_report(cfg, h), t_values, b_value=0.0)
+    for b in dict.fromkeys(cells.b[cells.restarts_agreeing == 1].tolist()):
+        _warn_if_one_restart(cfg, 1, f" at B = {b:g}")
     path = cfg.out or "bound_sweep.csv"
     _write_sweep_csv(path, cells, cfg.precision)
     print(f"wrote {path} ({len(cells)} rows)")
@@ -358,6 +389,7 @@ def cmd_robustness(cfg: argparse.Namespace) -> int:
     if with_bound:  # refuse a bad E_sep before any output
         report = _esep_report(cfg, h)
         w = make_witness(h, report)
+        _warn_if_one_restart(cfg, report.restarts_agreeing)
     cert = rg_exact_2q(rho)
     print(f"rg_value = {cert.rg_value:.5f}")
     print(f"duality_gap = {cert.duality_gap:.3e}")
@@ -375,8 +407,11 @@ def cmd_robustness(cfg: argparse.Namespace) -> int:
 
 def cmd_measure(cfg: argparse.Namespace) -> int:
     h = _build_hamiltonian(cfg)
+    report = _esep_report(cfg, h)
+    _refute_fixed(cfg, h)
     rho = _state_from_spec(cfg, h)
-    w = make_witness(h, _esep_report(cfg, h))
+    w = make_witness(h, report)
+    _warn_if_one_restart(cfg, report.restarts_agreeing)
     est = measure_energy(h, rho, cfg.shots, cfg.seed)
     interval = bound_with_confidence(w, est, cfg.z)
     d = cfg.precision

@@ -4,8 +4,9 @@ Because Tr(H sigma) is linear in sigma, its minimum over the full (mixed)
 separable set is attained at a pure product state, so pure-state
 minimization is all that is needed.  Two routes are provided:
 
-* :func:`esep_seesaw` -- alternating block minimization with random
-  restarts (the workhorse),
+* :func:`esep_seesaw` -- local search with random restarts (the
+  workhorse): Riemannian Newton on Bloch vectors when every block is one
+  qubit, alternating block minimization otherwise,
 * :func:`esep_closed_form_xxx` -- the analytic value for the two-site
   Heisenberg model in a field, with the bond counted once.
 
@@ -91,6 +92,8 @@ class SepEnergyReport:
     restarts_agreeing: int  # seesaw restarts within RESTART_AGREEMENT_TOL of the best, else 0
     converged: bool
     source: str  # exact-optimized | closed-form | user-supplied
+    gradient_norm: Optional[float] = None  # Bloch search only: Riemannian gradient norm
+    hessian_min: Optional[float] = None  # Bloch search only: smallest reduced-Hessian eigenvalue
 
 
 def full_vector(shape: SystemShape, ansatz: ProductStateAnsatz) -> np.ndarray:
@@ -115,11 +118,21 @@ def random_ansatz(
     shape: SystemShape, part: Partition, rng: np.random.Generator
 ) -> ProductStateAnsatz:
     """Product state with each block drawn uniformly from its complex unit sphere."""
-    states = []
-    for d in part.block_dims(shape):
-        z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        states.append(z / np.linalg.norm(z))
-    return ProductStateAnsatz(part, states)
+    states = _draw_block_states(part.block_dims(shape), [rng])
+    return ProductStateAnsatz(part, [s[0] for s in states])
+
+
+def _draw_block_states(
+    block_dims: Sequence[int], rngs: Sequence[np.random.Generator]
+) -> list[np.ndarray]:
+    """Per block, one row per generator: d real then d imaginary normal draws, normalized."""
+    z = np.stack([rng.standard_normal(2 * sum(block_dims)) for rng in rngs])
+    states, lo = [], 0
+    for d in block_dims:
+        block = z[:, lo : lo + d] + 1j * z[:, lo + d : lo + 2 * d]
+        states.append(block / np.linalg.norm(block, axis=1, keepdims=True))
+        lo += 2 * d
+    return states
 
 
 def _block_operators(
@@ -151,32 +164,10 @@ def _block_operators(
     return (m + m.conj().transpose(0, 2, 1)) / 2.0
 
 
-def _qubit_ground(m: np.ndarray, prev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest eigenvalue and a unit ground vector of each 2x2 Hermitian matrix.
-
-    For M = [[p, q], [conj(q), s]] with u_z = (p - s)/2 and r = hypot(u_z, |q|)
-    the lowest eigenvalue is (p + s)/2 - r.  Of the two unnormalized ground
-    vectors (q, -(r + u_z)) and (-(r - u_z), conj(q)), the one used has
-    squared norm 2r(r + |u_z|), which never cancels.  A multiple of the
-    identity (r = 0) has every vector as a ground vector; its row of ``prev``
-    is returned unchanged.
-    """
-    p = m[:, 0, 0].real
-    s = m[:, 1, 1].real
-    q = m[:, 0, 1]
-    u_z = 0.5 * (p - s)
-    r = np.hypot(u_z, np.abs(q))
-    big = r + np.abs(u_z)
-    upper = u_z >= 0.0
-    vecs = np.empty_like(prev)
-    vecs[:, 0] = np.where(upper, q, -big)
-    vecs[:, 1] = np.where(upper, -big, q.conj())
-    # Where r = 0 the candidate is exactly (0, 0): dividing by 1 instead of 0
-    # and adding the previous state keeps that state.
-    flat = r == 0.0
-    vecs /= (np.sqrt(2.0 * r * big) + flat)[:, None]
-    vecs += prev * flat[:, None]
-    return 0.5 * (p + s) - r, vecs
+def _energies(h: HermitianOperator, part: Partition, states: Sequence[np.ndarray]) -> np.ndarray:
+    """<psi_r|H|psi_r> of each stacked product state, from one block-0 effective operator."""
+    m0 = _block_operators(h, part, states, 0)
+    return np.einsum("rb,rbc,rc->r", states[0].conj(), m0, states[0]).real
 
 
 def esep_seesaw(
@@ -185,23 +176,33 @@ def esep_seesaw(
     restarts: int = 32,
     seed: int = 0,
 ) -> SepEnergyReport:
-    """Alternating block minimization from ``restarts`` random starting points.
+    """Local minimization of the energy over product states, from ``restarts`` random starts.
 
-    Each round-robin step replaces one block state by the ground eigenvector
-    of its effective operator, so the energy never increases; a restart stops
+    Each restart's random stream is derived solely from ``(seed, restart
+    index)``, so results do not depend on execution order; the restarts are
+    merely executed in lockstep here.  The reported energies are those of
+    the returned product states on the dense H (see :func:`_energies`).
+
+    When every block is one qubit, the search runs on Bloch vectors (see
+    :func:`enwit.bloch.bloch_search`): H is expanded in Pauli strings
+    (O(n 4^n)), up to ``MEAN_FIELD_SWEEPS`` sweeps of r_i <- -g_i/|g_i|
+    warm each restart up, and saddle-free Riemannian Newton steps on
+    (S^2)^n with Armijo backtracking follow until the Riemannian gradient
+    norm is at most ``NEWTON_TOL`` times the sum of the |coefficients| of
+    the non-identity strings, or a line search stalls at round-off (the
+    constants live in :mod:`enwit.bloch`).  ``converged`` then certifies a
+    local minimum to second order: gradient within that tolerance and
+    smallest reduced-Hessian eigenvalue at least minus it; the report
+    carries both numbers of the best restart.  Each step costs O(R K n^2)
+    for R restarts and K strings.
+
+    Any other partition uses alternating block minimization: each
+    round-robin step replaces one block state by the ground eigenvector of
+    its effective operator, so the energy never increases; a restart stops
     once a full sweep lowers the energy by less than 1e-12 or the sweep cap
-    is hit.  Each restart's random stream is derived solely from
-    ``(seed, restart index)``, so results do not depend on execution order;
-    the restarts are merely executed in lockstep here.
-
-    One block update costs one O(R 4^n) GEMM for R restarts on n qubits (in
-    general O(R D^2) for total dimension D): the effective operators of all
-    restarts come from a single product of H, with its sites reordered so
-    the other blocks' column indices come last, and the restarts' states of
-    those blocks (see :func:`_block_operators`).  Qubit blocks then take their ground vector in
-    closed form (see :func:`_qubit_ground`); larger blocks use one stacked
-    ``eigh``.  The reordered H is built afresh for each update, so peak
-    memory is one extra copy of H.
+    is hit.  One block update costs one O(R D^2) GEMM for total dimension D
+    (see :func:`_block_operators`) and one stacked ``eigh``; peak memory is
+    one extra copy of H.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
@@ -210,31 +211,32 @@ def esep_seesaw(
     block_dims = part.block_dims(h.shape)
 
     seed_u = int(seed) & 0xFFFFFFFFFFFFFFFF
-    starts = [random_ansatz(h.shape, part, np.random.default_rng([seed_u, r])) for r in range(restarts)]
-    states = [
-        np.stack([starts[r].block_states[bi] for r in range(restarts)])
-        for bi in range(n_blocks)
-    ]
+    # row r of each block: the state random_ansatz(h.shape, part, default_rng([seed, r])) draws
+    rngs = [np.random.default_rng([seed_u, r]) for r in range(restarts)]
+    states = _draw_block_states(block_dims, rngs)
 
-    m0 = _block_operators(h, part, states, 0)
-    energies = np.einsum("rb,rbc,rc->r", states[0].conj(), m0, states[0]).real
-    converged = np.zeros(restarts, dtype=bool)
-    for _ in range(SEESAW_SWEEP_CAP):
-        active = ~converged
-        if not active.any():
-            break
-        sweep_start = energies.copy()
-        for bi in range(n_blocks):
-            m = _block_operators(h, part, states, bi)
-            if block_dims[bi] == 2:
-                new_e, new_v = _qubit_ground(m, states[bi])
-            else:
-                vals, vecs = np.linalg.eigh(m)
-                new_e, new_v = vals[:, 0], vecs[:, :, 0]
-            assert (new_e[active] <= energies[active] + 1e-10).all(), "seesaw energy increased"
-            states[bi][active] = new_v[active]
-            energies[active] = new_e[active]
-        converged |= active & (sweep_start - energies < SEESAW_ENERGY_TOL)
+    gnorm = hmin = None
+    if all(len(b) == 1 for b in part.blocks) and all(d == 2 for d in block_dims):
+        from .bloch import bloch_search  # loaded on first use; only this path needs it
+
+        sites = [b[0] for b in part.blocks]
+        states, gnorm, hmin, converged = bloch_search(h, sites, states)
+        energies = _energies(h, part, states)
+    else:
+        energies = _energies(h, part, states)
+        converged = np.zeros(restarts, dtype=bool)
+        for _ in range(SEESAW_SWEEP_CAP):
+            active = ~converged
+            if not active.any():
+                break
+            sweep_start = energies.copy()
+            for bi in range(n_blocks):
+                vals, vecs = np.linalg.eigh(_block_operators(h, part, states, bi))
+                new_e = vals[active, 0]
+                assert (new_e <= energies[active] + 1e-10).all(), "seesaw energy increased"
+                states[bi][active] = vecs[active, :, 0]
+                energies[active] = new_e
+            converged |= active & (sweep_start - energies < SEESAW_ENERGY_TOL)
 
     best = int(np.argmin(energies))
     minimizer = ProductStateAnsatz(part, [states[bi][best] for bi in range(n_blocks)])
@@ -245,6 +247,8 @@ def esep_seesaw(
         restarts_agreeing=int((energies <= energies[best] + RESTART_AGREEMENT_TOL).sum()),
         converged=bool(converged[best]),
         source="exact-optimized",
+        gradient_norm=None if gnorm is None else float(gnorm[best]),
+        hessian_min=None if hmin is None else float(hmin[best]),
     )
 
 

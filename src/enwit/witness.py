@@ -110,7 +110,7 @@ def robustness_lower_bound(w: WitnessSpec, mean_energy: float) -> BoundReport:
 class EsepPolicy:
     """How to obtain E_sep for each Hamiltonian in a sweep.
 
-    ``kind`` is one of ``exact`` (seesaw), ``closed-form`` (two-site
+    ``kind`` is one of ``exact`` (:func:`esep_seesaw`), ``closed-form`` (two-site
     Heisenberg analytic value) or ``fixed`` (a user-supplied constant,
     carried in ``value``).
     """
@@ -141,8 +141,8 @@ def resolve_esep(
 ) -> SepEnergyReport:
     """Produce a SepEnergyReport for ``h`` according to the policy.
 
-    ``exact`` runs the seesaw over single sites; call :func:`esep_seesaw`
-    directly for another partition.
+    ``exact`` runs :func:`esep_seesaw` over single sites; call it directly
+    for another partition.
     """
     if policy.kind == "fixed":
         return esep_reference(policy.value)
@@ -170,6 +170,7 @@ SWEEP_DTYPE = np.dtype(
         ("bound_raw", float),
         ("detected", bool),
         ("entanglement_gap", float),
+        ("restarts_agreeing", int),
     ]
 )
 
@@ -205,6 +206,7 @@ def sweep_single_hamiltonian(
     cells.bound_raw = bound
     cells.detected = bound > 0.0
     cells.entanglement_gap = w.entanglement_gap
+    cells.restarts_agreeing = esep_report.restarts_agreeing
     return cells
 
 

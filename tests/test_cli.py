@@ -100,7 +100,46 @@ class TestEsep:
             code, out, err = run(["esep", "--J", "1", "--restarts", "1", "--policy", policy], capsys)
             assert code == 0
             assert "restarts_agreeing" not in out
+            assert "gradient_norm" not in out and "hessian_min" not in out
             assert err == ""
+
+    def test_certificate_numbers_under_exact(self, capsys):
+        code, out, _ = run(["esep", "--J", "1", "--B", "0.5", "--restarts", "8"], capsys)
+        assert code == 0
+        assert "converged = true\n" in out
+        values = dict(line.split(" = ", 1) for line in out.splitlines() if " = " in line)
+        assert 0.0 <= float(values["gradient_norm"]) <= 1e-8
+        assert float(values["hessian_min"]) >= -1e-8
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("bound-sweep", ["--T", "0.1"]),
+            ("measure", ["--T", "0.1", "--shots", "10"]),
+        ],
+        ids=["bound-sweep", "measure"],
+    )
+    def test_single_agreeing_restart_warns(self, command, extra, tmp_path, capsys):
+        """Warned on stderr; stdout and the CSV are those the commands wrote without it."""
+        pf = tmp_path / "h.txt"
+        pf.write_text(self.PAULI_8)
+        csv = tmp_path / "s.csv"
+        argv = [command, "--model", "pauli-file", "--pauli-file", str(pf), "--seed", "0"] + extra
+        if command == "bound-sweep":
+            argv += ["--out", str(csv)]
+        code, out, err = run(argv + ["--restarts", "4"], capsys)
+        assert code == 0
+        where = " at B = 0" if command == "bound-sweep" else ""
+        assert err == f"warning: a single restart reached this esep{where}; raise --restarts\n"
+        assert "restarts_agreeing" not in out
+        if command == "bound-sweep":
+            assert out == f"wrote {csv} (1 rows)\n"
+            assert csv.read_text().splitlines()[1] == (
+                "0,0.1,-5.061960412,-3.708639518,8.770751229,0.1542993136,0.1542993136,true"
+            )
+        code, _, err = run(argv + ["--restarts", "32"], capsys)
+        assert code == 0
+        assert err == ""
 
     def test_unknown_policy_exits_2(self, capsys):
         code, _, err = run(
@@ -323,6 +362,16 @@ class TestRobustnessCommand:
         assert "energy_bound" in out
         assert "<=" in out
 
+    def test_single_agreeing_restart_warns(self, capsys):
+        argv = ["robustness", "--state", "singlet", "--J", "1", "--B", "0.5"]
+        code, out, err = run(argv + ["--restarts", "1"], capsys)
+        assert code == 0
+        assert err == "warning: a single restart reached this esep; raise --restarts\n"
+        assert "restarts_agreeing" not in out
+        code, _, err = run(argv + ["--restarts", "8"], capsys)
+        assert code == 0
+        assert err == ""
+
     def test_unsound_bound_exits_3(self, capsys):
         """A fixed E_sep above the product-state minimum lets the bound exceed R_g."""
         argv = [
@@ -369,6 +418,37 @@ class TestMeasureCommand:
         line = [l for l in out.splitlines() if l.startswith("bound_interval")][0]
         lo, hi = (float(v) for v in line.split("[")[1].split("]")[0].split(","))
         assert lo == hi
+
+    def test_refuted_fixed_value_exits_2(self, capsys):
+        """E_sep = -1 here, so fixed:0.5 is no separability energy; a product state proves it."""
+        argv = [
+            "measure", "--J", "1", "--B", "0", "--T", "1",
+            "--policy", "fixed:0.5", "--state", "product:0,0,3.14159,0",
+        ]
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        match = re.fullmatch(
+            r"error: fixed esep 0\.5 is refuted: the product state with Bloch angles "
+            r"\(theta, phi\) = \(([-\d.]+), ([-\d.]+)\), \(([-\d.]+), ([-\d.]+)\) "
+            r"has energy (\S+)\n",
+            err,
+        )
+        assert match
+        t1, p1, t2, p2, energy = (float(v) for v in match.groups())
+        assert energy == pytest.approx(-1.0, abs=1e-9)
+        # the named state is antiparallel: r1 . r2 = -1 for H = s1.s2
+        dot = math.sin(t1) * math.sin(t2) * math.cos(p1 - p2) + math.cos(t1) * math.cos(t2)
+        assert dot == pytest.approx(-1.0, abs=1e-5)
+
+    def test_fixed_value_at_the_minimum_is_kept(self, capsys):
+        argv = [
+            "measure", "--J", "1", "--B", "0", "--T", "1", "--shots", "10",
+            "--policy", "fixed:-1", "--state", "product:0,0,3.14159,0",
+        ]
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        assert "detected = " in out
 
     def test_closed_form_needs_xxx_model(self, tmp_path, capsys):
         pf = tmp_path / "h.txt"

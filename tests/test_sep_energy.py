@@ -4,19 +4,21 @@ import pytest
 from enwit import (
     HermitianOperator,
     Partition,
+    PauliString,
     ProductStateAnsatz,
     SystemShape,
     XXXParams,
     ansatz_energy,
+    build_pauli,
     build_xxx,
     eig,
     esep_closed_form_xxx,
     esep_reference,
     esep_seesaw,
 )
+from enwit.bloch import NEWTON_TOL, _bloch_derivatives, _states_to_bloch, bloch_search, pauli_terms
 from enwit.sep_energy import (
     _block_operators,
-    _qubit_ground,
     closed_form_ansatz_xxx,
     full_vector,
     random_ansatz,
@@ -170,52 +172,138 @@ class TestBlockOperators:
         assert rep.esep <= esep_grid(h, part, 16) + 1e-9
 
 
-class TestQubitGround:
-    def check(self, m, prev):
-        vals, vecs = _qubit_ground(m, prev)
-        ref_vals, ref_vecs = np.linalg.eigh(m)
-        assert np.abs(vals - ref_vals[:, 0]).max() < 1e-12
-        assert np.abs(np.linalg.norm(vecs, axis=1) - 1.0).max() < 1e-14
-        overlap = np.abs(np.einsum("ra,ra->r", ref_vecs[:, :, 0].conj(), vecs))
-        assert np.abs(overlap - 1.0).max() < 1e-12
+class TestPauliTerms:
+    def test_recovers_summed_coefficients(self):
+        """Repeated strings sum; cancelling and identity strings behave like any other."""
+        terms = [
+            PauliString(0.5, "XYZ"),
+            PauliString(-1.25, "IZI"),
+            PauliString(0.75, "XYZ"),
+            PauliString(2.0, "III"),
+            PauliString(0.3, "YYX"),
+            PauliString(-0.3, "YYX"),
+            PauliString(1e-3, "ZIY"),
+        ]
+        h = build_pauli(SystemShape([2, 2, 2]), terms)
+        letters, coeffs = pauli_terms(h)
+        got = {"".join("IXYZ"[a] for a in row): c for row, c in zip(letters, coeffs)}
+        assert got.keys() == {"XYZ", "IZI", "III", "ZIY"}
+        expected = {"XYZ": 1.25, "IZI": -1.25, "III": 2.0, "ZIY": 1e-3}
+        for key, c in expected.items():
+            assert got[key] == pytest.approx(c, abs=1e-14)
 
-    def test_matches_eigh_on_random_stacks(self):
-        rng = np.random.default_rng(23)
-        for size in (1, 8, 32):
-            g = rng.standard_normal((size, 2, 2)) + 1j * rng.standard_normal((size, 2, 2))
-            m = (g + g.conj().transpose(0, 2, 1)) / 2
-            prev = random_unit_rows(rng, size)
-            self.check(m, prev)
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_build_pauli_rebuilds_random_operators(self, n):
+        rng = np.random.default_rng(30 + n)
+        shape = SystemShape([2] * n)
+        h = HermitianOperator(shape, random_hermitian(rng, shape.total_dim))
+        letters, coeffs = pauli_terms(h)
+        terms = [PauliString(c, "".join("IXYZ"[a] for a in row)) for row, c in zip(letters, coeffs)]
+        assert np.abs(build_pauli(shape, terms).entries - h.entries).max() < 1e-12
 
-    def test_edge_cases(self):
-        m = np.array(
-            [
-                [[0.3, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]],  # p = s, q != 0
-                [[-0.5, 0.0], [0.0, 0.7]],  # diagonal, p < s
-                [[0.7, 0.0], [0.0, -0.5]],  # diagonal, p > s
-                [[1.0, 1e-9j], [-1e-9j, 1.0 + 1e-12]],  # nearly degenerate
-            ],
-            dtype=np.complex128,
-        )
-        self.check(m, random_unit_rows(np.random.default_rng(24), len(m)))
 
-    def test_identity_keeps_previous_state(self):
-        m = np.stack([0.4 * np.eye(2), -2.0 * np.eye(2)]).astype(np.complex128)
-        prev = random_unit_rows(np.random.default_rng(25), 2)
-        vals, vecs = _qubit_ground(m, prev)
-        assert np.array_equal(vals, [0.4, -2.0])
-        assert np.array_equal(vecs, prev)
+class TestBlochSearch:
+    @pytest.mark.parametrize("seed", [0, 1, 90])
+    def test_two_site_field_grid(self, seed):
+        """The 41 fields of the figure grid: within 1e-11 of the closed form, certified.
+
+        With seed 90 the best restart at B = 0.65 takes a last Newton step whose
+        energy decrease is below round-off; Armijo without its round-off slack
+        refuses it and leaves the gradient above the tolerance."""
+        for b in np.linspace(0.0, 2.0, 41):
+            p = XXXParams(1.0, float(b))
+            rep = esep_seesaw(build_xxx(p), SINGLETONS, restarts=32, seed=seed)
+            assert abs(rep.esep - esep_closed_form_xxx(p)) < 1e-11, b
+            assert rep.converged, b
+
+    def test_certificate_numbers(self, h_xxx):
+        """The best restart's gradient norm and smallest Hessian eigenvalue back `converged`."""
+        rep = esep_seesaw(h_xxx(1.0, 0.5), SINGLETONS, restarts=8, seed=4)
+        tol = NEWTON_TOL * (3.0 + 2 * 0.5)  # sum of |c_k| over XX, YY, ZZ, ZI, IZ
+        assert rep.converged
+        assert 0.0 <= rep.gradient_norm <= tol
+        assert rep.hessian_min >= -tol
+        assert ansatz_energy(h_xxx(1.0, 0.5), rep.minimizer) == pytest.approx(rep.esep, abs=1e-14)
+
+    def test_derivatives_match_the_dense_energy(self):
+        """Energy against <psi|H|psi>; gradient and Hessian against central differences,
+        which are exact up to round-off because the energy is multilinear."""
+        rng = np.random.default_rng(32)
+        shape = SystemShape([2, 2, 2])
+        h = HermitianOperator(shape, random_hermitian(rng, 8))
+        letters, coeffs = pauli_terms(h)
+        onehot = (letters[..., None] == np.arange(1, 4)).astype(float)
+        states = [random_unit_rows(rng, 2) for _ in range(3)]
+        v = np.ones((2, 3, 4))
+        v[..., 1:] = np.stack([_states_to_bloch(s) for s in states], axis=1)
+        energy, grad, hess = _bloch_derivatives(v, letters, coeffs, onehot)
+        part = Partition.singletons(3)
+        for r in range(2):
+            dense = ansatz_energy(h, ProductStateAnsatz(part, [s[r] for s in states]))
+            assert energy[r] == pytest.approx(dense, abs=1e-12)
+
+        def e(*moves):  # energy with v[:, i, 1 + a] shifted by s for each (i, a, s)
+            w = v.copy()
+            for i, a, s in moves:
+                w[:, i, 1 + a] += s
+            return _bloch_derivatives(w, letters, coeffs, onehot)[0]
+
+        for i, a in np.ndindex(3, 3):
+            assert np.abs(grad[:, i, a] - (e((i, a, 0.5)) - e((i, a, -0.5)))).max() < 1e-12
+            for j, b in np.ndindex(3, 3):
+                if i == j:
+                    assert (hess[:, i, a, j, b] == 0.0).all()
+                    continue
+                fd = sum(
+                    sa * sb * e((i, a, 0.5 * sa), (j, b, 0.5 * sb))
+                    for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1))
+                )
+                assert np.abs(hess[:, i, a, j, b] - fd).max() < 1e-12
+
+    def test_saddle_is_not_certified(self, h_xxx):
+        """Both spins down is a stationary point of s1.s2 + 1.5 (sz1 + sz2) that no
+        single-site move improves, but canting the pair lowers the energy: a saddle.
+        Started exactly there, the search stays (zero gradient) and must not certify it."""
+        down = np.tile([0.0, 1.0 + 0j], (1, 1))
+        states, gnorm, hmin, converged = bloch_search(h_xxx(1.0, 1.5), [0, 1], [down, down])
+        assert gnorm[0] == 0.0
+        # canting both spins by theta the opposite way: E'' = 2B - 4 along |xi|^2 = 2
+        assert hmin[0] == pytest.approx(1.5 - 2.0, abs=1e-12)
+        assert not converged[0]
+        assert all(abs(abs(s[0, 1]) - 1.0) < 1e-15 for s in states)
+
+    def test_dense_path_has_no_certificate_numbers(self):
+        shape = SystemShape([2, 2, 2])
+        h = HermitianOperator(shape, random_hermitian(np.random.default_rng(31), 8))
+        rep = esep_seesaw(h, Partition([[0, 1], [2]]), restarts=4, seed=0)
+        assert rep.gradient_norm is None and rep.hessian_min is None
+
+    def test_untouched_site_keeps_its_start(self):
+        """No term acts on site 2 of ZZI, so its effective operator is a multiple of I."""
+        shape = SystemShape([2, 2, 2])
+        part = Partition.singletons(3)
+        h = build_pauli(shape, [PauliString(1.0, "ZZI")])
+        rep = esep_seesaw(h, part, restarts=1, seed=7)
+        assert rep.esep == pytest.approx(-1.0, abs=1e-12)
+        assert rep.converged
+        assert all(np.isfinite(v).all() for v in rep.minimizer.block_states)
+        start = random_ansatz(shape, part, np.random.default_rng([7, 0])).block_states[2]
+        overlap = abs(np.vdot(start, rep.minimizer.block_states[2]))
+        assert overlap == pytest.approx(1.0, abs=1e-12)
 
 
 class TestRing:
-    @pytest.mark.parametrize("n,b", [(4, 0.3), (4, 3.0), (4, 5.0), (6, 0.3), (6, 1.0)])
+    @pytest.mark.parametrize(
+        "n,b",
+        [(4, 0.3), (4, 3.0), (4, 5.0), (6, 0.3), (6, 1.0), (4, 0.05), (6, 0.05), (8, 0.05)],
+    )
     def test_matches_canted_neel_closed_form(self, h_xxx, n, b):
         """Even periodic XXX ring: a canted Neel product state below |B| = 4J,
         the field-polarized state above it."""
         j = 1.0
         expected = -n * j - n * b * b / (8 * j) if abs(b) <= 4 * j else n * j - n * abs(b)
         rep = esep_seesaw(h_xxx(j, b, n, "periodic"), Partition.singletons(n), restarts=8)
-        assert abs(rep.esep - expected) < 1e-9
+        assert abs(rep.esep - expected) < 1e-11
         assert rep.converged
 
 
