@@ -39,6 +39,7 @@ from .sep_energy import (
     ansatz_energy,
     esep_closed_form_xxx,
     esep_reference,
+    esep_search,
     esep_seesaw,
 )
 from .thermal import ThermalPoint, energy_curve, gibbs, ground_state
@@ -82,6 +83,7 @@ __all__ = [
     "energy_curve",
     "esep_closed_form_xxx",
     "esep_reference",
+    "esep_search",
     "esep_seesaw",
     "expectation",
     "gibbs",

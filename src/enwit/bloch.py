@@ -9,9 +9,9 @@ the gradient and Hessian follow from the strings in O(terms), and
 saddle-free Riemannian Newton steps (Absil, Mahony & Sepulchre,
 *Optimization Algorithms on Matrix Manifolds*, 2008).
 
-:func:`enwit.sep_energy.esep_seesaw` runs this search when every block is
-one qubit, and imports this module on first use, so code that never
-searches does not load it.
+:func:`enwit.sep_energy.esep_search` runs this search, for a list of
+Hamiltonians at once, when every block is one qubit, and imports this module
+on first use, so code that never searches does not load it.
 """
 
 from __future__ import annotations
@@ -38,22 +38,31 @@ _PAULI_TRANSFORM = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0], [1, 0,
 _PAULI_ZERO = 1e-13
 
 
-def pauli_terms(h: HermitianOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Pauli expansion of a qubit operator, H = sum_k c_k P_k.
+def pauli_terms(hs: list[HermitianOperator]) -> tuple[np.ndarray, np.ndarray]:
+    """Pauli expansions H_j = sum_k c_kj P_k of qubit operators on the same sites.
 
-    Returns the letters of the nonzero strings as a (K, n) array coded
-    I, X, Y, Z = 0, 1, 2, 3 (site 0 first) and their real coefficients
-    c_k = Tr(P_k H) / 2^n.  The transform regroups H as one 4-index axis per
-    site and contracts each with ``_PAULI_TRANSFORM`` in turn: O(n 4^n).
+    Returns the union of the nonzero strings as (K, n) letters coded I, X, Y, Z
+    = 0, 1, 2, 3 (site 0 first; lexicographic order), and c_kj = Tr(P_k H_j) / 2^n
+    as a (K, len(hs)) array, 0 where H_j lacks string k.  Each transform regroups
+    H_j as one 4-index axis per site and contracts each with ``_PAULI_TRANSFORM``
+    in turn: O(n 4^n) per operator.
     """
-    n = h.shape.n_sites
-    t = h.entries.reshape((2,) * (2 * n))
-    t = t.transpose([ax for s in range(n) for ax in (s, n + s)]).reshape((4,) * n)
-    for _ in range(n):  # each pass contracts the leading axis and appends its Pauli axis
-        t = np.tensordot(t, _PAULI_TRANSFORM, axes=([0], [1]))
-    coeffs = t.real
-    letters = np.argwhere(np.abs(coeffs) > _PAULI_ZERO * np.abs(coeffs).max())
-    return letters, coeffs[tuple(letters.T)]
+    n = hs[0].shape.n_sites
+    found, present = [], np.zeros(4**n, dtype=bool)
+    for h in hs:
+        t = h.entries.reshape((2,) * (2 * n))
+        t = t.transpose([ax for s in range(n) for ax in (s, n + s)]).reshape((4,) * n)
+        for _ in range(n):  # each pass contracts the leading axis and appends its Pauli axis
+            t = np.tensordot(t, _PAULI_TRANSFORM, axes=([0], [1]))
+        coeffs = t.real.ravel()
+        kept = np.flatnonzero(np.abs(coeffs) > _PAULI_ZERO * np.abs(coeffs).max())
+        found.append((kept, coeffs[kept]))
+        present[kept] = True
+    union = np.flatnonzero(present)
+    table = np.zeros((len(union), len(hs)))
+    for j, (kept, values) in enumerate(found):
+        table[np.searchsorted(union, kept), j] = values
+    return np.stack(np.unravel_index(union, (4,) * n), axis=1), table
 
 
 def _states_to_bloch(states: np.ndarray) -> np.ndarray:
@@ -98,7 +107,8 @@ def _excluding_each(f: np.ndarray) -> np.ndarray:
 
 
 def _bloch_energy(v: np.ndarray, letters: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    return coeffs @ _factors(v, letters).prod(axis=0)
+    """Energy (R,) of each row of v, with row r's coefficients in column r of coeffs (K, R)."""
+    return np.einsum("kr,kr->r", coeffs, _factors(v, letters).prod(axis=0))
 
 
 def _bloch_derivatives(
@@ -106,7 +116,8 @@ def _bloch_derivatives(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Energy (R,), gradient (R, n, 3) and Hessian (R, n, 3, n, 3) in the Bloch vectors.
 
-    The energy sum_k c_k prod_i v[i, letters[k, i]] is multilinear, so the
+    Row r's coefficients are column r of ``coeffs`` (K, R).  The energy
+    sum_k c_k prod_i v[i, letters[k, i]] is multilinear, so the
     gradient of site i drops factor i of each string and the Hessian block
     (i, j != i) drops factors i and j; the (i, i) blocks are zero.  The sums
     over strings are matrix products batched over the sites; terms go in
@@ -124,7 +135,7 @@ def _bloch_derivatives(
         pairs = np.repeat(f[:, None], n, axis=1)
         pairs[diag] = 1.0
         drop = _excluding_each(pairs)  # [j, i, k, r]: prod over l != i, j
-        drop *= coeffs[part, None]
+        drop *= coeffs[part]
         one = drop[diag]  # [i, k, r]: c_k prod over l != i
         energy += (one[0] * f[0]).sum(axis=0)
         sites = onehot[part].transpose(1, 2, 0)  # (n, 3, K)
@@ -164,45 +175,52 @@ def _riemannian(
 
 
 def bloch_search(
-    h: HermitianOperator, sites: list[int], starts: list[np.ndarray]
+    hs: list[HermitianOperator], sites: list[int], starts: list[np.ndarray]
 ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
     """Minimize the energy over one qubit state per site, for a stack of starts.
 
-    ``starts[b]`` holds the (R, 2) start states of site ``sites[b]``.  Returns
-    the final states in the same layout, and per restart the Riemannian
-    gradient norm, the smallest reduced-Hessian eigenvalue and whether both
-    are within the tolerance (a second-order certificate of a local minimum).
+    ``starts[b]`` holds the start states of site ``sites[b]``: the rows of
+    ``hs[0]`` first, then an equal number for ``hs[1]``, and so on.  Each row
+    has its own Hamiltonian's coefficients over the union of the strings (0
+    where a string is absent) and the tolerance and round-off slack of that
+    Hamiltonian's sum of |c_k|, so it runs as in a search of its Hamiltonian
+    alone.  Returns the final states in the same layout, and per row the
+    Riemannian gradient norm, the smallest reduced-Hessian eigenvalue and
+    whether both are within the tolerance (a second-order certificate of a
+    local minimum).
     """
-    n = h.shape.n_sites
-    letters, coeffs = pauli_terms(h)
+    n = hs[0].shape.n_sites
+    letters, table = pauli_terms(hs)
     onehot = (letters[..., None] == np.arange(1, 4)).astype(float)  # (K, n, 3)
-    tol = NEWTON_TOL * np.abs(coeffs[letters.any(axis=1)]).sum()
+    owner = np.repeat(np.arange(len(hs)), len(starts[0]) // len(hs))  # each row's Hamiltonian
+    coeffs = table[:, owner]  # (K, R): row r's coefficients
+    tol = NEWTON_TOL * np.abs(table[letters.any(axis=1)]).sum(axis=0)[owner]
     # Energy differences below this are round-off; without the slack, Armijo
     # would refuse a last Newton step whose true decrease is smaller still.
-    slack = _ROUNDOFF * np.abs(coeffs).sum()
+    slack = _ROUNDOFF * np.abs(table).sum(axis=0)[owner]
     v = np.ones((len(starts[0]), n, 4))
     for site, s in zip(sites, starts):
         v[:, site, 1:] = _states_to_bloch(s)
     r = v[..., 1:]
 
     # Mean-field sweeps: r_i <- -g_i/|g_i| minimizes the energy, affine in r_i,
-    # exactly; a site whose g_i is zero keeps its vector.  They end early once
-    # a sweep lowers no energy by more than round-off.
-    weighted = coeffs[:, None, None] * onehot
-    energy = _bloch_energy(v, letters, coeffs)
+    # exactly; a site whose g_i is zero keeps its vector.  A Hamiltonian's rows
+    # stop once a sweep lowers none of their energies by more than round-off.
+    f = np.concatenate([coeffs[None], _factors(v, letters)])  # f[1 + i]: site i's factors
+    energy = f.prod(axis=0).sum(axis=0)
+    sweeping = np.ones(len(r), dtype=bool)
     for _ in range(MEAN_FIELD_SWEEPS):
-        f = _factors(v, letters)
         for i in range(n):
-            g = (f[:i].prod(axis=0) * f[i + 1 :].prod(axis=0)).T @ weighted[:, i]
+            g = (f[: i + 1].prod(axis=0) * f[i + 2 :].prod(axis=0)).T @ onehot[:, i]
             norm = np.linalg.norm(g, axis=1)
-            turn = norm > 0.0
+            turn = sweeping & (norm > 0.0)
             r[turn, i] = -g[turn] / norm[turn, None]
-            f[i] = v[:, i, letters[:, i]].T
-        new = _bloch_energy(v, letters, coeffs)
+            f[i + 1] = v[:, i, letters[:, i]].T
+        new = f.prod(axis=0).sum(axis=0)
         assert (new <= energy + slack).all(), "seesaw energy increased"
-        settled = (energy - new <= slack).all()
+        sweeping = (energy - new > slack).reshape(len(hs), -1).any(axis=1)[owner]
         energy = new
-        if settled:
+        if not sweeping.any():
             break
 
     # Saddle-free Newton steps, all restarts at once: the reduced Hessian with
@@ -212,18 +230,18 @@ def bloch_search(
     red = np.empty((len(r), 2 * n, 2 * n))
     moved = np.arange(len(r))  # restarts whose point changed since their derivatives were taken
     for step in range(NEWTON_STEP_CAP + 1):
-        e, grad, hess = _bloch_derivatives(v[moved], letters, coeffs, onehot)
+        e, grad, hess = _bloch_derivatives(v[moved], letters, coeffs[:, moved], onehot)
         bases = _tangent_bases(r[moved])
         g, red[moved] = _riemannian(r[moved], grad, hess, bases)
         gnorm[moved] = np.linalg.norm(g, axis=1)
-        go = gnorm[moved] > tol
+        go = gnorm[moved] > tol[moved]
         if step == NEWTON_STEP_CAP or not go.any():
             break
         act, g, e, bases = moved[go], g[go], e[go], bases[go]
         # For a symmetric matrix the singular values are |lambda| and the right
         # singular vectors are eigenvectors, so one SVD gives |Hessian|.
         _, sigma, vt = np.linalg.svd(red[act])
-        coef = np.einsum("rkj,rj->rk", vt, g) / np.maximum(sigma, tol)
+        coef = np.einsum("rkj,rj->rk", vt, g) / np.maximum(sigma, tol[act, None])
         eta = -np.einsum("rki,rk->ri", vt, coef)
         eta *= np.minimum(1.0, _STEP_NORM_CAP / np.linalg.norm(eta, axis=1))[:, None]
         slope = np.einsum("ri,ri->r", g, eta)
@@ -231,13 +249,14 @@ def bloch_search(
         t = 1.0
         pending = np.arange(len(act))
         for _ in range(_LINE_SEARCH_HALVINGS):
-            trial = v[act[pending]]
+            at = act[pending]
+            trial = v[at]
             trial[..., 1:] += t * move[pending]
             trial[..., 1:] /= np.linalg.norm(trial[..., 1:], axis=-1, keepdims=True)
-            e_trial = _bloch_energy(trial, letters, coeffs)
-            ok = e_trial <= e[pending] + _ARMIJO * t * slope[pending] + slack
-            assert (e_trial[ok] <= e[pending[ok]] + slack).all(), "seesaw energy increased"
-            v[act[pending[ok]]] = trial[ok]
+            e_trial = _bloch_energy(trial, letters, coeffs[:, at])
+            ok = e_trial <= e[pending] + _ARMIJO * t * slope[pending] + slack[at]
+            assert (e_trial[ok] <= e[pending[ok]] + slack[at[ok]]).all(), "seesaw energy increased"
+            v[at[ok]] = trial[ok]
             pending = pending[~ok]
             if pending.size == 0:
                 break

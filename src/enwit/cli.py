@@ -9,7 +9,8 @@ infinities fail).  Each command takes only the options ``_COMMANDS`` lists
 for it and refuses any other (``<command> does not take <flag>``).  Rules on
 the physics inputs, such as J > 0, are the library's and exit 2 as well.  The
 pauli-file model refuses the XXX chain's options (``_XXX_ONLY_OPTIONS``).
-``measure`` refuses a ``fixed:`` E_sep that a product state undercuts.
+Every command with ``--policy`` but ``robustness`` (which checks the bound
+against the exact R_g) refuses a ``fixed:`` E_sep that a product state undercuts.
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
 
@@ -18,7 +19,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import repeat
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -30,7 +32,7 @@ from .hamiltonians import XXXParams, build_pauli, build_xxx, parse_pauli_terms
 from .measurement import bound_with_confidence, measure_energy
 from .operators import DensityMatrix, HermitianOperator, SystemShape, eig, expectation
 from .robustness import rg_exact_2q
-from .sep_energy import SepEnergyReport
+from .sep_energy import Partition, SepEnergyReport, esep_search
 from .thermal import gibbs, ground_state
 from .witness import (
     EsepPolicy,
@@ -42,6 +44,8 @@ from .witness import (
 )
 
 CSV_HEADER = "B,T,mean_energy,esep,A,bound_raw,bound_clipped,detected"
+_CSV_DETECTED = np.array(["false\n", "true\n"], dtype=object)  # the last column ends the row
+_CSV_CHUNK = 4096  # rows formatted and written at a time
 FIXED_REFUTATION_TOL = 1e-9
 
 
@@ -247,23 +251,25 @@ def _print_agreement(cfg: argparse.Namespace, report: SepEnergyReport) -> None:
     _warn_if_one_restart(cfg, report.restarts_agreeing)
 
 
-def _refute_fixed(cfg: argparse.Namespace, h: HermitianOperator) -> None:
-    """Under ``fixed:<v>``, refuse v when a product state reaches an energy below it.
+def _refute_fixed(cfg: argparse.Namespace, hs: list[HermitianOperator], fields=("",)) -> None:
+    """Under ``fixed:<v>``, refuse v when a product state of any of ``hs`` has an energy below it.
 
-    Such a state proves that v is not E_sep; the search runs with the
-    command's ``--restarts`` and ``--seed``.
+    Such a state proves that v is not E_sep.  One search, with the command's
+    ``--restarts`` and ``--seed``, covers all of ``hs``; ``fields[j]`` names ``hs[j]``.
     """
     if cfg.policy.kind != "fixed":
         return
-    found = resolve_esep(EsepPolicy("exact"), h, restarts=cfg.restarts, seed=cfg.seed)
-    if found.esep < cfg.policy.value - FIXED_REFUTATION_TOL:
-        angles = ", ".join(
-            "({:.6f}, {:.6f})".format(*states.bloch_angles(v)) for v in found.minimizer.block_states
-        )
-        raise ValueError(
-            f"fixed esep {cfg.policy.value:g} is refuted: the product state with Bloch angles "
-            f"(theta, phi) = {angles} has energy {found.esep:.10g}"
-        )
+    part = Partition.singletons(hs[0].shape.n_sites)
+    for found, where in zip(esep_search(hs, part, restarts=cfg.restarts, seed=cfg.seed), fields):
+        if found.esep < cfg.policy.value - FIXED_REFUTATION_TOL:
+            angles = ", ".join(
+                "({:.6f}, {:.6f})".format(*states.bloch_angles(v))
+                for v in found.minimizer.block_states
+            )
+            raise ValueError(
+                f"fixed esep {cfg.policy.value:g} is refuted{where}: the product state with Bloch "
+                f"angles (theta, phi) = {angles} has energy {found.esep:.10g}"
+            )
 
 
 def _fmt(x: float, digits: int) -> str:
@@ -284,35 +290,39 @@ def _state_from_spec(cfg: argparse.Namespace, h: Optional[HermitianOperator]) ->
 
 
 def _write_sweep_csv(path: str, cells: np.recarray, digits: int) -> None:
-    """Emit the sweep as CSV with LF endings.
+    """Emit the sweep as CSV with LF endings, ``_CSV_CHUNK`` rows at a time.
 
     The bound columns are recomputed from the rounded mean/esep/A columns, so
     the printed table is self-consistent: a reader recomputing bound_raw from
     the file reproduces the column to the last printed digit.
     """
-    lines = [CSV_HEADER]
-    columns = ("b", "t", "mean_energy", "esep", "normalizer_a", "detected")
-    for b, t, mean, esep, a, detected in zip(*(cells[c].tolist() for c in columns)):
-        mean_s = _fmt(mean, digits)
-        esep_s = _fmt(esep, digits)
-        a_s = _fmt(a, digits)
-        bound = (float(esep_s) - float(mean_s)) / float(a_s)
-        lines.append(
-            ",".join(
-                [
-                    _fmt(b, digits),
-                    _fmt(t, digits),
-                    mean_s,
-                    esep_s,
-                    a_s,
-                    _fmt(bound, digits),
-                    _fmt(max(0.0, bound), digits),
-                    "true" if detected else "false",
-                ]
-            )
-        )
+    spec = f".{digits}g"
+
+    def fmt(values: np.ndarray) -> np.ndarray:
+        return np.array(list(map(format, values.tolist(), repeat(spec))), dtype=object)
+
+    def parsed(strings: np.ndarray) -> np.ndarray:
+        return np.fromiter(map(float, strings), dtype=float, count=len(strings))
+
+    # B, T, esep and A repeat along the grid, so each distinct value, told apart
+    # by its bits (-0.0 prints as -0), is formatted and parsed back once
+    index, strings = [], []
+    for column in ("b", "t", "esep", "normalizer_a"):
+        keys, at = np.unique(cells[column].view(np.int64), return_inverse=True)
+        index.append(at)
+        strings.append(fmt(keys.view(float)))
+    esep_v, a_v = parsed(strings[2]), parsed(strings[3])
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(CSV_HEADER + "\n")
+        for lo in range(0, len(cells), _CSV_CHUNK):
+            rows = slice(lo, lo + _CSV_CHUNK)
+            b, t, esep, a = (s[at[rows]] for s, at in zip(strings, index))
+            mean = fmt(cells.mean_energy[rows])
+            bound = (esep_v[index[2][rows]] - parsed(mean)) / a_v[index[3][rows]]
+            bound_s = fmt(bound)
+            clipped = np.where(bound > 0.0, bound_s, "0")
+            detected = _CSV_DETECTED[cells.detected[rows].view(np.uint8)]
+            fh.writelines(map(",".join, zip(b, t, mean, esep, a, bound_s, clipped, detected)))
 
 
 def cmd_spectrum(cfg: argparse.Namespace) -> int:
@@ -325,7 +335,9 @@ def cmd_spectrum(cfg: argparse.Namespace) -> int:
 
 
 def cmd_esep(cfg: argparse.Namespace) -> int:
-    report = _esep_report(cfg, _build_hamiltonian(cfg))
+    h = _build_hamiltonian(cfg)
+    report = _esep_report(cfg, h)
+    _refute_fixed(cfg, [h])
     d = cfg.precision
     print(f"esep = {report.esep:.{d}f}")
     print(f"source = {report.source}")
@@ -350,6 +362,7 @@ def cmd_esep(cfg: argparse.Namespace) -> int:
 def cmd_witness(cfg: argparse.Namespace) -> int:
     h = _build_hamiltonian(cfg)
     report = _esep_report(cfg, h)
+    _refute_fixed(cfg, [h])
     w = make_witness(h, report)
     d = cfg.precision
     print(f"esep = {_fmt(w.esep, d)} (source = {report.source})")
@@ -367,11 +380,16 @@ def cmd_bound_sweep(cfg: argparse.Namespace) -> int:
     t_values = cfg.t_grid.values()
     params = _xxx_params(cfg)
     if params is not None:
+        b_values = cfg.b_grid.values()
+        if cfg.policy.kind == "fixed":  # one search over every field's H
+            hs = [build_xxx(replace(params, field_b=b)) for b in b_values]
+            _refute_fixed(cfg, hs, [f" at B = {b:g}" for b in b_values])
         cells = bound_sweep(
-            params, cfg.policy, t_values, cfg.b_grid.values(), restarts=cfg.restarts, seed=cfg.seed
+            params, cfg.policy, t_values, b_values, restarts=cfg.restarts, seed=cfg.seed
         )
     else:
         h = _build_hamiltonian(cfg)
+        _refute_fixed(cfg, [h])
         cells = sweep_single_hamiltonian(h, _esep_report(cfg, h), t_values, b_value=0.0)
     for b in dict.fromkeys(cells.b[cells.restarts_agreeing == 1].tolist()):
         _warn_if_one_restart(cfg, 1, f" at B = {b:g}")
@@ -408,7 +426,7 @@ def cmd_robustness(cfg: argparse.Namespace) -> int:
 def cmd_measure(cfg: argparse.Namespace) -> int:
     h = _build_hamiltonian(cfg)
     report = _esep_report(cfg, h)
-    _refute_fixed(cfg, h)
+    _refute_fixed(cfg, [h])
     rho = _state_from_spec(cfg, h)
     w = make_witness(h, report)
     _warn_if_one_restart(cfg, report.restarts_agreeing)

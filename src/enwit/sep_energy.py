@@ -4,9 +4,9 @@ Because Tr(H sigma) is linear in sigma, its minimum over the full (mixed)
 separable set is attained at a pure product state, so pure-state
 minimization is all that is needed.  Two routes are provided:
 
-* :func:`esep_seesaw` -- local search with random restarts (the
-  workhorse): Riemannian Newton on Bloch vectors when every block is one
-  qubit, alternating block minimization otherwise,
+* :func:`esep_seesaw` (:func:`esep_search` for several H) -- local search with
+  random restarts (the workhorse): Riemannian Newton on Bloch vectors when
+  every block is one qubit, alternating block minimization otherwise,
 * :func:`esep_closed_form_xxx` -- the analytic value for the two-site
   Heisenberg model in a field, with the bond counted once.
 
@@ -171,85 +171,101 @@ def _energies(h: HermitianOperator, part: Partition, states: Sequence[np.ndarray
 
 
 def esep_seesaw(
-    h: HermitianOperator,
-    part: Partition,
-    restarts: int = 32,
-    seed: int = 0,
+    h: HermitianOperator, part: Partition, restarts: int = 32, seed: int = 0
 ) -> SepEnergyReport:
-    """Local minimization of the energy over product states, from ``restarts`` random starts.
+    """Local minimization of the energy over product states: :func:`esep_search` for one H."""
+    return esep_search([h], part, restarts=restarts, seed=seed)[0]
+
+
+def esep_search(
+    hs: Sequence[HermitianOperator], part: Partition, restarts: int = 32, seed: int = 0
+) -> list[SepEnergyReport]:
+    """:func:`esep_seesaw` for each Hamiltonian of ``hs`` (all of one shape), one report each.
 
     Each restart's random stream is derived solely from ``(seed, restart
-    index)``, so results do not depend on execution order; the restarts are
-    merely executed in lockstep here.  The reported energies are those of
-    the returned product states on the dense H (see :func:`_energies`).
+    index)``, so results do not depend on execution order, and every
+    Hamiltonian starts from the same draws.  The reported energies are those
+    of the returned product states on each dense H (see :func:`_energies`).
 
-    When every block is one qubit, the search runs on Bloch vectors (see
-    :func:`enwit.bloch.bloch_search`): H is expanded in Pauli strings
-    (O(n 4^n)), up to ``MEAN_FIELD_SWEEPS`` sweeps of r_i <- -g_i/|g_i|
-    warm each restart up, and saddle-free Riemannian Newton steps on
-    (S^2)^n with Armijo backtracking follow until the Riemannian gradient
-    norm is at most ``NEWTON_TOL`` times the sum of the |coefficients| of
-    the non-identity strings, or a line search stalls at round-off (the
-    constants live in :mod:`enwit.bloch`).  ``converged`` then certifies a
-    local minimum to second order: gradient within that tolerance and
-    smallest reduced-Hessian eigenvalue at least minus it; the report
-    carries both numbers of the best restart.  Each step costs O(R K n^2)
-    for R restarts and K strings.
+    When every block is one qubit, the restarts of all the Hamiltonians run
+    as one stack on Bloch vectors (see :func:`enwit.bloch.bloch_search`):
+    each H is expanded in Pauli strings (O(n 4^n)), up to
+    ``MEAN_FIELD_SWEEPS`` sweeps of r_i <- -g_i/|g_i| warm each restart up,
+    and saddle-free Riemannian Newton steps on (S^2)^n with Armijo
+    backtracking follow until the Riemannian gradient norm is at most
+    ``NEWTON_TOL`` times the sum of the |coefficients| of that H's own
+    non-identity strings, or a line search stalls at round-off.
+    ``converged`` then certifies a local minimum to second order (gradient
+    and smallest reduced-Hessian eigenvalue within that per-H tolerance),
+    and each report carries both numbers of its best restart.  Each step
+    costs O(R K n^2) for R rows and K strings in all.
 
-    Any other partition uses alternating block minimization: each
-    round-robin step replaces one block state by the ground eigenvector of
-    its effective operator, so the energy never increases; a restart stops
-    once a full sweep lowers the energy by less than 1e-12 or the sweep cap
-    is hit.  One block update costs one O(R D^2) GEMM for total dimension D
-    (see :func:`_block_operators`) and one stacked ``eigh``; peak memory is
-    one extra copy of H.
+    Any other partition uses alternating block minimization, one H after
+    the other: each round-robin step replaces one block state by the ground
+    eigenvector of its effective operator; a restart stops once a sweep
+    lowers the energy by less than 1e-12 or the sweep cap is hit.  One block
+    update costs one O(R D^2) GEMM for total dimension D (see
+    :func:`_block_operators`) and one stacked ``eigh``.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    part.validate_for(h.shape)
-    n_blocks = len(part.blocks)
-    block_dims = part.block_dims(h.shape)
+    if not hs or any(h.shape != hs[0].shape for h in hs):
+        raise ValueError("the search needs one or more Hamiltonians of one shape")
+    part.validate_for(hs[0].shape)
+    block_dims = part.block_dims(hs[0].shape)
 
     seed_u = int(seed) & 0xFFFFFFFFFFFFFFFF
     # row r of each block: the state random_ansatz(h.shape, part, default_rng([seed, r])) draws
     rngs = [np.random.default_rng([seed_u, r]) for r in range(restarts)]
-    states = _draw_block_states(block_dims, rngs)
+    states = [np.tile(s, (len(hs), 1)) for s in _draw_block_states(block_dims, rngs)]
+    groups = [slice(j * restarts, (j + 1) * restarts) for j in range(len(hs))]  # rows of hs[j]
 
     gnorm = hmin = None
     if all(len(b) == 1 for b in part.blocks) and all(d == 2 for d in block_dims):
         from .bloch import bloch_search  # loaded on first use; only this path needs it
 
-        sites = [b[0] for b in part.blocks]
-        states, gnorm, hmin, converged = bloch_search(h, sites, states)
-        energies = _energies(h, part, states)
-    else:
-        energies = _energies(h, part, states)
-        converged = np.zeros(restarts, dtype=bool)
-        for _ in range(SEESAW_SWEEP_CAP):
-            active = ~converged
-            if not active.any():
-                break
-            sweep_start = energies.copy()
-            for bi in range(n_blocks):
-                vals, vecs = np.linalg.eigh(_block_operators(h, part, states, bi))
-                new_e = vals[active, 0]
-                assert (new_e <= energies[active] + 1e-10).all(), "seesaw energy increased"
-                states[bi][active] = vecs[active, :, 0]
-                energies[active] = new_e
-            converged |= active & (sweep_start - energies < SEESAW_ENERGY_TOL)
+        states, gnorm, hmin, converged = bloch_search(hs, [b[0] for b in part.blocks], states)
+    else:  # the seesaw updates each group's rows in place, through views
+        converged = np.concatenate(
+            [_block_seesaw(h, part, [s[rows] for s in states]) for h, rows in zip(hs, groups)]
+        )
+    reports = []
+    for h, rows in zip(hs, groups):
+        mine = [s[rows] for s in states]
+        energies = _energies(h, part, mine)
+        best = int(np.argmin(energies))
+        reports.append(
+            SepEnergyReport(
+                esep=float(energies[best]),
+                minimizer=ProductStateAnsatz(part, [s[best] for s in mine]),
+                restarts_used=restarts,
+                restarts_agreeing=int((energies <= energies[best] + RESTART_AGREEMENT_TOL).sum()),
+                converged=bool(converged[rows][best]),
+                source="exact-optimized",
+                gradient_norm=None if gnorm is None else float(gnorm[rows][best]),
+                hessian_min=None if hmin is None else float(hmin[rows][best]),
+            )
+        )
+    return reports
 
-    best = int(np.argmin(energies))
-    minimizer = ProductStateAnsatz(part, [states[bi][best] for bi in range(n_blocks)])
-    return SepEnergyReport(
-        esep=float(energies[best]),
-        minimizer=minimizer,
-        restarts_used=restarts,
-        restarts_agreeing=int((energies <= energies[best] + RESTART_AGREEMENT_TOL).sum()),
-        converged=bool(converged[best]),
-        source="exact-optimized",
-        gradient_norm=None if gnorm is None else float(gnorm[best]),
-        hessian_min=None if hmin is None else float(hmin[best]),
-    )
+
+def _block_seesaw(h: HermitianOperator, part: Partition, states: list[np.ndarray]) -> np.ndarray:
+    """Alternating block minimization of the rows of ``states``, in place; which rows converged."""
+    energies = _energies(h, part, states)
+    converged = np.zeros(len(energies), dtype=bool)
+    for _ in range(SEESAW_SWEEP_CAP):
+        active = ~converged
+        if not active.any():
+            break
+        sweep_start = energies.copy()
+        for bi in range(len(part.blocks)):
+            vals, vecs = np.linalg.eigh(_block_operators(h, part, states, bi))
+            new_e = vals[active, 0]
+            assert (new_e <= energies[active] + 1e-10).all(), "seesaw energy increased"
+            states[bi][active] = vecs[active, :, 0]
+            energies[active] = new_e
+        converged |= active & (sweep_start - energies < SEESAW_ENERGY_TOL)
+    return converged
 
 
 def _closed_form_check(p: XXXParams) -> None:

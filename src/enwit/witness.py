@@ -22,6 +22,7 @@ from .sep_energy import (
     closed_form_ansatz_xxx,
     esep_closed_form_xxx,
     esep_reference,
+    esep_search,
     esep_seesaw,
 )
 from .thermal import energy_curve, ground_state
@@ -220,9 +221,9 @@ def bound_sweep(
 ) -> np.recarray:
     """Robustness lower bounds on a (B, T) grid of thermal Heisenberg states.
 
-    For each field value the Hamiltonian is rebuilt from ``params`` with that
-    field, E_sep resolved per the policy, and every temperature evaluated.
-    Returns a record array of ``SWEEP_DTYPE`` with rows ordered B-major then T.
+    Every field's H is built from ``params`` first, E_sep resolved per the policy
+    (``exact``: one :func:`esep_search` over all fields), and every temperature
+    evaluated.  Returns a ``SWEEP_DTYPE`` record array, rows B-major then T.
     """
     t_list = [float(t) for t in t_grid]
     b_list = [float(b) for b in b_grid]
@@ -232,10 +233,14 @@ def bound_sweep(
         y < x for x, y in zip(b_list, b_list[1:])
     ):
         raise ValueError("grids must be ascending")
-    parts = []
-    for b in b_list:
-        p = replace(params, field_b=b)
-        h = build_xxx(p)
-        report = resolve_esep(policy, h, params=p, restarts=restarts, seed=seed)
-        parts.append(sweep_single_hamiltonian(h, report, t_list, b_value=b))
+    fields = [replace(params, field_b=b) for b in b_list]
+    hs = [build_xxx(p) for p in fields]
+    if policy.kind == "exact":
+        reports = esep_search(hs, Partition.singletons(params.n_sites), restarts, seed)
+    else:
+        reports = [resolve_esep(policy, h, params=p) for h, p in zip(hs, fields)]
+    parts = [  # pop drops each H, with its cached spectrum, once its field is swept
+        sweep_single_hamiltonian(hs.pop(0), report, t_list, b_value=b)
+        for report, b in zip(reports, b_list)
+    ]
     return np.concatenate(parts).view(np.recarray)

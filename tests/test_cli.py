@@ -1,9 +1,22 @@
 import math
 import re
 
+import numpy as np
 import pytest
 
-from enwit.cli import _COMMANDS, _OPTION_SPECS, _config, _make_parser, main
+import csv_reference
+from enwit import XXXParams, bound_sweep
+from enwit.cli import (
+    _COMMANDS,
+    _CSV_CHUNK,
+    _OPTION_SPECS,
+    GridSpec,
+    _config,
+    _make_parser,
+    _write_sweep_csv,
+    main,
+)
+from enwit.witness import SWEEP_DTYPE, EsepPolicy
 
 
 def run(argv, capsys):
@@ -327,6 +340,128 @@ class TestBoundSweep:
         assert f"{key} does not apply to the pauli-file model" in err
         assert out == ""
         assert not out_file.exists()
+
+
+class TestSweepCsvWriter:
+    """The chunked writer gives the bytes of the per-cell reference in ``csv_reference``."""
+
+    TWO_SITE = XXXParams(1.0, 0.0, 2, "open")
+
+    @staticmethod
+    def assert_same_bytes(tmp_path, cells, digits):
+        new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+        _write_sweep_csv(str(new), cells, digits)
+        csv_reference._write_sweep_csv(str(ref), cells, digits)
+        assert new.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize("digits", [6, 10, 17])
+    def test_figure_grids(self, tmp_path, digits):
+        t_values = GridSpec(0.01, 4.0, 400).values()
+        preset = bound_sweep(self.TWO_SITE, EsepPolicy("fixed", -2.0), t_values, [0.0])
+        closed = bound_sweep(
+            self.TWO_SITE, EsepPolicy("closed-form"), t_values, GridSpec(0.0, 2.0, 41).values()
+        )
+        # the 41-field grid spans several chunks, and a chunk ends inside a field
+        assert len(closed) > 2 * _CSV_CHUNK and _CSV_CHUNK % 400 != 0
+        self.assert_same_bytes(tmp_path, preset, digits)
+        self.assert_same_bytes(tmp_path, closed, digits)
+
+    @pytest.mark.parametrize("digits", [6, 10, 17])
+    @pytest.mark.parametrize("policy", ["closed-form", "exact"])
+    def test_signed_zero_field_zero_temperature_and_strong_fields(self, tmp_path, digits, policy):
+        fields = [-3.0, -0.0, 0.0, 0.7, 2.5, 4.0]
+        cells = bound_sweep(self.TWO_SITE, EsepPolicy(policy), [0.0, 0.3, 2.0], fields, restarts=8)
+        assert cells.b[3:6].tolist() == [-0.0] * 3
+        self.assert_same_bytes(tmp_path, cells, digits)
+
+    @pytest.mark.parametrize("digits", [6, 10, 17])
+    def test_bounds_of_zero_and_minus_zero(self, tmp_path, digits):
+        cells = np.recarray(4, dtype=SWEEP_DTYPE)
+        cells.b, cells.t, cells.normalizer_a = 0.0, 1.0, 2.0
+        cells.mean_energy = [-1.5, 0.0, -2.0, -0.25]
+        cells.esep = [-1.5, -0.0, -1.0, -1.0]  # bounds 0, -0, 0.5 and -0.375
+        cells.detected = cells.esep > cells.mean_energy
+        self.assert_same_bytes(tmp_path, cells, digits)
+        rows = [line.split(",") for line in (tmp_path / "new.csv").read_text().splitlines()[1:]]
+        assert [row[5:7] for row in rows[:2]] == [["0", "0"], ["-0", "0"]]
+
+    def test_chunk_boundaries_inside_fields(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("enwit.cli._CSV_CHUNK", 7)
+        t_values = [0.5, 1.0, 1.5, 2.0, 2.5]
+        cells = bound_sweep(self.TWO_SITE, EsepPolicy("closed-form"), t_values, [0, 1, 3])
+        self.assert_same_bytes(tmp_path, cells, 10)
+
+
+class TestRefutedFixedValue:
+    """E_sep = -1 for s1.s2 at B = 0, so fixed:0.5 is no separability energy."""
+
+    EXTRA = {"esep": [], "witness": [], "bound-sweep": ["--T", "1"]}
+
+    @pytest.mark.parametrize("command", list(EXTRA))
+    def test_refuted_value_exits_2(self, command, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        argv = [command, "--J", "1", "--B", "0", "--policy", "fixed:0.5"] + self.EXTRA[command]
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert re.fullmatch(
+            r"error: fixed esep 0\.5 is refuted( at B = 0)?: the product state with Bloch angles "
+            r"\(theta, phi\) = \([-\d.]+, [-\d.]+\), \([-\d.]+, [-\d.]+\) has energy -1\n",
+            err,
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", list(EXTRA))
+    def test_value_below_esep_is_kept(self, command, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        argv = [command, "--J", "1", "--B", "0", "--policy", "fixed:-2"] + self.EXTRA[command]
+        assert run(argv, capsys)[0] == 0
+
+    def test_pauli_file_sweep_refuses_it(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "h.txt").write_text("1.0 XX\n1.0 YY\n1.0 ZZ\n")
+        argv = [
+            "bound-sweep", "--model", "pauli-file", "--pauli-file", "h.txt", "--T", "1",
+            "--policy", "fixed:0.5",
+        ]
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: fixed esep 0.5 is refuted: ")
+        assert [f.name for f in tmp_path.iterdir()] == ["h.txt"]
+
+    def test_sweep_names_the_refuting_field(self, tmp_path, monkeypatch, capsys):
+        """fixed:-2 holds below E_sep(B) = -1 - B^2/2 up to B = sqrt(2); B = 2 refutes it."""
+        monkeypatch.chdir(tmp_path)
+        argv = [
+            "bound-sweep", "--J", "1", "--B-min", "0", "--B-max", "3", "--B-steps", "4",
+            "--T", "1", "--policy", "fixed:-2",
+        ]
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: fixed esep -2 is refuted at B = 2: ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sweep_searches_every_field_at_once(self, tmp_path, monkeypatch, capsys):
+        import enwit.bloch
+
+        calls = []
+        search = enwit.bloch.bloch_search
+
+        def counted(hs, sites, starts):
+            calls.append(len(hs))
+            return search(hs, sites, starts)
+
+        monkeypatch.setattr(enwit.bloch, "bloch_search", counted)
+        for policy in ("exact", "fixed:-9"):
+            argv = [
+                "bound-sweep", "--J", "1", "--B-min", "0", "--B-max", "2", "--B-steps", "41",
+                "--T-min", "0.1", "--T-max", "1", "--T-steps", "3", "--policy", policy,
+                "--out", str(tmp_path / "sweep.csv"),
+            ]
+            assert run(argv, capsys)[0] == 0
+        assert calls == [41, 41]
 
 
 class TestRobustnessCommand:

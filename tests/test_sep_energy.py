@@ -14,6 +14,7 @@ from enwit import (
     eig,
     esep_closed_form_xxx,
     esep_reference,
+    esep_search,
     esep_seesaw,
 )
 from enwit.bloch import NEWTON_TOL, _bloch_derivatives, _states_to_bloch, bloch_search, pauli_terms
@@ -185,8 +186,8 @@ class TestPauliTerms:
             PauliString(1e-3, "ZIY"),
         ]
         h = build_pauli(SystemShape([2, 2, 2]), terms)
-        letters, coeffs = pauli_terms(h)
-        got = {"".join("IXYZ"[a] for a in row): c for row, c in zip(letters, coeffs)}
+        letters, coeffs = pauli_terms([h])
+        got = {"".join("IXYZ"[a] for a in row): c for row, c in zip(letters, coeffs[:, 0])}
         assert got.keys() == {"XYZ", "IZI", "III", "ZIY"}
         expected = {"XYZ": 1.25, "IZI": -1.25, "III": 2.0, "ZIY": 1e-3}
         for key, c in expected.items():
@@ -197,8 +198,10 @@ class TestPauliTerms:
         rng = np.random.default_rng(30 + n)
         shape = SystemShape([2] * n)
         h = HermitianOperator(shape, random_hermitian(rng, shape.total_dim))
-        letters, coeffs = pauli_terms(h)
-        terms = [PauliString(c, "".join("IXYZ"[a] for a in row)) for row, c in zip(letters, coeffs)]
+        letters, coeffs = pauli_terms([h])
+        terms = [
+            PauliString(c, "".join("IXYZ"[a] for a in row)) for row, c in zip(letters, coeffs[:, 0])
+        ]
         assert np.abs(build_pauli(shape, terms).entries - h.entries).max() < 1e-12
 
 
@@ -231,7 +234,8 @@ class TestBlochSearch:
         rng = np.random.default_rng(32)
         shape = SystemShape([2, 2, 2])
         h = HermitianOperator(shape, random_hermitian(rng, 8))
-        letters, coeffs = pauli_terms(h)
+        letters, table = pauli_terms([h])
+        coeffs = table[:, [0, 0]]  # one coefficient column per row
         onehot = (letters[..., None] == np.arange(1, 4)).astype(float)
         states = [random_unit_rows(rng, 2) for _ in range(3)]
         v = np.ones((2, 3, 4))
@@ -265,7 +269,7 @@ class TestBlochSearch:
         single-site move improves, but canting the pair lowers the energy: a saddle.
         Started exactly there, the search stays (zero gradient) and must not certify it."""
         down = np.tile([0.0, 1.0 + 0j], (1, 1))
-        states, gnorm, hmin, converged = bloch_search(h_xxx(1.0, 1.5), [0, 1], [down, down])
+        states, gnorm, hmin, converged = bloch_search([h_xxx(1.0, 1.5)], [0, 1], [down, down])
         assert gnorm[0] == 0.0
         # canting both spins by theta the opposite way: E'' = 2B - 4 along |xi|^2 = 2
         assert hmin[0] == pytest.approx(1.5 - 2.0, abs=1e-12)
@@ -290,6 +294,68 @@ class TestBlochSearch:
         start = random_ansatz(shape, part, np.random.default_rng([7, 0])).block_states[2]
         overlap = abs(np.vdot(start, rep.minimizer.block_states[2]))
         assert overlap == pytest.approx(1.0, abs=1e-12)
+
+
+class TestStackedSearch:
+    """One search over a list of Hamiltonians gives each the report of its own search."""
+
+    @staticmethod
+    def assert_matches_single_searches(hs, part, restarts, seed, exact):
+        for h, rep, value in zip(hs, esep_search(hs, part, restarts=restarts, seed=seed), exact):
+            alone = esep_seesaw(h, part, restarts=restarts, seed=seed)
+            assert abs(rep.esep - alone.esep) < 1e-12
+            assert abs(rep.esep - value) < 1e-11
+            assert rep.restarts_agreeing == alone.restarts_agreeing
+            assert rep.converged == alone.converged
+
+    @pytest.mark.parametrize("seed", [0, 1, 90])
+    def test_two_site_field_grid(self, seed):
+        params = [XXXParams(1.0, float(b)) for b in np.linspace(0.0, 2.0, 41)]
+        hs = [build_xxx(p) for p in params]
+        exact = [esep_closed_form_xxx(p) for p in params]
+        self.assert_matches_single_searches(hs, SINGLETONS, 32, seed, exact)
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_ring_fields(self, h_xxx, n):
+        fields = [0.05, 0.3, 5.0]
+        hs = [h_xxx(1.0, b, n, "periodic") for b in fields]
+        exact = [-n - n * b * b / 8 if b <= 4 else n - n * b for b in fields]
+        self.assert_matches_single_searches(hs, Partition.singletons(n), 8, 0, exact)
+
+    def test_each_field_keeps_its_own_tolerance(self, h_xxx):
+        """Both spins down is stationary, with smallest Hessian eigenvalue B - 2, and the
+        tolerance of s1.s2 + B (sz1 + sz2) is NEWTON_TOL (3 + 2B): about 7e-9 near B = 2,
+        3e-9 at B = 0 and 1.1e-8 at B = 4.  So B = 2 - 5e-9 is certified and B = 2 - 8e-9
+        is not, which a tolerance shared with the B = 0 or the B = 4 field would swap."""
+        fields = [0.0, 2.0 - 8e-9, 2.0 - 5e-9, 4.0]
+        hs = [h_xxx(1.0, b) for b in fields]
+        down = np.tile([0.0, 1.0 + 0j], (len(fields), 1))
+        _, gnorm, hmin, converged = bloch_search(hs, [0, 1], [down, down])
+        assert hmin[1:3] == pytest.approx([-8e-9, -5e-9], abs=1e-12)
+        assert list(converged[1:]) == [False, True, True]
+        for j, h in enumerate(hs):
+            one = down[j : j + 1]
+            _, gnorm_alone, hmin_alone, converged_alone = bloch_search([h], [0, 1], [one, one])
+            assert gnorm[j] == pytest.approx(gnorm_alone[0], abs=1e-14)
+            assert hmin[j] == pytest.approx(hmin_alone[0], abs=1e-14)
+            assert converged[j] == converged_alone[0]
+        for b, rep in zip(fields, esep_search(hs, SINGLETONS, restarts=8, seed=3)):
+            assert rep.converged
+            assert rep.gradient_norm <= NEWTON_TOL * (3.0 + 2.0 * b)
+
+    def test_block_seesaw_runs_each_hamiltonian(self):
+        rng = np.random.default_rng(33)
+        shape = SystemShape([2, 2, 2])
+        hs = [HermitianOperator(shape, random_hermitian(rng, 8)) for _ in range(2)]
+        part = Partition([[0, 1], [2]])
+        for h, rep in zip(hs, esep_search(hs, part, restarts=4, seed=0)):
+            alone = esep_seesaw(h, part, restarts=4, seed=0)
+            assert rep.esep == alone.esep
+            assert rep.restarts_agreeing == alone.restarts_agreeing
+
+    def test_refuses_mixed_shapes(self, h_xxx):
+        with pytest.raises(ValueError, match="Hamiltonians of one shape"):
+            esep_search([h_xxx(1.0, 0.0), h_xxx(1.0, 0.0, 4)], SINGLETONS)
 
 
 class TestRing:
