@@ -21,22 +21,17 @@ from .operators import (
     SystemShape,
     eig,
     expectation,
-    identity,
-    partial_transpose,
-    tensor,
 )
 from .robustness import (
     EntanglementCheck,
     RobustnessCertificate,
     is_entangled_2q,
     rg_exact_2q,
-    rg_pure,
 )
 from .sep_energy import (
     Partition,
     ProductStateAnsatz,
     SepEnergyReport,
-    ansatz_energy,
     esep_closed_form_xxx,
     esep_reference,
     esep_search,
@@ -74,7 +69,6 @@ __all__ = [
     "ThermalPoint",
     "WitnessSpec",
     "XXXParams",
-    "ansatz_energy",
     "bound_sweep",
     "bound_with_confidence",
     "build_pauli",
@@ -88,15 +82,11 @@ __all__ = [
     "expectation",
     "gibbs",
     "ground_state",
-    "identity",
     "is_entangled_2q",
     "make_witness",
     "measure_energy",
     "parse_pauli_terms",
-    "partial_transpose",
     "resolve_esep",
     "rg_exact_2q",
-    "rg_pure",
     "robustness_lower_bound",
-    "tensor",
 ]

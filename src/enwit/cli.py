@@ -351,11 +351,8 @@ def cmd_esep(cfg: argparse.Namespace) -> int:
         for i, (block, vec) in enumerate(
             zip(report.minimizer.partition.blocks, report.minimizer.block_states)
         ):
-            if vec.size == 2:
-                theta, phi = states.bloch_angles(vec)
-                print(f"block {i} (sites {list(block)}): theta = {theta:.6f}, phi = {phi:.6f}")
-            else:
-                print(f"block {i} (sites {list(block)}): dim {vec.size} state")
+            theta, phi = states.bloch_angles(vec)  # every CLI partition is single qubits
+            print(f"block {i} (sites {list(block)}): theta = {theta:.6f}, phi = {phi:.6f}")
     return 0
 
 

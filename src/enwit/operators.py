@@ -60,9 +60,6 @@ class SystemShape:
     def total_dim(self) -> int:
         return math.prod(self.local_dims)
 
-    def __add__(self, other: "SystemShape") -> "SystemShape":
-        return SystemShape(self.local_dims + other.local_dims)
-
 
 @dataclass(frozen=True)
 class HermitianOperator:
@@ -94,21 +91,6 @@ class HermitianOperator:
     def trace(self) -> float:
         return float(np.trace(self.entries).real)
 
-    def __add__(self, other: "HermitianOperator") -> "HermitianOperator":
-        if self.shape.local_dims != other.shape.local_dims:
-            raise ValueError("shape mismatch")
-        return HermitianOperator(self.shape, self.entries + other.entries)
-
-    def __sub__(self, other: "HermitianOperator") -> "HermitianOperator":
-        if self.shape.local_dims != other.shape.local_dims:
-            raise ValueError("shape mismatch")
-        return HermitianOperator(self.shape, self.entries - other.entries)
-
-    def __mul__(self, scalar: float) -> "HermitianOperator":
-        return HermitianOperator(self.shape, self.entries * float(scalar))
-
-    __rmul__ = __mul__
-
     @cached_property
     def _spectrum(self) -> "SpectralDecomposition":
         # cached_property writes the instance __dict__ directly, which the
@@ -118,10 +100,6 @@ class HermitianOperator:
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"eigendecomposition did not converge: {exc}") from exc
         return SpectralDecomposition(_frozen_array(vals), _frozen_array(vecs))
-
-
-def identity(shape: SystemShape) -> HermitianOperator:
-    return HermitianOperator(shape, np.eye(shape.total_dim))
 
 
 @dataclass(frozen=True)
@@ -190,12 +168,6 @@ class SpectralDecomposition:
         return lam[starts], np.diff(starts + [lam.size])
 
 
-def tensor(a: HermitianOperator, b: HermitianOperator) -> HermitianOperator:
-    """Kronecker product; the result's shape is the concatenation of the inputs'."""
-    shape = a.shape + b.shape  # raises on desk-scale overflow
-    return HermitianOperator(shape, np.kron(a.entries, b.entries))
-
-
 def eig(m: HermitianOperator) -> SpectralDecomposition:
     """Full spectral decomposition of a Hermitian operator.
 
@@ -233,12 +205,3 @@ def _partial_transpose_entries(
     d = math.prod(dims)
     return t.transpose(perm).reshape(d, d)
 
-
-def partial_transpose(rho: DensityMatrix, block: Iterable[int]) -> HermitianOperator:
-    """Partial transpose of a state over the given subsystem indices.
-
-    The output is Hermitian but in general not positive; applying the same
-    transpose twice returns the input exactly.
-    """
-    out = _partial_transpose_entries(rho.entries, rho.shape.local_dims, block)
-    return HermitianOperator(rho.shape, out)

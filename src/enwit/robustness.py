@@ -35,7 +35,7 @@ calls make one solve.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -192,8 +192,8 @@ def rg_exact_2q(
             try:
                 step, decrement_sq = _newton_step(hess, grad)
             except np.linalg.LinAlgError:
-                step, decrement_sq = _newton_step(hess + 1e-10 * np.trace(hess) * np.eye(16), grad)
-            if not np.isfinite(decrement_sq) or decrement_sq < 0:
+                decrement_sq = np.nan
+            if not (np.isfinite(decrement_sq) and decrement_sq >= 0):  # singular or indefinite
                 step, decrement_sq = _newton_step(hess + 1e-10 * np.trace(hess) * np.eye(16), grad)
                 decrement_sq = max(0.0, decrement_sq)
             if decrement_sq / 2.0 <= _CENTER_TOL:
@@ -251,18 +251,6 @@ def _check_certificate(rho_mat: np.ndarray, xm: np.ndarray, w: np.ndarray) -> No
     for label, margin in checks.items():
         if margin < -FEAS_TOL:
             raise NumericalError(f"certificate check failed: {label} (margin {margin:.3e})")
-
-
-def rg_pure(schmidt: Sequence[float]) -> float:
-    """Closed-form robustness of a pure bipartite state: (sum of coefficients)^2 - 1."""
-    lam = np.asarray(schmidt, dtype=float)
-    if lam.size < 1:
-        raise ValueError("need at least one Schmidt coefficient")
-    if np.any(lam < 0):
-        raise ValueError("Schmidt coefficients must be nonnegative")
-    if abs(float(np.sum(lam**2)) - 1.0) > 1e-10:
-        raise ValueError("Schmidt coefficients must have unit square sum")
-    return float(np.sum(lam)) ** 2 - 1.0
 
 
 def is_entangled_2q(rho: DensityMatrix) -> EntanglementCheck:

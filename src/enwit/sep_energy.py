@@ -96,32 +96,6 @@ class SepEnergyReport:
     hessian_min: Optional[float] = None  # Bloch search only: smallest reduced-Hessian eigenvalue
 
 
-def full_vector(shape: SystemShape, ansatz: ProductStateAnsatz) -> np.ndarray:
-    """Assemble the product state as a vector over the full Hilbert space."""
-    n = shape.n_sites
-    letters = [chr(ord("a") + i) for i in range(n)]
-    subs, ops = [], []
-    for block, state in zip(ansatz.partition.blocks, ansatz.block_states):
-        dims = tuple(shape.local_dims[s] for s in block)
-        ops.append(state.reshape(dims))
-        subs.append("".join(letters[s] for s in block))
-    expr = ",".join(subs) + "->" + "".join(letters)
-    return np.einsum(expr, *ops).reshape(-1)
-
-
-def ansatz_energy(h: HermitianOperator, ansatz: ProductStateAnsatz) -> float:
-    v = full_vector(h.shape, ansatz)
-    return float((v.conj() @ (h.entries @ v)).real)
-
-
-def random_ansatz(
-    shape: SystemShape, part: Partition, rng: np.random.Generator
-) -> ProductStateAnsatz:
-    """Product state with each block drawn uniformly from its complex unit sphere."""
-    states = _draw_block_states(part.block_dims(shape), [rng])
-    return ProductStateAnsatz(part, [s[0] for s in states])
-
-
 def _draw_block_states(
     block_dims: Sequence[int], rngs: Sequence[np.random.Generator]
 ) -> list[np.ndarray]:
@@ -215,7 +189,7 @@ def esep_search(
     block_dims = part.block_dims(hs[0].shape)
 
     seed_u = int(seed) & 0xFFFFFFFFFFFFFFFF
-    # row r of each block: the state random_ansatz(h.shape, part, default_rng([seed, r])) draws
+    # row r of each block: the start state _draw_block_states draws from default_rng([seed, r])
     rngs = [np.random.default_rng([seed_u, r]) for r in range(restarts)]
     states = [np.tile(s, (len(hs), 1)) for s in _draw_block_states(block_dims, rngs)]
     groups = [slice(j * restarts, (j + 1) * restarts) for j in range(len(hs))]  # rows of hs[j]

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .hamiltonians import XXXParams, build_xxx
-from .operators import HermitianOperator, eig, expectation, identity
+from .operators import HermitianOperator, eig, expectation
 from .sep_energy import (
     Partition,
     SepEnergyReport,
@@ -44,11 +44,6 @@ class WitnessSpec:
     e_max: float
     normalizer_a: float
     conservative_esep: bool = False
-
-    def normalized_witness(self) -> HermitianOperator:
-        """(H - esep I)/A; eigenvalues are bounded above by 1."""
-        ident = identity(self.hamiltonian.shape)
-        return (self.hamiltonian - self.esep * ident) * (1.0 / self.normalizer_a)
 
     @property
     def entanglement_gap(self) -> float:

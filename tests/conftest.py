@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from enwit import DensityMatrix, HermitianOperator, SystemShape, XXXParams, build_xxx
+from enwit import (
+    DensityMatrix,
+    HermitianOperator,
+    ProductStateAnsatz,
+    SystemShape,
+    XXXParams,
+    build_xxx,
+)
+from enwit.sep_energy import _draw_block_states
 from enwit.states import singlet as _singlet
 
 TWO_QUBITS = SystemShape([2, 2])
@@ -41,6 +49,47 @@ def random_dm(rng, dim=4):
 def random_pure_state(rng, dim=4):
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
+
+
+def full_vector(shape, ansatz):
+    """The product state as a vector over the full Hilbert space, sites in order."""
+    n = shape.n_sites
+    letters = [chr(ord("a") + i) for i in range(n)]
+    subs, ops = [], []
+    for block, state in zip(ansatz.partition.blocks, ansatz.block_states):
+        ops.append(state.reshape(tuple(shape.local_dims[s] for s in block)))
+        subs.append("".join(letters[s] for s in block))
+    return np.einsum(",".join(subs) + "->" + "".join(letters), *ops).reshape(-1)
+
+
+def ansatz_energy(h, ansatz):
+    """<psi|H|psi> of a product state, from its full vector."""
+    v = full_vector(h.shape, ansatz)
+    return float((v.conj() @ (h.entries @ v)).real)
+
+
+def random_ansatz(shape, part, rng):
+    """One restart's start: each block uniform on its complex unit sphere, as the search draws it."""
+    states = _draw_block_states(part.block_dims(shape), [rng])
+    return ProductStateAnsatz(part, [s[0] for s in states])
+
+
+def normalized_witness(w):
+    """(H - esep I)/A of a WitnessSpec; its eigenvalues are at most 1."""
+    h = w.hamiltonian
+    return HermitianOperator(h.shape, (h.entries - w.esep * np.eye(h.dim)) / w.normalizer_a)
+
+
+def rg_pure(schmidt):
+    """Closed-form robustness of a pure bipartite state: (sum of Schmidt coefficients)^2 - 1."""
+    lam = np.asarray(schmidt, dtype=float)
+    if lam.size < 1:
+        raise ValueError("need at least one Schmidt coefficient")
+    if np.any(lam < 0):
+        raise ValueError("Schmidt coefficients must be nonnegative")
+    if abs(float(np.sum(lam**2)) - 1.0) > 1e-10:
+        raise ValueError("Schmidt coefficients must have unit square sum")
+    return float(np.sum(lam)) ** 2 - 1.0
 
 
 @pytest.fixture

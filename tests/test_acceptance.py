@@ -27,15 +27,20 @@ from enwit import (
     make_witness,
     measure_energy,
     rg_exact_2q,
-    rg_pure,
     robustness_lower_bound,
 )
 from enwit.cli import cmd_reproduce_figure
 from enwit.operators import HermitianOperator
-from enwit.sep_energy import full_vector, random_ansatz
 from enwit.states import singlet
 
-from conftest import random_dm, random_pure_state
+from conftest import (
+    full_vector,
+    normalized_witness,
+    random_ansatz,
+    random_dm,
+    random_pure_state,
+    rg_pure,
+)
 from grid_oracle import esep_grid
 
 Q2 = SystemShape([2, 2])
@@ -162,7 +167,7 @@ def test_criterion_07_witness_validity_on_product_states():
     for b in (0.0, 1.3):
         h = build_xxx(XXXParams(1.0, b))
         w = make_witness(h, esep_seesaw(h, SINGLETONS, restarts=32, seed=31))
-        wmat = w.normalized_witness().entries
+        wmat = normalized_witness(w).entries
         vecs = np.stack([full_vector(Q2, random_ansatz(Q2, SINGLETONS, rng)) for _ in range(1000)])
         vals = np.einsum("ij,jk,ik->i", vecs.conj(), wmat, vecs).real
         assert vals.min() >= -1e-9

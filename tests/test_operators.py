@@ -7,11 +7,9 @@ from enwit import (
     SystemShape,
     eig,
     expectation,
-    identity,
-    partial_transpose,
-    tensor,
 )
 from enwit.errors import NumericalError
+from enwit.operators import _partial_transpose_entries
 from enwit.states import singlet
 
 from conftest import PAULI
@@ -22,18 +20,6 @@ Q2 = SystemShape([2, 2])
 
 def op1(mat):
     return HermitianOperator(Q1, mat)
-
-
-def kron_by_loop(a, b):
-    """Brute-force Kronecker product, the oracle for tensor()."""
-    na, nb = a.shape[0], b.shape[0]
-    out = np.zeros((na * nb, na * nb), dtype=complex)
-    for i in range(na):
-        for j in range(na):
-            for k in range(nb):
-                for m in range(nb):
-                    out[i * nb + k, j * nb + m] = a[i, j] * b[k, m]
-    return out
 
 
 class TestSystemShape:
@@ -85,29 +71,6 @@ class TestDensityMatrix:
             DensityMatrix.from_entries(Q2, m)
 
 
-class TestTensor:
-    def test_sigma_z_with_identity(self):
-        out = tensor(op1(PAULI["Z"]), op1(PAULI["I"]))
-        assert np.allclose(np.diag(out.entries), [1, 1, -1, -1])
-        assert out.shape.local_dims == (2, 2)
-
-    def test_identity_case(self):
-        out = tensor(op1(PAULI["I"]), op1(PAULI["I"]))
-        assert np.array_equal(out.entries, np.eye(4))
-
-    def test_product_against_loop_oracle(self):
-        xx = tensor(op1(PAULI["X"]), op1(PAULI["X"]))
-        yy = tensor(op1(PAULI["Y"]), op1(PAULI["Y"]))
-        direct = kron_by_loop(PAULI["X"], PAULI["X"]) @ kron_by_loop(PAULI["Y"], PAULI["Y"])
-        assert np.abs(xx.entries @ yy.entries - direct).max() < 1e-15
-
-    def test_overflow_guard(self):
-        a = HermitianOperator(SystemShape([2] * 7), np.eye(128))
-        b = HermitianOperator(SystemShape([2] * 6), np.eye(64))
-        with pytest.raises(ValueError):
-            tensor(a, b)  # 8192 > 4096
-
-
 class TestEig:
     def test_sigma_z(self):
         dec = eig(op1(PAULI["Z"]))
@@ -149,7 +112,7 @@ class TestExpectation:
     def test_identity_gives_one(self, random_two_qubit_dm):
         rng = np.random.default_rng(0)
         rho = random_two_qubit_dm(rng)
-        assert expectation(identity(Q2), rho) == pytest.approx(1.0, abs=1e-12)
+        assert expectation(HermitianOperator(Q2, np.eye(4)), rho) == pytest.approx(1.0, abs=1e-12)
 
     def test_singlet_ground_energy(self, h_xxx, singlet):
         assert expectation(h_xxx(1.0, 0.0), singlet) == pytest.approx(-3.0, abs=1e-12)
@@ -172,6 +135,8 @@ class TestExpectation:
 
 
 class TestPartialTranspose:
+    """The partial-transpose rule the robustness oracle uses."""
+
     def test_product_state_is_fixed(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
@@ -179,30 +144,26 @@ class TestPartialTranspose:
             b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
             rho = DensityMatrix.pure(Q2, np.kron(a, b))
-            pt = partial_transpose(rho, {1})
+            pt = _partial_transpose_entries(rho.entries, (2, 2), {1})
             expected = np.kron(np.outer(a, a.conj()), np.outer(b, b.conj()).T)
-            assert np.abs(pt.entries - expected).max() < 1e-12
+            assert np.abs(pt - expected).max() < 1e-12
 
     def test_singlet_spectrum(self, singlet):
-        vals = eig(partial_transpose(singlet, {1})).eigenvalues
+        vals = np.linalg.eigvalsh(_partial_transpose_entries(singlet.entries, (2, 2), {1}))
         assert np.allclose(vals, [-0.5, 0.5, 0.5, 0.5], atol=1e-12)
 
     def test_involution_and_trace(self, random_two_qubit_dm):
         rng = np.random.default_rng(2)
         for _ in range(100):
             rho = random_two_qubit_dm(rng)
-            pt = partial_transpose(rho, {0})
-            assert pt.trace() == pytest.approx(1.0, abs=1e-12)
-            back = np.array(pt.entries)
-            again = HermitianOperator(Q2, back)
-            from enwit.operators import _partial_transpose_entries
-
-            twice = _partial_transpose_entries(again.entries, (2, 2), (0,))
-            assert np.array_equal(twice, rho.entries) or np.abs(twice - rho.entries).max() == 0.0
+            pt = _partial_transpose_entries(rho.entries, (2, 2), (0,))
+            assert np.trace(pt).real == pytest.approx(1.0, abs=1e-12)
+            twice = _partial_transpose_entries(pt, (2, 2), (0,))
+            assert np.array_equal(twice, rho.entries)
 
     def test_invalid_subsystem(self, singlet):
         with pytest.raises(ValueError):
-            partial_transpose(singlet, {2})
+            _partial_transpose_entries(singlet.entries, (2, 2), {2})
 
 
 def test_eig_raises_numerical_error_type():

@@ -16,13 +16,12 @@ from enwit import (
     is_entangled_2q,
     make_witness,
     rg_exact_2q,
-    rg_pure,
     robustness_lower_bound,
 )
 from enwit.errors import NumericalError
 from enwit.states import product_state, singlet
 
-from conftest import random_dm, random_pure_state
+from conftest import random_dm, random_pure_state, rg_pure
 
 Q2 = SystemShape([2, 2])
 

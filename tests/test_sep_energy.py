@@ -8,7 +8,6 @@ from enwit import (
     ProductStateAnsatz,
     SystemShape,
     XXXParams,
-    ansatz_energy,
     build_pauli,
     build_xxx,
     eig,
@@ -18,14 +17,9 @@ from enwit import (
     esep_seesaw,
 )
 from enwit.bloch import NEWTON_TOL, _bloch_derivatives, _states_to_bloch, bloch_search, pauli_terms
-from enwit.sep_energy import (
-    _block_operators,
-    closed_form_ansatz_xxx,
-    full_vector,
-    random_ansatz,
-)
+from enwit.sep_energy import _block_operators, closed_form_ansatz_xxx
 
-from conftest import PAULI
+from conftest import PAULI, ansatz_energy, full_vector, random_ansatz
 from grid_oracle import esep_grid
 
 Q2 = SystemShape([2, 2])

@@ -18,10 +18,9 @@ from enwit import (
     make_witness,
     robustness_lower_bound,
 )
-from enwit.sep_energy import random_ansatz, full_vector
 from enwit.witness import resolve_esep, sweep_single_hamiltonian
 
-from conftest import PAULI
+from conftest import PAULI, ansatz_energy, full_vector, normalized_witness, random_ansatz
 
 Q2 = SystemShape([2, 2])
 
@@ -41,13 +40,13 @@ class TestMakeWitness:
         h = HermitianOperator(SystemShape([2]), PAULI["Z"])
         w = make_witness(h, esep_reference(-1.0))
         assert w.normalizer_a == pytest.approx(2.0, abs=1e-12)
-        vals = eig(w.normalized_witness()).eigenvalues
+        vals = eig(normalized_witness(w)).eigenvalues
         assert np.allclose(vals, [0.0, 1.0], atol=1e-12)
 
     def test_normalized_witness_below_identity(self, h_xxx):
         for esep in (-2.5, -1.0, 0.3):
             w = make_witness(h_xxx(1.0, 0.7), esep_reference(esep))
-            top = eig(w.normalized_witness()).e_max
+            top = eig(normalized_witness(w)).e_max
             assert top <= 1.0 + 1e-10
 
     def test_conservative_flagging(self, h_xxx):
@@ -101,7 +100,7 @@ class TestWitnessValidity:
         h = h_xxx()
         part = Partition.singletons(2)
         w = make_witness(h, esep_seesaw(h, part, restarts=32, seed=1))
-        wmat = w.normalized_witness().entries
+        wmat = normalized_witness(w).entries
         rng = np.random.default_rng(2)
         vecs = np.stack(
             [full_vector(Q2, random_ansatz(Q2, part, rng)) for _ in range(1000)]
@@ -113,7 +112,7 @@ class TestWitnessValidity:
         h = h_xxx()
         w = make_witness(h, esep_reference(-1.0))
         tr_w_rho = np.einsum(
-            "ij,ji->", w.normalized_witness().entries, singlet.entries
+            "ij,ji->", normalized_witness(w).entries, singlet.entries
         ).real
         rep = robustness_lower_bound(w, expectation(h, singlet))
         assert tr_w_rho == pytest.approx(-rep.bound, abs=1e-12)
@@ -207,8 +206,6 @@ class TestPolicy:
         assert rep.source == "closed-form"
         assert rep.minimizer is not None
         assert rep.restarts_agreeing == 0
-        from enwit import ansatz_energy
-
         assert ansatz_energy(h_xxx(1.0, 0.5), rep.minimizer) == pytest.approx(
             rep.esep, abs=1e-12
         )
