@@ -167,7 +167,8 @@ def _riemannian(
     """
     rows, n = r.shape[:2]
     g = np.einsum("rixa,rix->ria", bases, grad).reshape(rows, 2 * n)
-    h = np.einsum("rixa,rixjy,rjyb->riajb", bases, hess, bases)
+    # two two-operand contractions run faster than one three-operand einsum
+    h = np.einsum("riajy,rjyb->riajb", np.einsum("rixa,rixjy->riajy", bases, hess), bases)
     shift = np.einsum("rix,rix->ri", r, grad)
     h[:, range(n), :, range(n), :] -= shift.T[:, :, None, None] * np.eye(2)
     h = h.reshape(rows, 2 * n, 2 * n)

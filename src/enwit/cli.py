@@ -254,14 +254,19 @@ def _print_agreement(cfg: argparse.Namespace, report: SepEnergyReport) -> None:
 def _refute_fixed(cfg: argparse.Namespace, hs: list[HermitianOperator], fields=("",)) -> None:
     """Under ``fixed:<v>``, refuse v when a product state of any of ``hs`` has an energy below it.
 
-    Such a state proves that v is not E_sep.  One search, with the command's
-    ``--restarts`` and ``--seed``, covers all of ``hs``; ``fields[j]`` names ``hs[j]``.
+    Such a state proves that v is not E_sep.  "Below" means by more than
+    ``FIXED_REFUTATION_TOL`` times that H's largest absolute row sum, so the
+    verdict does not depend on the energy unit.  One search, with the
+    command's ``--restarts`` and ``--seed``, covers all of ``hs``;
+    ``fields[j]`` names ``hs[j]``.
     """
     if cfg.policy.kind != "fixed":
         return
     part = Partition.singletons(hs[0].shape.n_sites)
-    for found, where in zip(esep_search(hs, part, restarts=cfg.restarts, seed=cfg.seed), fields):
-        if found.esep < cfg.policy.value - FIXED_REFUTATION_TOL:
+    found_all = esep_search(hs, part, restarts=cfg.restarts, seed=cfg.seed)
+    for h, found, where in zip(hs, found_all, fields):
+        tol = FIXED_REFUTATION_TOL * float(np.abs(h.entries).sum(axis=1).max())
+        if found.esep < cfg.policy.value - tol:
             angles = ", ".join(
                 "({:.6f}, {:.6f})".format(*states.bloch_angles(v))
                 for v in found.minimizer.block_states

@@ -18,6 +18,11 @@ import numpy as np
 
 from .operators import HermitianOperator, SystemShape
 
+# The largest sum of |coefficients| build_pauli accepts: far above any physical
+# scale, and far enough below the float range that no product of energies,
+# temperatures or squares downstream overflows.
+MAX_COEFFICIENT_SUM = 1e100
+
 
 @dataclass(frozen=True)
 class XXXParams:
@@ -92,10 +97,15 @@ def build_pauli(shape: SystemShape, terms: Sequence[PauliString]) -> HermitianOp
     """Sum of coefficient-weighted Pauli strings on a register of qubits.
 
     Each string is added as a phased permutation (see the module docstring),
-    in the order given.
+    in the order given.  Terms whose |coefficients| sum above
+    ``MAX_COEFFICIENT_SUM`` are refused before any entry is written.
     """
     if any(d != 2 for d in shape.local_dims):
         raise ValueError("Pauli strings are defined on qubit registers only")
+    scale = sum(abs(term.coefficient) for term in terms)
+    if not scale <= MAX_COEFFICIENT_SUM:
+        limit = MAX_COEFFICIENT_SUM
+        raise ValueError(f"the Hamiltonian's |coefficients| sum to {scale:g}, above {limit:g}")
     n = shape.n_sites
     d = shape.total_dim
     h = np.zeros((d, d), dtype=np.complex128)

@@ -67,7 +67,7 @@ class HermitianOperator:
 
     Construction symmetrizes ``(M + M^dagger)/2`` to absorb floating-point
     drift, but rejects matrices whose asymmetry exceeds ``1e-12`` so real
-    bugs are not masked.
+    bugs are not masked, and matrices with a NaN or infinite entry.
     """
 
     shape: SystemShape
@@ -78,6 +78,8 @@ class HermitianOperator:
         d = shape.total_dim
         if mat.shape != (d, d):
             raise ValueError(f"entries must be {d}x{d} for shape {shape.local_dims}, got {mat.shape}")
+        if not np.isfinite(mat).all():
+            raise ValueError("matrix entries must be finite")
         asym = np.abs(mat - mat.conj().T).max()
         if asym > HERMITICITY_TOL * max(1.0, np.abs(mat).max()):
             raise ValueError(f"matrix is not Hermitian (asymmetry {asym:.3e})")
@@ -157,13 +159,16 @@ class SpectralDecomposition:
         """Distinct eigenvalues, ascending, and their multiplicities.
 
         An eigenvalue joins the current level when it lies within
-        ``LEVEL_TOL`` of that level's first eigenvalue, which is the value
-        reported for the level.
+        ``LEVEL_TOL`` times min(1, max |eigenvalue|) of that level's first
+        eigenvalue, which is the value reported for the level.  So a spectrum
+        scaled down keeps its levels apart, and one of unit scale or above
+        merges as with the plain ``LEVEL_TOL``.
         """
         lam = self.eigenvalues
+        tol = LEVEL_TOL * min(1.0, float(np.abs(lam).max()))
         starts = [0]
         for i in range(1, lam.size):
-            if lam[i] - lam[starts[-1]] > LEVEL_TOL:
+            if lam[i] - lam[starts[-1]] > tol:
                 starts.append(i)
         return lam[starts], np.diff(starts + [lam.size])
 

@@ -66,7 +66,8 @@ def make_witness(h: HermitianOperator, esep_report: SepEnergyReport) -> WitnessS
     dec = eig(h)
     esep = float(esep_report.esep)
     a = max(dec.e_max - esep, esep - dec.e_min)
-    if a <= DEGENERATE_NORMALIZER:
+    # relative to the spectral scale below unit scale, so scaling H down keeps its witness
+    if a <= DEGENERATE_NORMALIZER * min(1.0, max(-dec.e_min, dec.e_max)):
         raise ValueError("constant Hamiltonian: the energy witness does not exist")
     return WitnessSpec(
         hamiltonian=h,

@@ -793,6 +793,84 @@ class TestNonFiniteInputs:
         assert not out_file.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestOverflowingHamiltonian:
+    """A Hamiltonian whose |coefficients| sum past 1e100 is refused before it is built,
+    so no command prints nan or inf, writes a CSV or overflows on the way."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum", "--J", "1", "--B", "1e308"],
+            ["witness", "--J", "1", "--B", "1e308"],
+            ["esep", "--J", "1e200", "--B", "1e200", "--policy", "closed-form"],
+            ["bound-sweep", "--J", "1e200", "--B", "1e200", "--T", "1", "--policy", "closed-form"],
+            ["witness", "--J", "1e200", "--B", "1e200"],
+        ],
+        ids=["spectrum", "witness-field", "esep-closed-form", "bound-sweep", "witness-search"],
+    )
+    def test_exits_2(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: the Hamiltonian's |coefficients| sum to ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_large_but_finite_scale_is_kept(self, capsys):
+        """J = B = T = 1e50 is the J = B = T = 1 problem in other units."""
+        base = ["measure", "--policy", "closed-form", "--shots", "1000", "--seed", "5"]
+        _, unit, _ = run(base + ["--J", "1", "--B", "1", "--T", "1"], capsys)
+        code, big, _ = run(base + ["--J", "1e50", "--B", "1e50", "--T", "1e50"], capsys)
+        assert code == 0
+        assert big.splitlines()[-2:] == unit.splitlines()[-2:]
+
+
+class TestScaleFreeTolerances:
+    """Scaling J, B, T and a fixed E_sep by one factor changes the unit, not the verdict."""
+
+    UNIT_INTERVAL = "bound_interval = [-0.4157305275, -0.2362694725] (z = 3)"
+    SCALES = pytest.mark.parametrize(
+        "s", [1e-13, 1e-10, 1.0, 1e10], ids=["1e-13", "1e-10", "1", "1e10"]
+    )
+
+    @SCALES
+    def test_levels_stay_apart(self, s, capsys):
+        code, out, _ = run(["spectrum", "--J", f"{s:g}"], capsys)
+        assert code == 0
+        assert out.splitlines()[-1] == f"levels: {-3 * s:g} (x1), {s:g} (x3)"
+
+    @SCALES
+    def test_separable_thermal_state_is_not_detected(self, s, capsys):
+        """T = 10 J is far above the PPT transition, so R_g = 0 and nothing may be detected."""
+        argv = [
+            "measure", "--J", f"{s:g}", "--B", "0", "--T", f"{10 * s:g}", "--state", "thermal",
+            "--policy", "closed-form", "--shots", "1000", "--seed", "1",
+        ]
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        assert out.splitlines()[-2:] == [self.UNIT_INTERVAL, "detected = false"]
+
+    @SCALES
+    def test_fixed_value_above_esep_is_refuted(self, s, capsys):
+        code, out, err = run(["witness", "--J", f"{s:g}", "--policy", f"fixed:{5 * s:g}"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: fixed esep {5 * s:g} is refuted: ")
+
+    @SCALES
+    def test_fixed_value_at_the_minimum_is_kept(self, s, capsys):
+        code, out, _ = run(["witness", "--J", f"{s:g}", "--policy", f"fixed:{-s:g}"], capsys)
+        assert code == 0
+        assert f"A = {2 * s:g}" in out
+
+    @SCALES
+    def test_closed_form_witness_exists(self, s, capsys):
+        code, out, _ = run(["witness", "--J", f"{s:g}", "--policy", "closed-form"], capsys)
+        assert code == 0
+        assert f"A = {2 * s:g}" in out
+
+
 class TestGridOutsideBoundSweep:
     """A B or T grid given to a one-point command is refused, not cut to its lowest point."""
 

@@ -15,6 +15,7 @@ from enwit import (
     eig,
     parse_pauli_terms,
 )
+from enwit.hamiltonians import MAX_COEFFICIENT_SUM
 
 from conftest import PAULI
 
@@ -187,6 +188,16 @@ class TestBuildPauli:
     def test_rejects_non_qubit_shape(self):
         with pytest.raises(ValueError):
             build_pauli(SystemShape([2, 3]), [PauliString(1.0, "XX")])
+
+    def test_refuses_coefficients_summing_past_the_limit(self):
+        """Past MAX_COEFFICIENT_SUM the sum may overflow to inf; it is refused, not built."""
+        shape = SystemShape([2, 2])
+        half = MAX_COEFFICIENT_SUM / 2
+        at_limit = build_pauli(shape, [PauliString(half, "XX"), PauliString(-half, "ZZ")])
+        assert np.abs(at_limit.entries).max() == half
+        for c in (MAX_COEFFICIENT_SUM, 1e308):
+            with pytest.raises(ValueError, match="sum to"):
+                build_pauli(shape, [PauliString(c, "XX"), PauliString(c, "ZZ")])
 
 
 class TestParsePauliTerms:

@@ -51,6 +51,11 @@ class TestHermitianOperator:
         with pytest.raises(ValueError):
             HermitianOperator(Q2, np.eye(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            op1([[bad, 0.0], [0.0, 1.0]])
+
     def test_entries_frozen(self):
         h = op1(PAULI["Z"])
         with pytest.raises(ValueError):
@@ -101,6 +106,14 @@ class TestEig:
         h = h_xxx(1.0, 0.5)
         assert eig(h) is eig(h)
         assert len(eigh_calls) == 1
+
+    @pytest.mark.parametrize("j", [1e-13, 1e-10, 1.0, 1e10])
+    def test_levels_of_a_scaled_spectrum(self, h_xxx, j):
+        """Below unit scale the merge tolerance shrinks with the spectrum, so the
+        singlet stays apart from the triplet at any J."""
+        values, counts = eig(h_xxx(j, 0.0)).levels()
+        assert counts.tolist() == [1, 3]
+        assert values == pytest.approx([-3.0 * j, j], rel=1e-12)
 
     def test_levels_merge_against_first_eigenvalue(self, near_degenerate):
         values, counts = eig(near_degenerate).levels()

@@ -16,7 +16,15 @@ from enwit import (
     esep_search,
     esep_seesaw,
 )
-from enwit.bloch import NEWTON_TOL, _bloch_derivatives, _states_to_bloch, bloch_search, pauli_terms
+from enwit.bloch import (
+    NEWTON_TOL,
+    _bloch_derivatives,
+    _riemannian,
+    _states_to_bloch,
+    _tangent_bases,
+    bloch_search,
+    pauli_terms,
+)
 from enwit.sep_energy import _block_operators, closed_form_ansatz_xxx
 
 from conftest import PAULI, ansatz_energy, full_vector, random_ansatz
@@ -257,6 +265,22 @@ class TestBlochSearch:
                     for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1))
                 )
                 assert np.abs(hess[:, i, a, j, b] - fd).max() < 1e-12
+
+    def test_reduced_hessian_against_one_contraction(self):
+        """The two-step contraction B^T H B equals the three-operand einsum it replaced."""
+        rng = np.random.default_rng(33)
+        rows, n = 5, 4
+        r = rng.standard_normal((rows, n, 3))
+        r /= np.linalg.norm(r, axis=-1, keepdims=True)
+        grad = rng.standard_normal((rows, n, 3))
+        hess = rng.standard_normal((rows, n, 3, n, 3))
+        bases = _tangent_bases(r)
+        _, h = _riemannian(r, grad, hess, bases)
+        ref = np.einsum("rixa,rixjy,rjyb->riajb", bases, hess, bases)
+        shift = np.einsum("rix,rix->ri", r, grad)
+        ref[:, range(n), :, range(n), :] -= shift.T[:, :, None, None] * np.eye(2)
+        ref = ref.reshape(rows, 2 * n, 2 * n)
+        assert np.abs(h - (ref + ref.transpose(0, 2, 1)) / 2.0).max() < 1e-13
 
     def test_saddle_is_not_certified(self, h_xxx):
         """Both spins down is a stationary point of s1.s2 + 1.5 (sz1 + sz2) that no
