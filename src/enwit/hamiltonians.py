@@ -104,8 +104,9 @@ def build_pauli(shape: SystemShape, terms: Sequence[PauliString]) -> HermitianOp
         raise ValueError("Pauli strings are defined on qubit registers only")
     scale = sum(abs(term.coefficient) for term in terms)
     if not scale <= MAX_COEFFICIENT_SUM:
-        limit = MAX_COEFFICIENT_SUM
-        raise ValueError(f"the Hamiltonian's |coefficients| sum to {scale:g}, above {limit:g}")
+        raise ValueError(
+            f"the Hamiltonian's |coefficients| sum to {scale:g}, above {MAX_COEFFICIENT_SUM:g}"
+        )
     n = shape.n_sites
     d = shape.total_dim
     h = np.zeros((d, d), dtype=np.complex128)

@@ -69,7 +69,7 @@ def ansatz_energy(h, ansatz):
 
 
 def random_ansatz(shape, part, rng):
-    """One restart's start: each block uniform on its complex unit sphere, as the search draws it."""
+    """A restart's start state: each block uniform on its complex unit sphere."""
     states = _draw_block_states(part.block_dims(shape), [rng])
     return ProductStateAnsatz(part, [s[0] for s in states])
 
