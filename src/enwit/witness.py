@@ -28,6 +28,8 @@ from .sep_energy import (
 from .thermal import energy_curve, ground_state
 
 DEGENERATE_NORMALIZER = 1e-12
+CONSERVATIVE_ESEP_TOL = 1e-9
+MEAN_RANGE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -35,7 +37,8 @@ class WitnessSpec:
     """All the numbers that define the normalized energy witness.
 
     ``conservative_esep`` is set when the supplied separability energy lies
-    below the ground energy, which makes the witness vacuous but still valid.
+    below the ground energy, by more than ``CONSERVATIVE_ESEP_TOL`` times the
+    largest |eigenvalue| of H; that makes the witness vacuous but still valid.
     """
 
     hamiltonian: HermitianOperator
@@ -66,8 +69,9 @@ def make_witness(h: HermitianOperator, esep_report: SepEnergyReport) -> WitnessS
     dec = eig(h)
     esep = float(esep_report.esep)
     a = max(dec.e_max - esep, esep - dec.e_min)
+    scale = max(-dec.e_min, dec.e_max)
     # relative to the spectral scale below unit scale, so scaling H down keeps its witness
-    if a <= DEGENERATE_NORMALIZER * min(1.0, max(-dec.e_min, dec.e_max)):
+    if a <= DEGENERATE_NORMALIZER * min(1.0, scale):
         raise ValueError("constant Hamiltonian: the energy witness does not exist")
     return WitnessSpec(
         hamiltonian=h,
@@ -75,14 +79,19 @@ def make_witness(h: HermitianOperator, esep_report: SepEnergyReport) -> WitnessS
         e_min=dec.e_min,
         e_max=dec.e_max,
         normalizer_a=a,
-        conservative_esep=esep < dec.e_min - 1e-9,
+        conservative_esep=esep < dec.e_min - CONSERVATIVE_ESEP_TOL * scale,
     )
 
 
 def _bound(w: WitnessSpec, mean_energy):
-    """(esep - <H>)/A for one mean energy or an array of them, each within the spectral range."""
+    """(esep - <H>)/A for one mean energy or an array of them, each within the spectral range.
+
+    The range is widened by ``MEAN_RANGE_TOL`` times the largest |eigenvalue|
+    of H, so the check does not depend on the energy unit.
+    """
     m = np.asarray(mean_energy, dtype=float)
-    outside = (m < w.e_min - 1e-6) | (m > w.e_max + 1e-6)
+    slack = MEAN_RANGE_TOL * max(-w.e_min, w.e_max)
+    outside = (m < w.e_min - slack) | (m > w.e_max + slack)
     if outside.any():
         raise ValueError(
             f"mean energy {m[outside][0]} lies outside the spectral range [{w.e_min}, {w.e_max}]"

@@ -193,11 +193,11 @@ def test_criterion_08_oracle_self_consistency():
         lam = np.linalg.svd(v.reshape(2, 2), compute_uv=False)
         cert = rg_exact_2q(DensityMatrix.pure(Q2, v))
         err = abs(rg_pure(lam) - cert.rg_value)
-        assert err <= 1e-4
+        assert err <= 1e-7
         worst = max(worst, err)
     print(
         "criterion 08 PASS: weak duality on every stage, rg = 0 iff PPT on 200 states, "
-        f"rg_pure vs SDP within {worst:.1e} on 50 pure states (tol 1e-4)"
+        f"rg_pure vs SDP within {worst:.1e} on 50 pure states (tol 1e-7)"
     )
 
 

@@ -865,6 +865,15 @@ class TestScaleFreeTolerances:
         assert f"A = {2 * s:g}" in out
 
     @SCALES
+    def test_esep_below_the_ground_energy_is_noted(self, s, capsys):
+        argv = ["witness", "--J", f"{s:g}", "--B", "0", "--policy", f"fixed:{-3.5 * s:g}"]
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        assert out.splitlines()[-1] == (
+            "note: esep lies below the ground energy; the witness detects nothing"
+        )
+
+    @SCALES
     def test_closed_form_witness_exists(self, s, capsys):
         code, out, _ = run(["witness", "--J", f"{s:g}", "--policy", "closed-form"], capsys)
         assert code == 0

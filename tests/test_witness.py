@@ -10,6 +10,7 @@ from enwit import (
     SystemShape,
     XXXParams,
     bound_sweep,
+    build_xxx,
     eig,
     esep_reference,
     esep_seesaw,
@@ -83,6 +84,18 @@ class TestRobustnessLowerBound:
         w = make_witness(h_xxx(), esep_reference(-1.0))
         with pytest.raises(ValueError):
             robustness_lower_bound(w, -3.5)
+
+    def test_rejects_out_of_range_mean_at_small_scale(self):
+        """A mean 1666 times below E_min at J = 1e-10 is refused as at J = 1."""
+        w = make_witness(build_xxx(XXXParams(1e-10)), esep_reference(-1e-10))
+        with pytest.raises(ValueError, match="outside the spectral range"):
+            robustness_lower_bound(w, -5e-7)
+
+    def test_accepts_mean_rounded_past_the_range_at_large_scale(self):
+        """At J = 1e10 one rounding step of E_min is 4e-6, beyond an absolute 1e-6 slack."""
+        w = make_witness(build_xxx(XXXParams(1e10)), esep_reference(-1e10))
+        e_min = np.nextafter(w.e_min, -np.inf)
+        assert robustness_lower_bound(w, e_min).bound == pytest.approx(1.0, rel=1e-12)
 
     def test_bound_capped_by_normalized_gap(self, h_xxx):
         h = h_xxx(1.0, 0.9)
