@@ -147,10 +147,11 @@ def rg_exact_2q(
 
     ``trace``, when given, collects one ``(mu, primal, dual)`` triple per
     iterate, the starting point included, so it holds the iteration count
-    plus one entries; mu is the gap over the 8 complementary eigenvalue
-    pairs.  Every iterate is feasible, so weak duality can be checked on
-    each.  Raises :class:`NumericalError` if the duality gap cannot be closed
-    below 1e-5.
+    plus one entries (and ``robustness.stages_per_solve`` in ``bench/``
+    counts iterations + 1); mu is the gap over the 8 complementary
+    eigenvalue pairs.  Every iterate is feasible, so weak duality can be
+    checked on each.  Raises :class:`NumericalError` if the duality gap
+    cannot be closed below 1e-5.
     """
     _require_two_qubits(rho)
     rho_mat = rho.entries
