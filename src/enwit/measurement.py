@@ -75,7 +75,11 @@ def measure_energy(
 def bound_with_confidence(w: WitnessSpec, est: EnergyEstimate, z: float) -> BoundInterval:
     """Robustness-bound interval at ``z`` standard errors around the estimate.
 
-    Detection is claimed only when the whole interval is positive.
+    Detection is claimed only when the whole interval is positive.  The
+    interval is a normal approximation, mean +- z * stderr, with no
+    guarantee at small shot counts: it collapses to a point when the
+    stderr is 0 (one shot, or all draws equal), so a single lucky draw from
+    a separable state can read as detected (ROADMAP item 2).
     """
     if not 0.0 <= z < math.inf:
         raise ValueError("z must be nonnegative and finite")

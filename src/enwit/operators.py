@@ -10,6 +10,13 @@ An operator's spectrum is computed once, on first use: ``eig(h)``
 diagonalizes ``h`` the first time it is called and hands back the same
 ``SpectralDecomposition`` on every later call.  Degenerate levels are merged
 by one rule, ``SpectralDecomposition.levels``.
+
+From dimension ``SECTOR_MIN_DIM`` up, spectra (and the positivity check of a
+``DensityMatrix``) are computed per exact sector: the matrix is split into
+the connected components of its exactly-nonzero entries, such as the
+magnetization sectors of an XXX chain, and equal-size sectors are solved in
+one stacked call, in real arithmetic when every imaginary part is exactly 0.
+Smaller matrices go to LAPACK whole.
 """
 
 from __future__ import annotations
@@ -29,6 +36,75 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
 LEVEL_TOL = 1e-9
+# Below this dimension a matrix goes to LAPACK whole.  Measured on XXX rings
+# with one BLAS thread, the sector eigh costs 180 us against 11 us for one
+# complex eigh at d = 4, 0.38 against 0.16 ms at d = 32, about the same
+# (0.6-0.8 ms) at d = 64, and a third of it at d = 128.
+SECTOR_MIN_DIM = 64
+
+
+def _sectors(a: np.ndarray) -> list[np.ndarray]:
+    """Index sets of the connected components of a Hermitian matrix's nonzero pattern.
+
+    A breadth-first search over boolean rows: the pattern is symmetric, and
+    no d x d integer array is made.
+    """
+    nz = a != 0
+    seen = np.zeros(len(a), dtype=bool)
+    comps = []
+    for start in range(len(a)):
+        if seen[start]:
+            continue
+        members = np.zeros(len(a), dtype=bool)
+        members[start] = True
+        frontier = [start]
+        while len(frontier):
+            new = nz[frontier].any(axis=0) & ~members
+            members |= new
+            frontier = np.flatnonzero(new)
+        seen |= members
+        comps.append(np.flatnonzero(members))
+    return comps
+
+
+def _solve(a: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    return np.linalg.eigh(a) if vectors else (np.linalg.eigvalsh(a), None)
+
+
+def _eigh_by_sectors(a: np.ndarray, vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+    """Ascending eigenvalues and complex eigenvector columns (``None`` without ``vectors``).
+
+    From ``SECTOR_MIN_DIM`` up, each connected component of the exact
+    nonzero pattern is solved alone, all components of one size in one
+    stacked call, in real arithmetic when no entry has an imaginary part.
+    """
+    if len(a) < SECTOR_MIN_DIM:
+        return _solve(a, vectors)
+    if not a.imag.any():
+        a = a.real
+    comps = _sectors(a)
+    if len(comps) == 1:  # one sector: solved in place, no copies in or out
+        vals, vecs = _solve(a, vectors)
+        return vals, None if vecs is None else vecs.astype(np.complex128, copy=False)
+    sizes = np.array([c.size for c in comps])
+    groups, solved = [], []
+    for size in np.unique(sizes):
+        idx = np.stack([comps[k] for k in np.flatnonzero(sizes == size)])
+        groups.append(idx)
+        solved.append(_solve(a[idx[:, :, None], idx[:, None, :]], vectors))
+    vals = np.concatenate([w.ravel() for w, _ in solved])
+    order = np.argsort(vals, kind="stable")
+    if not vectors:
+        return vals[order], None
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    vecs = np.zeros(a.shape, dtype=np.complex128)
+    offset = 0
+    for idx, (_, v) in zip(groups, solved):
+        cols = rank[offset : offset + idx.size].reshape(idx.shape)
+        vecs[idx[:, :, None], cols[:, None, :]] = v
+        offset += idx.size
+    return vals[order], vecs
 
 
 def _frozen_array(a: np.ndarray) -> np.ndarray:
@@ -98,7 +174,7 @@ class HermitianOperator:
         # cached_property writes the instance __dict__ directly, which the
         # frozen dataclass's __setattr__ guard does not see.
         try:
-            vals, vecs = np.linalg.eigh(self.entries)
+            vals, vecs = _eigh_by_sectors(self.entries)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"eigendecomposition did not converge: {exc}") from exc
         return SpectralDecomposition(_frozen_array(vals), _frozen_array(vecs))
@@ -114,7 +190,9 @@ class DensityMatrix:
         tr = self.op.trace()
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"density matrix trace {tr} is not 1 within {TRACE_TOL}")
-        lo = float(np.linalg.eigvalsh(self.op.entries)[0])
+        # A state built from sector eigenvectors is exactly zero between its
+        # sectors, so the sectors' smallest eigenvalue is the state's.
+        lo = float(_eigh_by_sectors(self.op.entries, vectors=False)[0][0])
         if lo < -PSD_TOL:
             raise ValueError(f"density matrix has negative eigenvalue {lo}")
 

@@ -9,6 +9,7 @@ from enwit import (
     XXXParams,
     build_xxx,
 )
+from enwit import operators
 from enwit.sep_energy import _draw_block_states
 from enwit.states import singlet as _singlet
 
@@ -111,14 +112,20 @@ def near_degenerate():
 
 
 @pytest.fixture
-def eigh_calls(monkeypatch):
-    """List that grows by one on every np.linalg.eigh call made during the test."""
+def spectrum_calls(monkeypatch):
+    """List that grows by one on every eigendecomposition of an operator made during the test.
+
+    One decomposition on the sector path makes one stacked ``eigh`` call per
+    distinct sector size, so this counts decompositions, not LAPACK calls;
+    the eigenvalue-only positivity check of a ``DensityMatrix`` is not counted.
+    """
     calls = []
-    real_eigh = np.linalg.eigh
+    real = operators._eigh_by_sectors
 
-    def counting_eigh(*args, **kwargs):
-        calls.append(1)
-        return real_eigh(*args, **kwargs)
+    def counting(a, vectors=True):
+        if vectors:
+            calls.append(len(a))
+        return real(a, vectors)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(operators, "_eigh_by_sectors", counting)
     return calls

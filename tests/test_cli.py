@@ -596,8 +596,28 @@ class TestMeasureCommand:
         assert code == 2
         assert "closed-form policy needs the xxx model" in err
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 2: the mean +- z*stderr interval collapses to a point after one shot",
+    )
+    def test_one_shot_does_not_detect_a_separable_state(self, capsys):
+        """T = 3.9 lies above 4/ln 3, where the two-site thermal state is separable."""
+        argv = [
+            "measure", "--J", "1", "--B", "0", "--state", "thermal", "--T", "3.9",
+            "--shots", "1", "--seed", "2", "--policy", "closed-form", "--z", "3",
+        ]
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        assert "detected = false" in out
+
+
+RING8 = ["--sites", "8", "--boundary", "periodic"]
+
 
 class TestOneSpectrumPerHamiltonian:
+    """Each Hamiltonian is diagonalized once, on the dense path (two sites) and
+    on the sector path (the eight-site ring, dimension 256)."""
+
     XXX = ["--model", "xxx", "--J", "1"]
 
     @pytest.mark.parametrize(
@@ -606,21 +626,23 @@ class TestOneSpectrumPerHamiltonian:
             ["spectrum", "--B", "0.5"],
             ["robustness", "--B", "0.5", "--T", "1", "--policy", "exact"],
             ["measure", "--B", "0.5", "--T", "1", "--shots", "100", "--policy", "exact"],
+            ["spectrum", "--B", "0.5"] + RING8,
+            ["measure", "--B", "0.5", "--T", "1", "--shots", "100", "--policy", "exact"] + RING8,
         ],
-        ids=["spectrum", "robustness", "measure"],
+        ids=["spectrum", "robustness", "measure", "spectrum-ring8", "measure-ring8"],
     )
-    def test_one_eigh_per_command(self, argv, eigh_calls, capsys):
+    def test_one_eigh_per_command(self, argv, spectrum_calls, capsys):
         assert run(argv + self.XXX, capsys)[0] == 0
-        assert len(eigh_calls) == 1
+        assert len(spectrum_calls) == 1
 
-    def test_one_eigh_per_sweep_field(self, tmp_path, eigh_calls, capsys):
+    def test_one_eigh_per_sweep_field(self, tmp_path, spectrum_calls, capsys):
         argv = [
             "bound-sweep", "--B-min", "0", "--B-max", "1", "--B-steps", "3",
             "--T-min", "0", "--T-max", "2", "--T-steps", "5",
             "--policy", "exact", "--out", str(tmp_path / "s.csv"),
         ]
         assert run(argv + self.XXX, capsys)[0] == 0
-        assert len(eigh_calls) == 3
+        assert len(spectrum_calls) == 3
 
 
 class TestConfigFile:

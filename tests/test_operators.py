@@ -4,12 +4,21 @@ import pytest
 from enwit import (
     DensityMatrix,
     HermitianOperator,
+    PauliString,
+    SpectralDecomposition,
     SystemShape,
+    XXXParams,
+    build_pauli,
+    build_xxx,
     eig,
     expectation,
+    gibbs,
+    ground_state,
+    parse_pauli_terms,
 )
 from enwit.errors import NumericalError
-from enwit.operators import _partial_transpose_entries
+from enwit.hamiltonians import _xxx_terms
+from enwit.operators import SECTOR_MIN_DIM, _partial_transpose_entries, _sectors
 from enwit.states import singlet
 
 from conftest import PAULI
@@ -102,10 +111,10 @@ class TestEig:
             assert np.abs(gram - np.eye(dim)).max() <= 1e-9
             assert np.all(np.diff(dec.eigenvalues) >= 0)
 
-    def test_spectrum_computed_once(self, h_xxx, eigh_calls):
+    def test_spectrum_computed_once(self, h_xxx, spectrum_calls):
         h = h_xxx(1.0, 0.5)
         assert eig(h) is eig(h)
-        assert len(eigh_calls) == 1
+        assert len(spectrum_calls) == 1
 
     @pytest.mark.parametrize("j", [1e-13, 1e-10, 1.0, 1e10])
     def test_levels_of_a_scaled_spectrum(self, h_xxx, j):
@@ -119,6 +128,118 @@ class TestEig:
         values, counts = eig(near_degenerate).levels()
         assert counts.tolist() == [2, 2, 1, 1]
         assert values.tolist() == [0.0, 1.0, 1.0 + 1.6e-9, 3.0]
+
+
+def _magnetization(n):
+    """Number of up spins of every computational basis state of n qubits."""
+    return np.array([bin(x).count("1") for x in range(2**n)])
+
+
+class TestSectorEigh:
+    """``eig`` on the sector path against one dense LAPACK ``eigh`` of the whole matrix."""
+
+    @staticmethod
+    def check(h, n_sectors):
+        assert h.dim >= SECTOR_MIN_DIM
+        assert len(_sectors(h.entries)) == n_sectors
+        # The reference and the residuals work in real arithmetic when H is
+        # real, as eig does: a complex eigh at n = 10 takes seconds.
+        real = not h.entries.imag.any()
+        a = h.entries.real if real else h.entries
+        ref_vals, ref_vecs = np.linalg.eigh(a)
+        dec = eig(h)
+        lam, v = dec.eigenvalues, dec.eigenvectors
+        assert v.dtype == np.complex128
+        if real:
+            assert not v.imag.any()
+            v = v.real
+        scale = np.abs(ref_vals).max()
+        assert np.abs(lam - ref_vals).max() <= 1e-12 * scale
+        assert np.abs(a @ v - v * lam).max() <= 1e-12 * scale
+        assert np.abs(v.conj().T @ v - np.eye(h.dim)).max() <= 1e-12
+        got, ref = dec.levels(), SpectralDecomposition(ref_vals, ref_vecs).levels()
+        assert got[1].tolist() == ref[1].tolist()
+        assert np.abs(got[0] - ref[0]).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("b", [0.0, 0.3, 1.0, 2.5])
+    @pytest.mark.parametrize("boundary", ["open", "periodic"])
+    @pytest.mark.parametrize("n", [6, 7, 8, 9, 10])
+    def test_xxx_chains(self, n, boundary, b):
+        """Real arithmetic, one sector per magnetization: n + 1 of them."""
+        self.check(build_xxx(XXXParams(1.0, b, n, boundary)), n + 1)
+
+    def test_complex_pauli_file(self):
+        """Odd-Y strings (a Dzyaloshinskii-Moriya term) make H complex; it keeps
+        the magnetization sectors."""
+        n = 6
+        lines = []
+        for i in range(n - 1):
+            pair = ["I"] * n
+            for a, b, c in [("X", "X", 1.0), ("Y", "Y", 1.0), ("Z", "Z", 0.7), ("X", "Y", 0.4), ("Y", "X", -0.4)]:
+                pair[i], pair[i + 1] = a, b
+                lines.append(f"{c} {''.join(pair)}")
+        lines.append("0.3 " + "Z" * n)
+        h = build_pauli(SystemShape([2] * n), parse_pauli_terms("\n".join(lines)))
+        assert h.entries.imag.any()
+        self.check(h, n + 1)
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_dense_random(self, complex_entries):
+        rng = np.random.default_rng(16)
+        g = rng.standard_normal((128, 128))
+        if complex_entries:
+            g = g + 1j * rng.standard_normal((128, 128))
+        self.check(HermitianOperator(SystemShape([2] * 7), g + g.conj().T), 1)
+
+    def test_entries_that_cancel_to_round_off_merge_the_sectors(self):
+        """0.1 + 0.2 - 0.3 leaves 5.6e-17 on every X_0 entry, which joins all
+        magnetization sectors into one."""
+        n = 6
+        flips = [PauliString(c, "X" + "I" * (n - 1)) for c in (0.1, 0.2, -0.3)]
+        h = build_pauli(SystemShape([2] * n), _xxx_terms(XXXParams(1.0, 0.3, n, "periodic")) + flips)
+        off = np.abs(h.entries[_magnetization(n)[:, None] != _magnetization(n)[None, :]])
+        assert 0.0 < off.max() < 1e-16
+        self.check(h, 1)
+
+    @pytest.mark.parametrize("boundary", ["open", "periodic"])
+    @pytest.mark.parametrize("b", [0.0, 0.3, 2.5])
+    def test_gibbs_and_ground_state_match_the_dense_path(self, b, boundary):
+        n = 8
+        h = build_xxx(XXXParams(1.0, b, n, boundary))
+        lam, v = np.linalg.eigh(h.entries)
+        w = np.exp(-(lam - lam[0]) / 0.7)
+        rho, _ = gibbs(h, 0.7)
+        assert np.abs(rho.entries - (v * (w / w.sum())) @ v.conj().T).max() <= 1e-12
+        k = int(SpectralDecomposition(lam, v).levels()[1][0])
+        assert np.abs(ground_state(h).entries - v[:, :k] @ v[:, :k].conj().T / k).max() <= 1e-12
+        # Zero between sectors, exactly: the positivity check per sector is exact.
+        m = _magnetization(n)
+        assert not rho.entries[m[:, None] != m[None, :]].any()
+
+    def test_degenerate_ground_level_across_sectors(self):
+        """An odd ring at B = 0 has a ground doublet per chirality, S = 1/2 spread
+        over the magnetization sectors 3 and 4; its projector matches the dense one."""
+        h = build_xxx(XXXParams(1.0, 0.0, 7, "periodic"))
+        lam, v = np.linalg.eigh(h.entries)
+        k = int(SpectralDecomposition(lam, v).levels()[1][0])
+        assert k > 1
+        assert np.abs(ground_state(h).entries - v[:, :k] @ v[:, :k].conj().T / k).max() <= 1e-12
+
+    def test_negative_eigenvalue_in_a_small_sector_is_refused(self):
+        """A 2x2 sector with eigenvalues 0.01 and -1e-6 beside a 62-dim positive
+        one, indices shuffled so the sectors are not contiguous."""
+        rng = np.random.default_rng(7)
+        g = rng.standard_normal((62, 62)) + 1j * rng.standard_normal((62, 62))
+        m = np.zeros((64, 64), dtype=np.complex128)
+        m[:62, :62] = g @ g.conj().T
+        m[:62, :62] *= (1.0 - 0.01 + 1e-6) / np.trace(m[:62, :62]).real
+        a, c = (0.01 - 1e-6) / 2, (0.01 + 1e-6) / 2
+        m[62:, 62:] = [[a, c], [c, a]]
+        perm = rng.permutation(64)
+        m = m[np.ix_(perm, perm)]
+        assert len(_sectors(m)) == 2
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            DensityMatrix.from_entries(SystemShape([2] * 6), m)
 
 
 class TestExpectation:
