@@ -83,7 +83,7 @@ def _eigh_by_sectors(a: np.ndarray, vectors: bool = True) -> tuple[np.ndarray, n
     if not a.imag.any():
         a = a.real
     comps = _sectors(a)
-    if len(comps) == 1:  # one sector: solved in place, no copies in or out
+    if len(comps) == 1:  # no block copy: at d = 4096 each is 268 MB
         vals, vecs = _solve(a, vectors)
         return vals, None if vecs is None else vecs.astype(np.complex128, copy=False)
     sizes = np.array([c.size for c in comps])
@@ -190,8 +190,9 @@ class DensityMatrix:
         tr = self.op.trace()
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"density matrix trace {tr} is not 1 within {TRACE_TOL}")
-        # A state built from sector eigenvectors is exactly zero between its
-        # sectors, so the sectors' smallest eigenvalue is the state's.
+        # The sectors of the state's own nonzero pattern hold all of its
+        # eigenvalues.  A state built from sector eigenvectors keeps exact
+        # zeros between them, so the split pays off on Gibbs states too.
         lo = float(_eigh_by_sectors(self.op.entries, vectors=False)[0][0])
         if lo < -PSD_TOL:
             raise ValueError(f"density matrix has negative eigenvalue {lo}")

@@ -226,18 +226,20 @@ class TestSectorEigh:
         assert np.abs(ground_state(h).entries - v[:, :k] @ v[:, :k].conj().T / k).max() <= 1e-12
 
     def test_negative_eigenvalue_in_a_small_sector_is_refused(self):
-        """A 2x2 sector with eigenvalues 0.01 and -1e-6 beside a 62-dim positive
-        one, indices shuffled so the sectors are not contiguous."""
+        """A 2x2 sector with eigenvalues 0.01 and -1e-6 between a 1x1 and a 61-dim
+        positive one, indices shuffled so the sectors are not contiguous."""
         rng = np.random.default_rng(7)
-        g = rng.standard_normal((62, 62)) + 1j * rng.standard_normal((62, 62))
+        g = rng.standard_normal((61, 61)) + 1j * rng.standard_normal((61, 61))
         m = np.zeros((64, 64), dtype=np.complex128)
-        m[:62, :62] = g @ g.conj().T
-        m[:62, :62] *= (1.0 - 0.01 + 1e-6) / np.trace(m[:62, :62]).real
+        m[:61, :61] = g @ g.conj().T
+        m[:61, :61] *= (1.0 - 0.015 + 1e-6) / np.trace(m[:61, :61]).real
         a, c = (0.01 - 1e-6) / 2, (0.01 + 1e-6) / 2
-        m[62:, 62:] = [[a, c], [c, a]]
+        m[61:63, 61:63] = [[a, c], [c, a]]
+        m[63, 63] = 0.005
         perm = rng.permutation(64)
         m = m[np.ix_(perm, perm)]
-        assert len(_sectors(m)) == 2
+        assert len(_sectors(m)) == 3
+        assert abs(np.trace(m).real - 1.0) < 1e-12
         with pytest.raises(ValueError, match="negative eigenvalue"):
             DensityMatrix.from_entries(SystemShape([2] * 6), m)
 
