@@ -8,8 +8,8 @@ from enwit import (
     SystemShape,
     XXXParams,
     build_xxx,
+    operators,
 )
-from enwit import operators
 from enwit.sep_energy import _draw_block_states
 from enwit.states import singlet as _singlet
 

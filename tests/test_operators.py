@@ -217,12 +217,13 @@ class TestSectorEigh:
         assert not rho.entries[m[:, None] != m[None, :]].any()
 
     def test_degenerate_ground_level_across_sectors(self):
-        """An odd ring at B = 0 has a ground doublet per chirality, S = 1/2 spread
-        over the magnetization sectors 3 and 4; its projector matches the dense one."""
+        """The 7-site ring at B = 0 has a four-fold ground level, two S = 1/2
+        doublets in the magnetization sectors 3 and 4; its projector matches
+        the dense one."""
         h = build_xxx(XXXParams(1.0, 0.0, 7, "periodic"))
         lam, v = np.linalg.eigh(h.entries)
         k = int(SpectralDecomposition(lam, v).levels()[1][0])
-        assert k > 1
+        assert k == 4
         assert np.abs(ground_state(h).entries - v[:, :k] @ v[:, :k].conj().T / k).max() <= 1e-12
 
     def test_negative_eigenvalue_in_a_small_sector_is_refused(self):
