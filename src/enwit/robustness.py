@@ -31,16 +31,25 @@ sigma = (gap_aff / gap)^3 and the second-order term of the predicted step.
 W moves by -dZ1 and Z2 by PT(-dZ1), so the dual constraints hold exactly.
 X and W take one common step, 0.98 of the largest that keeps all four
 blocks positive semidefinite, read off the smallest eigenvalue of A^-1 dA
-over the blocks A.  With one step length for both sides no solve of 12 750
-random pure, rank-2, rank-3 and full-rank states took more than 14
-iterations; separate primal and dual steps took up to 40.
+over the blocks A.  With A^-1 = M M^dagger by Cholesky, that matrix is
+similar to the Hermitian M^dagger dA M, so one ``eigvalsh`` on the stack
+gives it.  With one step length for both sides no solve of 12 750 random
+pure, rank-2, rank-3 and full-rank states took more than 14 iterations;
+separate primal and dual steps took up to 40.
+
+A state whose partial transpose passes the PPT test of
+:func:`is_entangled_2q` (smallest eigenvalue at least -1e-10) is separable,
+so it needs no iteration: X = W = 0 is feasible for both problems (to within
+the 1e-9 of the certificate check) and certifies R_g = 0 with gap 0.
 
 At this size the time is the per-call overhead of ``numpy.linalg`` on 4 x 4
-matrices.  An iteration makes one inverse of the (4, 4, 4) stack
-(X, S, Z1, Z2), two 16 x 16 solves and two stacked ``eigvals``.  A solve
-takes about 8 iterations to a gap of 1e-8, and one ``eigvalsh`` on a
-(4, 4, 4) stack checks the certificate: about 25 calls of ``inv``,
-``solve`` and ``eigvalsh``, and 16 of ``eigvals``, per solve.
+matrices.  An iteration makes one inverse and one Cholesky factorization of
+the (4, 4, 4) stack (X, S, Z1, Z2), two 16 x 16 solves and two stacked
+``eigvalsh``.  A solve takes one ``eigvalsh`` of PT(rho) for its start,
+about 8 iterations to a gap of 1e-8, and one ``eigvalsh`` on a (4, 4, 4)
+stack to check the certificate: 44 calls of ``numpy.linalg`` on the singlet
+and on a Hilbert-Schmidt random state (7 iterations each), and 2 on a PPT
+state.
 """
 
 from __future__ import annotations
@@ -120,22 +129,35 @@ def _operator(inv: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     return kron[0] + kron[1][_PT_PERM[:, None], _PT_PERM]
 
 
-def _direction(op, inv, blocks, target: float, second_order: np.ndarray) -> np.ndarray:
+def _direction(op, inv, blocks, target: float, second_order=None) -> np.ndarray:
     """Steps (dX, dS, dZ1, dZ2) toward X Z1 = S Z2 = target I.
 
     ``second_order`` holds sym(X^-1 dX dZ1) and sym(S^-1 dS dZ2) of the
-    predicted step, or zeros for the predictor itself.
+    predicted step; the predictor itself has none.
     """
-    rhs = target * (inv[0] + _pt(inv[1])) - _EYE - second_order[0] - _pt(second_order[1])
-    d = _sym(np.linalg.solve(op, rhs.reshape(16)).reshape(4, 4))
-    dz1 = _sym(target * inv[0] - blocks[2] - inv[0] @ d @ blocks[2] - second_order[0])
-    return np.stack([d, _pt(d), dz1, -_pt(dz1)])
+    rhs = target * (inv[0] + _pt(inv[1])) - _EYE
+    if second_order is not None:
+        rhs = rhs - second_order[0] - _pt(second_order[1])
+    steps = np.empty((4, 4, 4), dtype=np.complex128)
+    steps[0] = _sym(np.linalg.solve(op, rhs.reshape(16)).reshape(4, 4))
+    dz1 = target * inv[0] - blocks[2] - inv[0] @ steps[0] @ blocks[2]
+    if second_order is not None:
+        dz1 = dz1 - second_order[0]
+    steps[2] = _sym(dz1)
+    steps[1::2] = _pt(steps[0::2])  # dS = PT(dX), and PT(dZ1) before its sign
+    steps[3] *= -1.0
+    return steps
 
 
-def _step_length(inv: np.ndarray, delta: np.ndarray) -> float:
-    """The step, at most 1, that keeps every block positive definite."""
-    # A + a dA >= 0 exactly when 1 + a lambda >= 0 for the eigenvalues lambda of A^-1 dA
-    lowest = float(np.linalg.eigvals(inv @ delta).real.min())
+def _step_length(whitener: np.ndarray, delta: np.ndarray) -> float:
+    """The step, at most 1, that keeps every block positive definite.
+
+    ``whitener`` holds the Cholesky factors M of the blocks' inverses, A^-1 = M M^dagger.
+    """
+    # A + a dA >= 0 exactly when 1 + a lambda >= 0 for the eigenvalues lambda of
+    # A^-1 dA, which are those of the Hermitian M^dagger dA M
+    whitened = np.swapaxes(whitener, -1, -2).conj() @ delta @ whitener
+    lowest = float(np.linalg.eigvalsh(whitened)[:, 0].min())
     return _STEP_FRACTION / max(-lowest, _STEP_FRACTION)
 
 
@@ -150,37 +172,23 @@ def rg_exact_2q(
     plus one entries (and ``robustness.stages_per_solve`` in ``bench/``
     counts iterations + 1); mu is the gap over the 8 complementary
     eigenvalue pairs.  Every iterate is feasible, so weak duality can be
-    checked on each.  Raises :class:`NumericalError` if the duality gap
-    cannot be closed below 1e-5.
+    checked on each.  A state that passes the PPT test of
+    :func:`is_entangled_2q` is separable, and gets R_g = 0 from the exact
+    certificate X = W = 0 with gap 0 and the single entry (0, 0, 0).
+    Raises :class:`NumericalError` if the duality gap cannot be closed
+    below 1e-5.
     """
     _require_two_qubits(rho)
     rho_mat = rho.entries
     pt_rho = _pt(rho_mat)
-
-    x = (max(0.0, -float(np.linalg.eigvalsh(pt_rho)[0])) + 0.5) * _EYE
-    w = 0.5 * _EYE
-    for iteration in range(_ITERATION_CAP + 1):
-        primal = float(np.trace(x).real)
-        dual = -float(np.vdot(rho_mat, w).real)
-        gap = primal - dual
+    lowest = float(np.linalg.eigvalsh(pt_rho)[0])
+    if lowest >= -PPT_MARGIN_TOL:
+        x = w = np.zeros((4, 4), dtype=np.complex128)
+        primal = dual = gap = 0.0
         if trace is not None:
-            trace.append((gap / 8.0, primal, dual))
-        if gap <= _TARGET_GAP or iteration == _ITERATION_CAP:
-            break
-        blocks = np.stack([x, pt_rho + _pt(x), _EYE - w, _pt(w)])
-        try:
-            inv = _sym(np.linalg.inv(blocks))
-            op = _operator(inv, blocks)
-            predicted = _direction(op, inv, blocks, 0.0, np.zeros((2, 4, 4)))
-            trial = blocks + _step_length(inv, predicted) * predicted
-            gap_aff = float(np.vdot(trial[2:], trial[:2]).real)  # Tr(X Z1) + Tr(S Z2)
-            second_order = _sym(inv[:2] @ predicted[:2] @ predicted[2:])
-            delta = _direction(op, inv, blocks, (gap_aff / gap) ** 3 * gap / 8.0, second_order)
-            step = _step_length(inv, delta)
-        except np.linalg.LinAlgError:
-            break  # the last iterate is still feasible; its gap decides below
-        x = x + step * delta[0]
-        w = w - step * delta[2]
+            trace.append((0.0, primal, dual))
+    else:
+        x, w, primal, dual, gap = _path_following(rho_mat, pt_rho, lowest, trace)
 
     if gap > GAP_TOL:
         raise NumericalError(
@@ -195,6 +203,43 @@ def rg_exact_2q(
         dual_witness=HermitianOperator(shape, w),
         duality_gap=gap,
     )
+
+
+def _path_following(rho_mat, pt_rho, lowest: float, trace: Optional[list]):
+    """Iterates from X = (1/2 - lowest) I, W = I/2 until the gap is at most 1e-8.
+
+    Returns the last iterate's X, W, primal and dual values and gap.
+    """
+    x = (0.5 - lowest) * _EYE
+    w = 0.5 * _EYE
+    blocks = np.empty((4, 4, 4), dtype=np.complex128)
+    for iteration in range(_ITERATION_CAP + 1):
+        primal = float(np.trace(x).real)
+        dual = -float(np.vdot(rho_mat, w).real)
+        gap = primal - dual
+        if trace is not None:
+            trace.append((gap / 8.0, primal, dual))
+        if gap <= _TARGET_GAP or iteration == _ITERATION_CAP:
+            break
+        blocks[0] = x
+        blocks[1] = pt_rho + _pt(x)
+        blocks[2] = _EYE - w
+        blocks[3] = _pt(w)
+        try:
+            inv = _sym(np.linalg.inv(blocks))
+            whitener = np.linalg.cholesky(inv)
+            op = _operator(inv, blocks)
+            predicted = _direction(op, inv, blocks, 0.0)
+            trial = blocks + _step_length(whitener, predicted) * predicted
+            gap_aff = float(np.vdot(trial[2:], trial[:2]).real)  # Tr(X Z1) + Tr(S Z2)
+            second_order = _sym(inv[:2] @ predicted[:2] @ predicted[2:])
+            delta = _direction(op, inv, blocks, (gap_aff / gap) ** 3 * gap / 8.0, second_order)
+            step = _step_length(whitener, delta)
+        except np.linalg.LinAlgError:
+            break  # the last iterate is still feasible; its gap decides
+        x = x + step * delta[0]
+        w = w - step * delta[2]
+    return x, w, primal, dual, gap
 
 
 def _check_certificate(rho_mat: np.ndarray, xm: np.ndarray, w: np.ndarray) -> None:

@@ -486,6 +486,21 @@ class TestRobustnessCommand:
         rg = float(out.splitlines()[0].split("=")[1])
         assert rg <= 1e-5
 
+    def test_ppt_thermal_state_is_exactly_zero(self, capsys):
+        """Above T = 4/ln 3 the B = 0 thermal state is PPT: the zero certificate, gap 0."""
+        argv = [
+            "robustness", "--state", "thermal", "--model", "xxx",
+            "--J", "1", "--B", "0", "--T", "3.9", "--policy", "closed-form",
+        ]
+        code, out, err = run(argv, capsys)
+        assert code == 0
+        assert err == ""
+        assert out == (
+            "rg_value = 0.00000\n"
+            "duality_gap = 0.000e+00\n"
+            "energy_bound = -0.03647 (<= rg_value)\n"
+        )
+
     def test_bound_comparison_printed(self, capsys):
         argv = [
             "robustness", "--state", "thermal",

@@ -38,8 +38,8 @@ class TestExactRobustness:
 
     def test_product_state_is_free(self):
         cert = rg_exact_2q(product_state(0.7, 1.1, 2.0, 0.3))
-        assert cert.rg_value == pytest.approx(0.0, abs=1e-5)
-        assert cert.primal_mixing.trace() == pytest.approx(0.0, abs=1e-4)
+        assert cert.rg_value == 0.0
+        assert cert.primal_mixing.trace() == 0.0
 
     def test_thermal_state_beats_energy_bound(self, h_xxx):
         h = h_xxx()
@@ -192,7 +192,89 @@ def _random_pd(rng, dim=4):
 
 
 def _sym(m):
-    return (m + m.conj().T) / 2.0
+    return (m + np.swapaxes(m, -1, -2).conj()) / 2.0
+
+
+def _ppt_hs_states(count):
+    """Seeded Hilbert-Schmidt states whose partial transpose has no negative eigenvalue."""
+    from enwit.robustness import _pt
+
+    rng = np.random.default_rng(17)
+    states = []
+    while len(states) < count:
+        rho = random_dm(rng)
+        if np.linalg.eigvalsh(_pt(rho))[0] >= 0.0:
+            states.append(DensityMatrix.from_entries(Q2, rho))
+    return states
+
+
+_PPT_STATES = [
+    ("product_a", lambda: product_state(0.7, 1.1, 2.0, 0.3)),
+    ("product_b", lambda: product_state(0.0, 0.0, math.pi, 0.0)),
+    ("product_c", lambda: product_state(1.9, 4.0, 0.4, 5.5)),
+    ("maximally_mixed", lambda: DensityMatrix.from_entries(Q2, np.eye(4) / 4.0)),
+    ("werner_0", lambda: _werner(0.0)),
+    ("werner_0.2", lambda: _werner(0.2)),
+    ("werner_0.3", lambda: _werner(0.3)),
+    ("thermal_t3.9", lambda: _thermal(1.0, 0.0, 3.9)),
+    ("thermal_t4.0", lambda: _thermal(1.0, 0.0, 4.0)),
+] + [(f"hs_ppt{k}", lambda k=k: _ppt_hs_states(4)[k]) for k in range(4)]
+
+
+class TestZeroCertificate:
+    """Two-qubit PPT states are separable: X = W = 0 certifies R_g = 0 with gap 0."""
+
+    @pytest.mark.parametrize("make_rho", [m for _, m in _PPT_STATES], ids=[i for i, _ in _PPT_STATES])
+    def test_ppt_state_is_exactly_zero(self, make_rho):
+        rho = make_rho()
+        assert not is_entangled_2q(rho).entangled
+        trace = []
+        cert = rg_exact_2q(rho, trace=trace)
+        assert cert.rg_value == 0.0
+        assert cert.duality_gap == 0.0
+        assert not cert.primal_mixing.entries.any()
+        assert not cert.dual_witness.entries.any()
+        assert trace == [(0.0, 0.0, 0.0)]
+
+    def test_certificate_is_still_checked(self, monkeypatch):
+        import enwit.robustness as robustness
+
+        checked = []
+        monkeypatch.setattr(
+            robustness, "_check_certificate", lambda *args: checked.append(args)
+        )
+        rho = _werner(0.2)
+        rg_exact_2q(rho)
+        assert len(checked) == 1
+        rho_mat, x, w = checked[0]
+        assert np.array_equal(rho_mat, rho.entries)
+        assert not x.any() and not w.any()
+
+        def failing(*args):
+            raise NumericalError("certificate check failed: stub")
+
+        monkeypatch.setattr(robustness, "_check_certificate", failing)
+        with pytest.raises(NumericalError, match="stub"):
+            rg_exact_2q(rho)
+
+    @pytest.mark.parametrize(
+        "make_rho",
+        [lambda: _werner(1.0 / 3.0 + 1e-6)]
+        + [lambda t=t: _thermal(1.0, 0.0, t) for t in np.linspace(3.55, 3.64, 10)],
+        ids=["werner_edge"] + [f"thermal_t{t:.2f}" for t in np.linspace(3.55, 3.64, 10)],
+    )
+    def test_npt_state_past_the_edge_iterates(self, make_rho):
+        rho = make_rho()
+        assert is_entangled_2q(rho).entangled
+        trace = []
+        cert = rg_exact_2q(rho, trace=trace)
+        assert len(trace) > 1
+        assert 0.0 < cert.duality_gap <= 1e-8
+        assert cert.rg_value > 0.0
+
+    def test_werner_edge_value(self):
+        p = 1.0 / 3.0 + 1e-6
+        assert abs(rg_exact_2q(_werner(p)).rg_value - (3.0 * p - 1.0) / 2.0) <= 1e-8
 
 
 class TestNewtonOperator:
@@ -210,6 +292,51 @@ class TestNewtonOperator:
                 d = g + g.conj().T
                 direct = _sym(inv[0] @ d @ blocks[2]) + _pt(_sym(inv[1] @ _pt(d) @ blocks[3]))
                 assert np.abs(op @ d.reshape(16) - direct.reshape(16)).max() <= 1e-12
+
+
+class TestStepLength:
+    @staticmethod
+    def _reference(inv, delta):
+        """The step from the eigenvalues of the nonsymmetric A^-1 dA."""
+        lowest = np.linalg.eigvals(inv @ delta).real.min()
+        return 0.98 / max(-lowest, 0.98)
+
+    @staticmethod
+    def _stack(rng):
+        blocks = np.stack([_random_pd(rng) for _ in range(4)])
+        inv = _sym(np.linalg.inv(blocks))
+        return blocks, inv, np.linalg.cholesky(inv)
+
+    def test_matches_nonsymmetric_eigenvalues(self):
+        """Cholesky whitening gives the step of min Re eig(A^-1 dA), within 1e-12 relative."""
+        from enwit.robustness import _step_length
+
+        rng = np.random.default_rng(12)
+        steps = []
+        for _ in range(20):
+            blocks, inv, whitener = self._stack(rng)
+            for scale in (0.1, 1.0, 10.0, 100.0):
+                g = rng.standard_normal((4, 4, 4)) + 1j * rng.standard_normal((4, 4, 4))
+                delta = scale * (g + np.swapaxes(g, -1, -2).conj())
+                expected = self._reference(inv, delta)
+                step = _step_length(whitener, delta)
+                assert abs(step - expected) <= 1e-12 * expected
+                steps.append(step)
+        assert min(steps) < 0.1 and max(steps) == 1.0
+
+    def test_full_step_when_no_block_reaches_its_boundary(self):
+        """A positive semidefinite direction, or one that shrinks a block by under 98%, keeps the step 1."""
+        from enwit.robustness import _step_length
+
+        rng = np.random.default_rng(13)
+        for _ in range(10):
+            blocks, inv, whitener = self._stack(rng)
+            g = rng.standard_normal((4, 4, 4)) + 1j * rng.standard_normal((4, 4, 4))
+            growing = g @ np.swapaxes(g, -1, -2).conj()
+            shrinking = -0.9 * blocks
+            for delta in (growing, shrinking, growing + shrinking):
+                assert self._reference(inv, delta) == 1.0
+                assert _step_length(whitener, delta) == 1.0
 
 
 def _thermal(j, b, t):
@@ -247,25 +374,32 @@ class TestRgPin:
 
 
 class TestLinalgBudget:
-    # numpy.linalg calls per solve: singlet 37, seeded HS state 37 (7 iterations each)
+    # numpy.linalg calls per solve: singlet 44, seeded HS state 44 (7 iterations of one
+    # inv, one cholesky, two solve and two eigvalsh, plus the eigvalsh of PT(rho) and of
+    # the certificate check); I/4 2 (those two eigvalsh: PPT needs no iteration)
     @pytest.mark.parametrize(
-        "make_rho",
-        [singlet, lambda: rand_dm(np.random.default_rng(0))],
-        ids=["singlet", "hs_seed0"],
+        "make_rho, limit",
+        [
+            (singlet, 60),
+            (lambda: rand_dm(np.random.default_rng(0)), 60),
+            (lambda: DensityMatrix.from_entries(Q2, np.eye(4) / 4.0), 2),
+        ],
+        ids=["singlet", "hs_seed0", "maximally_mixed"],
     )
-    def test_calls_per_solve(self, make_rho, monkeypatch):
+    def test_calls_per_solve(self, make_rho, limit, monkeypatch):
         rho = make_rho()
         calls = []
         for name in ("cholesky", "inv", "solve", "eigvals", "eigvalsh", "eigh"):
             real = getattr(np.linalg, name)
 
-            def counting(*args, _real=real, **kwargs):
-                calls.append(1)
+            def counting(*args, _real=real, _name=name, **kwargs):
+                calls.append(_name)
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counting)
         rg_exact_2q(rho)
-        assert 0 < len(calls) <= 60
+        assert 0 < len(calls) <= limit
+        assert "eigvals" not in calls
 
 
 class TestPureClosedForm:
