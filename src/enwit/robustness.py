@@ -183,7 +183,7 @@ def rg_exact_2q(
     pt_rho = _pt(rho_mat)
     lowest = float(np.linalg.eigvalsh(pt_rho)[0])
     if lowest >= -PPT_MARGIN_TOL:
-        x = w = np.zeros((4, 4), dtype=np.complex128)
+        x, w = np.zeros((2, 4, 4), dtype=np.complex128)
         primal = dual = gap = 0.0
         if trace is not None:
             trace.append((0.0, primal, dual))
