@@ -3,6 +3,10 @@
 The model is a projective measurement in the energy eigenbasis: one shot
 draws one eigenvalue, with degenerate levels merged into eigenspace
 probabilities first.  Everything is deterministic given the seed.
+
+The probabilities <v_k|rho|v_k> are read sector by sector of
+``eig(h).sectors``, from the diagonal blocks rho[I, I] only.  That is exact
+for any rho, since each v_k is zero off its sector I.
 """
 
 from __future__ import annotations
@@ -45,9 +49,12 @@ def _eigenspace_distribution(
     h: HermitianOperator, rho: DensityMatrix
 ) -> tuple[np.ndarray, np.ndarray]:
     dec = eig(h)
-    v = dec.eigenvectors
-    # <v_k|rho|v_k> for every k: one GEMM, then a row-wise dot product.
-    diag = np.einsum("ki,ik->k", v.conj().T @ rho.entries, v).real
+    # <v_k|rho|v_k> for every k, sector by sector: v_k is zero off its
+    # sector I, so only rho[I, I] enters, whatever rho is between sectors.
+    diag = np.empty(dec.eigenvalues.size)
+    for block in dec.sectors:
+        v = block.vectors
+        diag[block.ranks] = np.einsum("mik,mik->mk", v.conj(), block.take(rho.entries) @ v).real
     levels, counts = dec.levels()
     pr = np.clip(np.add.reduceat(diag, np.cumsum(counts) - counts), 0.0, None)
     total = float(pr.sum())

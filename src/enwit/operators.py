@@ -16,7 +16,11 @@ From dimension ``SECTOR_MIN_DIM`` up, spectra (and the positivity check of a
 the connected components of its exactly-nonzero entries, such as the
 magnetization sectors of an XXX chain, and equal-size sectors are solved in
 one stacked call, in real arithmetic when every imaginary part is exactly 0.
-Smaller matrices go to LAPACK whole.
+Smaller matrices go to LAPACK whole.  The decomposition keeps the sectors:
+``SpectralDecomposition.sectors`` holds, per sector size, the sectors' basis
+indices, the ranks of their eigenvalues and their eigenvector blocks, so
+Gibbs states and level distributions are built block by block.  The dense
+eigenvector matrix is assembled only when ``eigenvectors`` is read.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -71,40 +75,69 @@ def _solve(a: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]
     return np.linalg.eigh(a) if vectors else (np.linalg.eigvalsh(a), None)
 
 
-def _eigh_by_sectors(a: np.ndarray, vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
-    """Ascending eigenvalues and complex eigenvector columns (``None`` without ``vectors``).
+def _take(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The diagonal blocks a[I, I] for the index rows I of ``rows``, stacked as (m, s, s)."""
+    if rows.shape == (1, len(a)):  # one block spans a: no d x d copy (268 MB at d = 4096)
+        return a[None]
+    return a[rows[:, :, None], rows[:, None, :]]
+
+
+class SectorBlock(NamedTuple):
+    """The ``m`` exact sectors of one size ``s`` and their eigenvectors.
+
+    Row j of ``rows`` lists the basis indices I of sector j, row j of
+    ``ranks`` the positions of its eigenvalues in the ascending spectrum,
+    and ``vectors[j]`` its eigenvector columns restricted to I (they are
+    zero off I).  The vectors are real when the matrix was.
+    """
+
+    rows: np.ndarray  # (m, s) int
+    ranks: np.ndarray  # (m, s) int
+    vectors: np.ndarray  # (m, s, s)
+
+    def take(self, a: np.ndarray) -> np.ndarray:
+        """The sectors' diagonal blocks a[I, I] of a d x d matrix, stacked as (m, s, s)."""
+        return _take(a, self.rows)
+
+    def put(self, out: np.ndarray, blocks: np.ndarray) -> None:
+        """Write stacked (m, s, s) blocks into out[I, I] of a d x d matrix."""
+        out[self.rows[:, :, None], self.rows[:, None, :]] = blocks
+
+
+def _eigh_by_sectors(
+    a: np.ndarray, vectors: bool = True
+) -> tuple[np.ndarray, tuple[SectorBlock, ...] | None]:
+    """Ascending eigenvalues and one ``SectorBlock`` per sector size (``None`` without ``vectors``).
 
     From ``SECTOR_MIN_DIM`` up, each connected component of the exact
     nonzero pattern is solved alone, all components of one size in one
     stacked call, in real arithmetic when no entry has an imaginary part.
+    A smaller matrix, or one with a single component, is one block.
     """
     if len(a) < SECTOR_MIN_DIM:
-        return _solve(a, vectors)
+        vals, v = _solve(a, vectors)
+        if v is None:
+            return vals, None
+        rows = _frozen_array(np.arange(len(a))[None])
+        return vals, (SectorBlock(rows, rows, _frozen_array(v[None])),)
     if not a.imag.any():
         a = a.real
     comps = _sectors(a)
-    if len(comps) == 1:  # no block copy: at d = 4096 each is 268 MB
-        vals, vecs = _solve(a, vectors)
-        return vals, None if vecs is None else vecs.astype(np.complex128, copy=False)
     sizes = np.array([c.size for c in comps])
-    groups, solved = [], []
-    for size in np.unique(sizes):
-        idx = np.stack([comps[k] for k in np.flatnonzero(sizes == size)])
-        groups.append(idx)
-        solved.append(_solve(a[idx[:, :, None], idx[:, None, :]], vectors))
+    groups = [np.stack([comps[k] for k in np.flatnonzero(sizes == s)]) for s in np.unique(sizes)]
+    solved = [_solve(_take(a, rows), vectors) for rows in groups]
     vals = np.concatenate([w.ravel() for w, _ in solved])
     order = np.argsort(vals, kind="stable")
     if not vectors:
         return vals[order], None
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
-    vecs = np.zeros(a.shape, dtype=np.complex128)
-    offset = 0
-    for idx, (_, v) in zip(groups, solved):
-        cols = rank[offset : offset + idx.size].reshape(idx.shape)
-        vecs[idx[:, :, None], cols[:, None, :]] = v
-        offset += idx.size
-    return vals[order], vecs
+    sectors, offset = [], 0
+    for rows, (_, v) in zip(groups, solved):
+        ranks = rank[offset : offset + rows.size].reshape(rows.shape)
+        sectors.append(SectorBlock(*map(_frozen_array, (rows, ranks, v))))
+        offset += rows.size
+    return vals[order], tuple(sectors)
 
 
 def _frozen_array(a: np.ndarray) -> np.ndarray:
@@ -174,10 +207,10 @@ class HermitianOperator:
         # cached_property writes the instance __dict__ directly, which the
         # frozen dataclass's __setattr__ guard does not see.
         try:
-            vals, vecs = _eigh_by_sectors(self.entries)
+            vals, sectors = _eigh_by_sectors(self.entries)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"eigendecomposition did not converge: {exc}") from exc
-        return SpectralDecomposition(_frozen_array(vals), _frozen_array(vecs))
+        return SpectralDecomposition._of_sectors(_frozen_array(vals), sectors)
 
 
 @dataclass(frozen=True)
@@ -219,12 +252,43 @@ class DensityMatrix:
         return DensityMatrix.from_entries(shape, np.outer(v, v.conj()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SpectralDecomposition:
-    """Ascending eigenvalues with orthonormal eigenvector columns."""
+    """Ascending eigenvalues with orthonormal eigenvectors, kept per exact sector.
+
+    ``sectors`` holds one ``SectorBlock`` per sector size; together they
+    cover every basis index and every eigenvalue once.  The dense
+    ``eigenvectors`` matrix is assembled from them on first access only.
+    ``SpectralDecomposition(eigenvalues, eigenvectors)`` is one block that
+    spans the whole space.
+    """
 
     eigenvalues: np.ndarray = field(repr=False)
-    eigenvectors: np.ndarray = field(repr=False)
+    sectors: tuple[SectorBlock, ...] = field(repr=False)
+
+    def __init__(self, eigenvalues: np.ndarray, eigenvectors: np.ndarray):
+        v = np.asarray(eigenvectors)
+        rows = np.arange(len(v))[None]
+        object.__setattr__(self, "eigenvalues", eigenvalues)
+        object.__setattr__(self, "sectors", (SectorBlock(rows, rows, v[None]),))
+        self.__dict__["eigenvectors"] = v
+
+    @classmethod
+    def _of_sectors(
+        cls, eigenvalues: np.ndarray, sectors: tuple[SectorBlock, ...]
+    ) -> "SpectralDecomposition":
+        dec = cls.__new__(cls)
+        object.__setattr__(dec, "eigenvalues", eigenvalues)
+        object.__setattr__(dec, "sectors", sectors)
+        return dec
+
+    @cached_property
+    def eigenvectors(self) -> np.ndarray:
+        """Complex eigenvector columns of the whole space, in eigenvalue order (d x d)."""
+        v = np.zeros((self.eigenvalues.size,) * 2, dtype=np.complex128)
+        for block in self.sectors:
+            v[block.rows[:, :, None], block.ranks[:, None, :]] = block.vectors
+        return _frozen_array(v)
 
     @property
     def e_min(self) -> float:
@@ -263,13 +327,21 @@ def eig(m: HermitianOperator) -> SpectralDecomposition:
 
 
 def expectation(m: HermitianOperator, rho: DensityMatrix) -> float:
-    """Tr(m rho) as a real number."""
+    """Tr(m rho) as a real number.
+
+    An imaginary part above 1e-10 times max(1, max |m_ij|) raises
+    :class:`~enwit.errors.NumericalError`.
+    """
     if m.shape.local_dims != rho.shape.local_dims:
         raise ValueError(
             f"shape mismatch: operator {m.shape.local_dims} vs state {rho.shape.local_dims}"
         )
     val = complex(np.einsum("ij,ji->", m.entries, rho.entries))
-    assert abs(val.imag) <= 1e-10, f"expectation acquired imaginary part {val.imag}"
+    # Round-off in the imaginary part grows with the entries of m; the
+    # d x d scale is read only past the unit-scale tolerance.
+    tol = 1e-10
+    if abs(val.imag) > tol and abs(val.imag) > tol * float(np.abs(m.entries).max()):
+        raise NumericalError(f"expectation acquired imaginary part {val.imag}")
     return float(val.real)
 
 

@@ -7,8 +7,10 @@ from enwit import (
     ProductStateAnsatz,
     SystemShape,
     XXXParams,
+    build_pauli,
     build_xxx,
     operators,
+    parse_pauli_terms,
 )
 from enwit.sep_energy import _draw_block_states
 from enwit.states import singlet as _singlet
@@ -91,6 +93,21 @@ def rg_pure(schmidt):
     if abs(float(np.sum(lam**2)) - 1.0) > 1e-10:
         raise ValueError("Schmidt coefficients must have unit square sum")
     return float(np.sum(lam)) ** 2 - 1.0
+
+
+def dm_chain(n):
+    """An open XXZ chain with a Dzyaloshinskii-Moriya term and a field along Z.
+
+    The odd-Y strings make H complex; it keeps the magnetization sectors.
+    """
+    lines = []
+    for i in range(n - 1):
+        pair = ["I"] * n
+        for a, b, c in [("X", "X", 1.0), ("Y", "Y", 1.0), ("Z", "Z", 0.7), ("X", "Y", 0.4), ("Y", "X", -0.4)]:
+            pair[i], pair[i + 1] = a, b
+            lines.append(f"{c} {''.join(pair)}")
+    lines.append("0.3 " + "Z" * n)
+    return build_pauli(SystemShape([2] * n), parse_pauli_terms("\n".join(lines)))
 
 
 @pytest.fixture

@@ -917,6 +917,20 @@ class TestScaleFreeTolerances:
         assert f"A = {2 * s:g}" in out
 
 
+    def test_exact_sweep_at_large_coupling(self, tmp_path, capsys):
+        """Round-off in <H>(T) grows with J; at J = 1000 it broke a fixed 1e-12
+        monotonicity tolerance, which scales with the spectrum now."""
+        out = tmp_path / "x.csv"
+        argv = [
+            "bound-sweep", "--J", "1000", "--sites", "6", "--boundary", "periodic",
+            "--policy", "exact", "--B-min", "300", "--B-max", "300", "--B-steps", "1",
+            "--T-min", "10", "--T-max", "4000", "--T-steps", "400", "--out", str(out),
+        ]
+        code, stdout, err = run(argv, capsys)
+        assert (code, err) == (0, "")
+        assert stdout == f"wrote {out} (400 rows)\n"
+
+
 class TestGridOutsideBoundSweep:
     """A B or T grid given to a one-point command is refused, not cut to its lowest point."""
 
@@ -996,6 +1010,24 @@ class TestNumericalFailureExitCode:
         code, _, err = run(["robustness", "--state", "singlet"], capsys)
         assert code == 3
         assert "numerical failure" in err
+
+
+    def test_falling_mean_energy_maps_to_exit_3(self, tmp_path, capsys, monkeypatch):
+        from enwit import thermal
+
+        real = thermal._thermal_table
+
+        def reversed_means(dec, temps):
+            probs, points = real(dec, temps)
+            points.mean_energy[:] = points.mean_energy[::-1].copy()
+            return probs, points
+
+        monkeypatch.setattr(thermal, "_thermal_table", reversed_means)
+        argv = ["bound-sweep", "--J", "1", "--T-min", "0.5", "--T-max", "2", "--T-steps", "3",
+                "--out", str(tmp_path / "s.csv")]
+        code, _, err = run(argv, capsys)
+        assert code == 3
+        assert err.startswith("numerical failure: mean energy falls by ")
 
 
 def unit_in_last_digit(printed: str) -> float:

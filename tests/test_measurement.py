@@ -18,7 +18,7 @@ from enwit import (
 from enwit.measurement import _eigenspace_distribution
 from enwit.states import singlet
 
-from conftest import random_dm
+from conftest import dm_chain, random_dm, random_pure_state
 
 
 def reference_distribution(h, rho):
@@ -31,12 +31,37 @@ def reference_distribution(h, rho):
 
 
 class TestEigenspaceDistribution:
-    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("n", range(2, 9))
     def test_matches_einsum_on_random_states(self, n):
+        """Full-rank random states, every entry nonzero: from n = 6 up they cross
+        the magnetization sectors that the distribution is read from."""
         rng = np.random.default_rng(40 + n)
         h = build_xxx(XXXParams(1.0, float(rng.uniform(-2, 2)), n, "periodic"))
         for _ in range(3):
             rho = DensityMatrix.from_entries(h.shape, random_dm(rng, 2**n))
+            levels, probs = _eigenspace_distribution(h, rho)
+            ref_levels, ref_probs = reference_distribution(h, rho)
+            assert np.array_equal(levels, ref_levels)
+            assert np.abs(probs - ref_probs).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_matches_einsum_on_a_pure_state(self, n):
+        rng = np.random.default_rng(50 + n)
+        h = build_xxx(XXXParams(1.0, 0.3, n, "periodic"))
+        rho = DensityMatrix.pure(h.shape, random_pure_state(rng, 2**n))
+        levels, probs = _eigenspace_distribution(h, rho)
+        ref_levels, ref_probs = reference_distribution(h, rho)
+        assert np.array_equal(levels, ref_levels)
+        assert np.abs(probs - ref_probs).max() <= 1e-12
+
+    def test_matches_einsum_on_a_complex_hamiltonian(self):
+        """Complex sector eigenvectors (n = 6 with a Dzyaloshinskii-Moriya term)."""
+        rng = np.random.default_rng(56)
+        h = dm_chain(6)
+        for rho in (
+            DensityMatrix.from_entries(h.shape, random_dm(rng, 64)),
+            DensityMatrix.pure(h.shape, random_pure_state(rng, 64)),
+        ):
             levels, probs = _eigenspace_distribution(h, rho)
             ref_levels, ref_probs = reference_distribution(h, rho)
             assert np.array_equal(levels, ref_levels)

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -11,17 +13,20 @@ from enwit import (
     build_pauli,
     build_xxx,
     eig,
+    esep_reference,
     expectation,
     gibbs,
     ground_state,
-    parse_pauli_terms,
+    make_witness,
+    measure_energy,
+    thermal,
 )
 from enwit.errors import NumericalError
 from enwit.hamiltonians import _xxx_terms
 from enwit.operators import SECTOR_MIN_DIM, _partial_transpose_entries, _sectors
 from enwit.states import singlet
 
-from conftest import PAULI
+from conftest import PAULI, dm_chain, random_dm
 
 Q1 = SystemShape([2])
 Q2 = SystemShape([2, 2])
@@ -172,14 +177,7 @@ class TestSectorEigh:
         """Odd-Y strings (a Dzyaloshinskii-Moriya term) make H complex; it keeps
         the magnetization sectors."""
         n = 6
-        lines = []
-        for i in range(n - 1):
-            pair = ["I"] * n
-            for a, b, c in [("X", "X", 1.0), ("Y", "Y", 1.0), ("Z", "Z", 0.7), ("X", "Y", 0.4), ("Y", "X", -0.4)]:
-                pair[i], pair[i + 1] = a, b
-                lines.append(f"{c} {''.join(pair)}")
-        lines.append("0.3 " + "Z" * n)
-        h = build_pauli(SystemShape([2] * n), parse_pauli_terms("\n".join(lines)))
+        h = dm_chain(n)
         assert h.entries.imag.any()
         self.check(h, n + 1)
 
@@ -211,10 +209,12 @@ class TestSectorEigh:
         rho, _ = gibbs(h, 0.7)
         assert np.abs(rho.entries - (v * (w / w.sum())) @ v.conj().T).max() <= 1e-12
         k = int(SpectralDecomposition(lam, v).levels()[1][0])
-        assert np.abs(ground_state(h).entries - v[:, :k] @ v[:, :k].conj().T / k).max() <= 1e-12
+        rho0 = ground_state(h)
+        assert np.abs(rho0.entries - v[:, :k] @ v[:, :k].conj().T / k).max() <= 1e-12
         # Zero between sectors, exactly: the positivity check per sector is exact.
         m = _magnetization(n)
         assert not rho.entries[m[:, None] != m[None, :]].any()
+        assert not rho0.entries[m[:, None] != m[None, :]].any()
 
     def test_degenerate_ground_level_across_sectors(self):
         """The 7-site ring at B = 0 has a four-fold ground level, two S = 1/2
@@ -245,6 +245,76 @@ class TestSectorEigh:
             DensityMatrix.from_entries(SystemShape([2] * 6), m)
 
 
+def _ring(n, b=0.3):
+    return build_xxx(XXXParams(1.0, b, n, "periodic"))
+
+
+class TestSectorBlocks:
+    """The decomposition kept per sector, and the consumers that read it block by block."""
+
+    @pytest.mark.parametrize("n", [2, 6, 8])
+    def test_blocks_partition_rows_and_ranks(self, n):
+        """Every basis index and every eigenvalue rank lies in exactly one sector,
+        and each block holds the sector's eigenvectors of the sector's eigenvalues."""
+        h = _ring(n)
+        dec = eig(h)
+        rows = np.concatenate([b.rows.ravel() for b in dec.sectors])
+        ranks = np.concatenate([b.ranks.ravel() for b in dec.sectors])
+        assert np.array_equal(np.sort(rows), np.arange(h.dim))
+        assert np.array_equal(np.sort(ranks), np.arange(h.dim))
+        scale = np.abs(dec.eigenvalues).max()
+        for b in dec.sectors:
+            av = b.take(h.entries) @ b.vectors
+            assert np.abs(av - b.vectors * dec.eigenvalues[b.ranks][:, None, :]).max() <= 1e-12 * scale
+        expected = 1 if n < 6 else n + 1
+        assert sum(len(b.rows) for b in dec.sectors) == expected
+
+    def test_sector_vectors_are_real_for_a_real_matrix(self):
+        dec = eig(_ring(8))
+        assert all(b.vectors.dtype == np.float64 for b in dec.sectors)
+        assert eig(_ring(8)).eigenvectors.dtype == np.complex128
+
+    def test_pipeline_never_builds_the_dense_eigenvectors(self):
+        """gibbs, ground_state, measure_energy and make_witness at n = 8 read the
+        sector blocks only; the d x d eigenvector matrix is made on first access."""
+        h = _ring(8)
+        rho, _ = gibbs(h, 1.0)
+        measure_energy(h, rho, shots=1000, seed=0)
+        measure_energy(h, ground_state(h), shots=10, seed=0)
+        make_witness(h, esep_reference(-6.0))
+        dec = eig(h)
+        assert "eigenvectors" not in dec.__dict__
+        v = dec.eigenvectors
+        assert dec.__dict__["eigenvectors"] is v
+        assert dec.eigenvectors is v
+
+    def test_one_decomposition_for_the_pipeline(self, spectrum_calls):
+        h = _ring(8)
+        rho, _ = gibbs(h, 1.0)
+        measure_energy(h, rho, shots=1000, seed=0)
+        ground_state(h)
+        make_witness(h, esep_reference(-6.0))
+        assert spectrum_calls == [h.dim]
+
+    @pytest.mark.parametrize("n", [2, 8])
+    def test_directly_constructed_decomposition_is_one_block(self, n, monkeypatch):
+        """SpectralDecomposition(lam, v) keeps v as its eigenvectors, is one block,
+        and gives the Gibbs and ground states of the dense formulas."""
+        h = _ring(n)
+        lam, v = np.linalg.eigh(h.entries)
+        dec = SpectralDecomposition(lam, v)
+        assert dec.eigenvectors is v
+        (block,) = dec.sectors
+        assert np.array_equal(block.rows, np.arange(h.dim)[None])
+        assert np.array_equal(block.ranks, np.arange(h.dim)[None])
+        monkeypatch.setattr(thermal, "eig", lambda _: dec)
+        w = np.exp(-(lam - lam[0]) / 0.7)
+        rho, _ = gibbs(h, 0.7)
+        assert np.abs(rho.entries - (v * (w / w.sum())) @ v.conj().T).max() <= 1e-12
+        k = int(dec.levels()[1][0])
+        assert np.abs(ground_state(h).entries - v[:, :k] @ v[:, :k].conj().T / k).max() <= 1e-12
+
+
 class TestExpectation:
     def test_identity_gives_one(self, random_two_qubit_dm):
         rng = np.random.default_rng(0)
@@ -261,6 +331,23 @@ class TestExpectation:
     def test_shape_mismatch(self, singlet):
         with pytest.raises(ValueError):
             expectation(op1(PAULI["Z"]), singlet)
+
+    @pytest.mark.parametrize("j", [1e-13, 1.0, 1e3, 1e6, 1e8], ids=["1e-13", "1", "1e3", "1e6", "1e8"])
+    def test_imaginary_check_scales_with_the_operator(self, j):
+        """Round-off leaves up to 2.3e-9 of imaginary part at J = 1e8 on the 4-site
+        ring and valid random states; the check scales with max |H_ij|."""
+        h = build_xxx(XXXParams(j, 0.3 * j, 4, "periodic"))
+        unit = build_xxx(XXXParams(1.0, 0.3, 4, "periodic"))
+        rng = np.random.default_rng(19)
+        for _ in range(50):
+            rho = DensityMatrix.from_entries(h.shape, random_dm(rng, 16))
+            assert expectation(h, rho) / j == pytest.approx(expectation(unit, rho), abs=1e-12)
+
+    def test_imaginary_part_raises_numerical_error(self):
+        """A non-Hermitian stand-in for the state gives Tr(I rho) = 1 + 4e-3 i."""
+        rho = SimpleNamespace(shape=Q2, entries=np.eye(4) / 4 + 1e-3j * np.eye(4))
+        with pytest.raises(NumericalError, match="imaginary part"):
+            expectation(HermitianOperator(Q2, np.eye(4)), rho)
 
     def test_lies_in_spectral_range(self, h_xxx, random_two_qubit_dm):
         rng = np.random.default_rng(3)

@@ -9,12 +9,16 @@ from enwit import (
     HermitianOperator,
     SystemShape,
     ThermalPoint,
+    XXXParams,
+    build_xxx,
     eig,
     energy_curve,
     expectation,
     gibbs,
     ground_state,
+    thermal,
 )
+from enwit.errors import NumericalError
 from enwit.states import singlet
 
 from conftest import PAULI
@@ -153,6 +157,28 @@ class TestEnergyCurve:
         hi = energy_curve(h, [1e9])[0].mean_energy
         assert lo == pytest.approx(eig(h).e_min, abs=1e-6)
         assert hi == pytest.approx(h.trace() / 4.0, abs=1e-6)
+
+    @pytest.mark.parametrize("j", [1e-13, 1.0, 1e3, 1e6, 1e8], ids=["1e-13", "1", "1e3", "1e6", "1e8"])
+    def test_monotonicity_check_scales_with_the_spectrum(self, j):
+        """The 6-site ring at B = 0.3 J over T = 0.01-4 J: round-off in <H> grows
+        with J (a fixed 1e-12 tolerance failed at J = 1e3 and 1e6), and the check
+        with it, so each J gives the unit curve scaled by J."""
+        temps = np.linspace(0.01, 4.0, 400)
+        unit = energy_curve(build_xxx(XXXParams(1.0, 0.3, 6, "periodic")), temps)
+        pts = energy_curve(build_xxx(XXXParams(j, 0.3 * j, 6, "periodic")), j * temps)
+        assert np.abs(pts.mean_energy / j - unit.mean_energy).max() <= 1e-12
+
+    def test_falling_mean_energy_raises_numerical_error(self, h_xxx, monkeypatch):
+        real = thermal._thermal_table
+
+        def reversed_means(dec, temps):
+            probs, points = real(dec, temps)
+            points.mean_energy[:] = points.mean_energy[::-1].copy()
+            return probs, points
+
+        monkeypatch.setattr(thermal, "_thermal_table", reversed_means)
+        with pytest.raises(NumericalError, match="mean energy falls"):
+            energy_curve(h_xxx(), [0.5, 1.0, 2.0])
 
     def test_thermal_states_valid_density_matrices(self, h_xxx):
         h = h_xxx(1.0, 1.3)
