@@ -49,8 +49,7 @@ def _eigenspace_distribution(
     h: HermitianOperator, rho: DensityMatrix
 ) -> tuple[np.ndarray, np.ndarray]:
     dec = eig(h)
-    # <v_k|rho|v_k> for every k, sector by sector: v_k is zero off its
-    # sector I, so only rho[I, I] enters, whatever rho is between sectors.
+    # v_k is zero off its sector I, so <v_k|rho|v_k> needs rho[I, I] only.
     diag = np.empty(dec.eigenvalues.size)
     for block in dec.sectors:
         v = block.vectors

@@ -61,11 +61,7 @@ def _thermal_table(dec: SpectralDecomposition, temps: np.ndarray) -> tuple[np.nd
 
 
 def _mixture(h: HermitianOperator, dec: SpectralDecomposition, p: np.ndarray) -> DensityMatrix:
-    """The state sum_k p_k |v_k><v_k|, one stacked product per sector size.
-
-    Each sector's block V diag(p) V^dagger is written into a zero matrix,
-    so the state is exactly zero between sectors.
-    """
+    """The state sum_k p_k |v_k><v_k|, written sector by sector into a zero matrix."""
     rho = np.zeros((h.dim, h.dim), dtype=np.complex128)
     for block in dec.sectors:
         v = block.vectors

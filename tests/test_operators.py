@@ -245,18 +245,14 @@ class TestSectorEigh:
             DensityMatrix.from_entries(SystemShape([2] * 6), m)
 
 
-def _ring(n, b=0.3):
-    return build_xxx(XXXParams(1.0, b, n, "periodic"))
-
-
 class TestSectorBlocks:
     """The decomposition kept per sector, and the consumers that read it block by block."""
 
     @pytest.mark.parametrize("n", [2, 6, 8])
-    def test_blocks_partition_rows_and_ranks(self, n):
+    def test_blocks_partition_rows_and_ranks(self, n, h_xxx):
         """Every basis index and every eigenvalue rank lies in exactly one sector,
         and each block holds the sector's eigenvectors of the sector's eigenvalues."""
-        h = _ring(n)
+        h = h_xxx(1.0, 0.3, n, "periodic")
         dec = eig(h)
         rows = np.concatenate([b.rows.ravel() for b in dec.sectors])
         ranks = np.concatenate([b.ranks.ravel() for b in dec.sectors])
@@ -269,38 +265,32 @@ class TestSectorBlocks:
         expected = 1 if n < 6 else n + 1
         assert sum(len(b.rows) for b in dec.sectors) == expected
 
-    def test_sector_vectors_are_real_for_a_real_matrix(self):
-        dec = eig(_ring(8))
+    def test_sector_vectors_are_real_for_a_real_matrix(self, h_xxx):
+        dec = eig(h_xxx(1.0, 0.3, 8, "periodic"))
         assert all(b.vectors.dtype == np.float64 for b in dec.sectors)
-        assert eig(_ring(8)).eigenvectors.dtype == np.complex128
+        assert dec.eigenvectors.dtype == np.complex128
 
-    def test_pipeline_never_builds_the_dense_eigenvectors(self):
-        """gibbs, ground_state, measure_energy and make_witness at n = 8 read the
-        sector blocks only; the d x d eigenvector matrix is made on first access."""
-        h = _ring(8)
+    def test_pipeline_never_builds_the_dense_eigenvectors(self, h_xxx, spectrum_calls):
+        """gibbs, ground_state, measure_energy and make_witness at n = 8 share one
+        decomposition and read its sector blocks only; the d x d eigenvector
+        matrix is made on first access."""
+        h = h_xxx(1.0, 0.3, 8, "periodic")
         rho, _ = gibbs(h, 1.0)
         measure_energy(h, rho, shots=1000, seed=0)
         measure_energy(h, ground_state(h), shots=10, seed=0)
         make_witness(h, esep_reference(-6.0))
+        assert spectrum_calls == [h.dim]
         dec = eig(h)
         assert "eigenvectors" not in dec.__dict__
         v = dec.eigenvectors
         assert dec.__dict__["eigenvectors"] is v
         assert dec.eigenvectors is v
 
-    def test_one_decomposition_for_the_pipeline(self, spectrum_calls):
-        h = _ring(8)
-        rho, _ = gibbs(h, 1.0)
-        measure_energy(h, rho, shots=1000, seed=0)
-        ground_state(h)
-        make_witness(h, esep_reference(-6.0))
-        assert spectrum_calls == [h.dim]
-
     @pytest.mark.parametrize("n", [2, 8])
-    def test_directly_constructed_decomposition_is_one_block(self, n, monkeypatch):
+    def test_directly_constructed_decomposition_is_one_block(self, n, h_xxx, monkeypatch):
         """SpectralDecomposition(lam, v) keeps v as its eigenvectors, is one block,
         and gives the Gibbs and ground states of the dense formulas."""
-        h = _ring(n)
+        h = h_xxx(1.0, 0.3, n, "periodic")
         lam, v = np.linalg.eigh(h.entries)
         dec = SpectralDecomposition(lam, v)
         assert dec.eigenvectors is v
