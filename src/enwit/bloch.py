@@ -9,15 +9,16 @@ the gradient and Hessian follow from the strings in O(terms), and
 saddle-free Riemannian Newton steps (Absil, Mahony & Sepulchre,
 *Optimization Algorithms on Matrix Manifolds*, 2008).
 
-:func:`enwit.sep_energy.esep_search` runs this search, for a list of
-Hamiltonians at once, when every block is one qubit, and imports this module
-on first use, so code that never searches does not load it.
+:func:`enwit.sep_energy.esep_search` runs this search for a list of
+Hamiltonians at once, reports the energies it returns, and imports this
+module on first use, so code that never searches does not load it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .errors import NumericalError
 from .operators import HermitianOperator
 
 MEAN_FIELD_SWEEPS = 20
@@ -177,7 +178,7 @@ def _riemannian(
 
 def bloch_search(
     hs: list[HermitianOperator], sites: list[int], starts: list[np.ndarray]
-) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Minimize the energy over one qubit state per site, for a stack of starts.
 
     ``starts[b]`` holds the start states of site ``sites[b]``: the rows of
@@ -186,9 +187,10 @@ def bloch_search(
     where a string is absent) and the tolerance and round-off slack of that
     Hamiltonian's sum of |c_k|, so it runs as in a search of its Hamiltonian
     alone.  Returns the final states in the same layout, and per row the
-    Riemannian gradient norm, the smallest reduced-Hessian eigenvalue and
-    whether both are within the tolerance (a second-order certificate of a
-    local minimum).
+    final energy (the multilinear sum over the strings), the Riemannian
+    gradient norm, the smallest reduced-Hessian eigenvalue and whether both
+    are within the tolerance (a second-order certificate of a local minimum).
+    An energy that rises beyond round-off raises ``NumericalError``.
     """
     n = hs[0].shape.n_sites
     letters, table = pauli_terms(hs)
@@ -218,7 +220,8 @@ def bloch_search(
             r[turn, i] = -g[turn] / norm[turn, None]
             f[i + 1] = v[:, i, letters[:, i]].T
         new = f.prod(axis=0).sum(axis=0)
-        assert (new <= energy + slack).all(), "seesaw energy increased"
+        if not (new <= energy + slack).all():
+            raise NumericalError("a mean-field sweep raised the product-state energy")
         sweeping = (energy - new > slack).reshape(len(hs), -1).any(axis=1)[owner]
         energy = new
         if not sweeping.any():
@@ -256,7 +259,8 @@ def bloch_search(
             trial[..., 1:] /= np.linalg.norm(trial[..., 1:], axis=-1, keepdims=True)
             e_trial = _bloch_energy(trial, letters, coeffs[:, at])
             ok = e_trial <= e[pending] + _ARMIJO * t * slope[pending] + slack[at]
-            assert (e_trial[ok] <= e[pending[ok]] + slack[at[ok]]).all(), "seesaw energy increased"
+            if not (e_trial[ok] <= e[pending[ok]] + slack[at[ok]]).all():
+                raise NumericalError("a Newton step raised the product-state energy")
             v[at[ok]] = trial[ok]
             pending = pending[~ok]
             if pending.size == 0:
@@ -269,4 +273,5 @@ def bloch_search(
             break
     hmin = np.linalg.eigvalsh(red)[:, 0]
     converged = (gnorm <= tol) & (hmin >= -tol)
-    return [_bloch_to_states(r[:, site]) for site in sites], gnorm, hmin, converged
+    energy = _bloch_energy(v, letters, coeffs)
+    return [_bloch_to_states(r[:, site]) for site in sites], energy, gnorm, hmin, converged

@@ -5,13 +5,13 @@ separable set is attained at a pure product state, so pure-state
 minimization is all that is needed.  Two routes are provided:
 
 * :func:`esep_seesaw` (:func:`esep_search` for several H) -- local search with
-  random restarts (the workhorse): Riemannian Newton on Bloch vectors when
-  every block is one qubit, alternating block minimization otherwise,
+  random restarts on qubit Hamiltonians, one qubit per block: Riemannian
+  Newton on Bloch vectors (see :mod:`enwit.bloch`),
 * :func:`esep_closed_form_xxx` -- the analytic value for the two-site
   Heisenberg model in a field, with the bond counted once.
 
 The test suite keeps a brute-force nested-grid scan, independent of the
-seesaw, as its oracle.
+search, as its oracle.
 
 Externally supplied values enter through :func:`esep_reference`.
 """
@@ -27,9 +27,7 @@ import numpy as np
 from .hamiltonians import XXXParams
 from .operators import HermitianOperator, SystemShape, _frozen_array
 
-SEESAW_ENERGY_TOL = 1e-12
-SEESAW_SWEEP_CAP = 10_000
-RESTART_AGREEMENT_TOL = 1e-9
+RESTART_AGREEMENT_TOL = 1e-9  # relative to each H's largest absolute row sum
 
 
 @dataclass(frozen=True)
@@ -60,9 +58,6 @@ class Partition:
                 f"partition {self.blocks} does not cover sites 0..{shape.n_sites - 1}"
             )
 
-    def block_dims(self, shape: SystemShape) -> list[int]:
-        return [math.prod(shape.local_dims[s] for s in b) for b in self.blocks]
-
 
 @dataclass(frozen=True)
 class ProductStateAnsatz:
@@ -89,11 +84,11 @@ class SepEnergyReport:
     esep: float
     minimizer: Optional[ProductStateAnsatz]
     restarts_used: int
-    restarts_agreeing: int  # seesaw restarts within RESTART_AGREEMENT_TOL of the best, else 0
+    restarts_agreeing: int  # search restarts within the agreement tolerance of the best, else 0
     converged: bool
     source: str  # exact-optimized | closed-form | user-supplied
-    gradient_norm: Optional[float] = None  # Bloch search only: Riemannian gradient norm
-    hessian_min: Optional[float] = None  # Bloch search only: smallest reduced-Hessian eigenvalue
+    gradient_norm: Optional[float] = None  # search only: Riemannian gradient norm
+    hessian_min: Optional[float] = None  # search only: smallest reduced-Hessian eigenvalue
 
 
 def _draw_block_states(
@@ -109,41 +104,6 @@ def _draw_block_states(
     return states
 
 
-def _block_operators(
-    h: HermitianOperator, part: Partition, states: Sequence[np.ndarray], which: int
-) -> np.ndarray:
-    """Effective operators on block ``which`` for a stack of product states.
-
-    ``states[bi]`` holds one block-``bi`` state per row.  The other blocks'
-    rows are multiplied out into one "rest" vector per row, and H is copied
-    once with its sites reordered as (rest rows, target rows, target columns;
-    rest columns), so a single GEMM against the rest vectors followed by one
-    contraction with their conjugates gives, for each row r, the (d, d)
-    matrix <rest_r a|H|rest_r b>.
-    """
-    shape = h.shape
-    n = shape.n_sites
-    others = [bi for bi in range(len(part.blocks)) if bi != which]
-    rest = states[others[0]]
-    for bi in others[1:]:
-        rest = (rest[:, :, None] * states[bi][:, None, :]).reshape(rest.shape[0], -1)
-    rows, d_rest = rest.shape
-    d = states[which].shape[1]
-    rest_sites = [s for bi in others for s in part.blocks[bi]]
-    target = list(part.blocks[which])
-    perm = rest_sites + target + [n + s for s in target] + [n + s for s in rest_sites]
-    h_perm = h.entries.reshape(shape.local_dims * 2).transpose(perm).reshape(-1, d_rest)
-    y = (h_perm @ rest.T).reshape(d_rest, d, d, rows)
-    m = np.einsum("xabr,rx->rab", y, rest.conj())
-    return (m + m.conj().transpose(0, 2, 1)) / 2.0
-
-
-def _energies(h: HermitianOperator, part: Partition, states: Sequence[np.ndarray]) -> np.ndarray:
-    """<psi_r|H|psi_r> of each stacked product state, from one block-0 effective operator."""
-    m0 = _block_operators(h, part, states, 0)
-    return np.einsum("rb,rbc,rc->r", states[0].conj(), m0, states[0]).real
-
-
 def esep_seesaw(
     h: HermitianOperator, part: Partition, restarts: int = 32, seed: int = 0
 ) -> SepEnergyReport:
@@ -156,90 +116,69 @@ def esep_search(
 ) -> list[SepEnergyReport]:
     """:func:`esep_seesaw` for each Hamiltonian of ``hs`` (all of one shape), one report each.
 
-    Each restart's random stream is derived solely from ``(seed, restart
-    index)``, so results do not depend on execution order, and every
-    Hamiltonian starts from the same draws.  The reported energies are those
-    of the returned product states on each dense H (see :func:`_energies`).
+    Every site must be a qubit and every block one site; anything else
+    raises ``ValueError``.  Each restart's random stream is derived solely
+    from ``(seed, restart index)``, so results do not depend on execution
+    order, and every Hamiltonian starts from the same draws.
 
-    When every block is one qubit, the restarts of all the Hamiltonians run
-    as one stack on Bloch vectors (see :func:`enwit.bloch.bloch_search`):
-    each H is expanded in Pauli strings (O(n 4^n)), up to
-    ``MEAN_FIELD_SWEEPS`` sweeps of r_i <- -g_i/|g_i| warm each restart up,
-    and saddle-free Riemannian Newton steps on (S^2)^n with Armijo
-    backtracking follow until the Riemannian gradient norm is at most
-    ``NEWTON_TOL`` times the sum of the |coefficients| of that H's own
-    non-identity strings, or a line search stalls at round-off.
-    ``converged`` then certifies a local minimum to second order (gradient
-    and smallest reduced-Hessian eigenvalue within that per-H tolerance),
-    and each report carries both numbers of its best restart.  Each step
-    costs O(R K n^2) for R rows and K strings in all.
+    The restarts of all the Hamiltonians run as one stack on Bloch vectors
+    (see :func:`enwit.bloch.bloch_search`): each H is expanded in Pauli
+    strings (O(n 4^n)), up to ``MEAN_FIELD_SWEEPS`` sweeps of
+    r_i <- -g_i/|g_i| warm each restart up, and saddle-free Riemannian
+    Newton steps on (S^2)^n with Armijo backtracking follow until the
+    Riemannian gradient norm is at most ``NEWTON_TOL`` times the sum of the
+    |coefficients| of that H's own non-identity strings, or a line search
+    stalls at round-off.  ``converged`` then certifies a local minimum to
+    second order (gradient and smallest reduced-Hessian eigenvalue within
+    that per-H tolerance), and each report carries both numbers of its best
+    restart.  Each step costs O(R K n^2) for R rows and K strings in all.
 
-    Any other partition uses alternating block minimization, one H after
-    the other: each round-robin step replaces one block state by the ground
-    eigenvector of its effective operator; a restart stops once a sweep
-    lowers the energy by less than 1e-12 or the sweep cap is hit.  One block
-    update costs one O(R D^2) GEMM for total dimension D (see
-    :func:`_block_operators`) and one stacked ``eigh``.
+    The reported energy is the multilinear Bloch energy of the returned
+    product state.  ``restarts_agreeing`` counts the restarts within
+    ``RESTART_AGREEMENT_TOL`` times H's largest absolute row sum of the best,
+    so the count does not depend on the energy unit.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     if not hs or any(h.shape != hs[0].shape for h in hs):
         raise ValueError("the search needs one or more Hamiltonians of one shape")
-    part.validate_for(hs[0].shape)
-    block_dims = part.block_dims(hs[0].shape)
+    shape = hs[0].shape
+    part.validate_for(shape)
+    if any(len(b) != 1 for b in part.blocks) or any(d != 2 for d in shape.local_dims):
+        raise ValueError(
+            f"the search needs one qubit per block, not blocks {part.blocks} "
+            f"on sites of dimensions {list(shape.local_dims)}"
+        )
+
+    # imported on first use: code that never searches (the R_g oracle, the
+    # closed form) does not compile it, which shows in its import time
+    from . import bloch
 
     seed_u = int(seed) & 0xFFFFFFFFFFFFFFFF
     # row r of each block: the start state _draw_block_states draws from default_rng([seed, r])
     rngs = [np.random.default_rng([seed_u, r]) for r in range(restarts)]
-    states = [np.tile(s, (len(hs), 1)) for s in _draw_block_states(block_dims, rngs)]
-    groups = [slice(j * restarts, (j + 1) * restarts) for j in range(len(hs))]  # rows of hs[j]
-
-    gnorm = hmin = None
-    if all(len(b) == 1 for b in part.blocks) and all(d == 2 for d in block_dims):
-        from .bloch import bloch_search  # loaded on first use; only this path needs it
-
-        states, gnorm, hmin, converged = bloch_search(hs, [b[0] for b in part.blocks], states)
-    else:  # the seesaw updates each group's rows in place, through views
-        converged = np.concatenate(
-            [_block_seesaw(h, part, [s[rows] for s in states]) for h, rows in zip(hs, groups)]
-        )
+    starts = [np.tile(s, (len(hs), 1)) for s in _draw_block_states([2] * shape.n_sites, rngs)]
+    states, energies, gnorm, hmin, converged = bloch.bloch_search(
+        hs, [b[0] for b in part.blocks], starts
+    )
     reports = []
-    for h, rows in zip(hs, groups):
-        mine = [s[rows] for s in states]
-        energies = _energies(h, part, mine)
-        best = int(np.argmin(energies))
+    for j, h in enumerate(hs):
+        mine = energies[j * restarts : (j + 1) * restarts]  # the rows of hs[j]
+        best = j * restarts + int(np.argmin(mine))
+        tol = RESTART_AGREEMENT_TOL * float(np.abs(h.entries).sum(axis=1).max())
         reports.append(
             SepEnergyReport(
                 esep=float(energies[best]),
-                minimizer=ProductStateAnsatz(part, [s[best] for s in mine]),
+                minimizer=ProductStateAnsatz(part, [s[best] for s in states]),
                 restarts_used=restarts,
-                restarts_agreeing=int((energies <= energies[best] + RESTART_AGREEMENT_TOL).sum()),
-                converged=bool(converged[rows][best]),
+                restarts_agreeing=int((mine <= energies[best] + tol).sum()),
+                converged=bool(converged[best]),
                 source="exact-optimized",
-                gradient_norm=None if gnorm is None else float(gnorm[rows][best]),
-                hessian_min=None if hmin is None else float(hmin[rows][best]),
+                gradient_norm=float(gnorm[best]),
+                hessian_min=float(hmin[best]),
             )
         )
     return reports
-
-
-def _block_seesaw(h: HermitianOperator, part: Partition, states: list[np.ndarray]) -> np.ndarray:
-    """Alternating block minimization of the rows of ``states``, in place; which rows converged."""
-    energies = _energies(h, part, states)
-    converged = np.zeros(len(energies), dtype=bool)
-    for _ in range(SEESAW_SWEEP_CAP):
-        active = ~converged
-        if not active.any():
-            break
-        sweep_start = energies.copy()
-        for bi in range(len(part.blocks)):
-            vals, vecs = np.linalg.eigh(_block_operators(h, part, states, bi))
-            new_e = vals[active, 0]
-            assert (new_e <= energies[active] + 1e-10).all(), "seesaw energy increased"
-            states[bi][active] = vecs[active, :, 0]
-            energies[active] = new_e
-        converged |= active & (sweep_start - energies < SEESAW_ENERGY_TOL)
-    return converged
 
 
 def _closed_form_check(p: XXXParams) -> None:

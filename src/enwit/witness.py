@@ -147,8 +147,8 @@ def resolve_esep(
 ) -> SepEnergyReport:
     """Produce a SepEnergyReport for ``h`` according to the policy.
 
-    ``exact`` runs :func:`esep_seesaw` over single sites; call it directly
-    for another partition.
+    ``exact`` runs :func:`esep_seesaw` with one qubit per block, the only
+    partition it searches.
     """
     if policy.kind == "fixed":
         return esep_reference(policy.value)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -71,9 +73,14 @@ def ansatz_energy(h, ansatz):
     return float((v.conj() @ (h.entries @ v)).real)
 
 
+def block_dims(part, shape):
+    """The Hilbert-space dimension of each block of ``part`` on ``shape``."""
+    return [math.prod(shape.local_dims[s] for s in b) for b in part.blocks]
+
+
 def random_ansatz(shape, part, rng):
     """A restart's start state: each block uniform on its complex unit sphere."""
-    states = _draw_block_states(part.block_dims(shape), [rng])
+    states = _draw_block_states(block_dims(part, shape), [rng])
     return ProductStateAnsatz(part, [s[0] for s in states])
 
 

@@ -1,4 +1,4 @@
-"""Brute-force nested-grid scan for E_sep, the test suite's oracle for the seesaw.
+"""Brute-force nested-grid scan for E_sep, the test suite's oracle for the search.
 
 The scan shares no code with :func:`enwit.esep_seesaw`.  Its value is the
 minimum over a finite set of product states, so it is an upper estimate of
@@ -12,6 +12,8 @@ import math
 import numpy as np
 
 from enwit import HermitianOperator, Partition, SystemShape
+
+from conftest import block_dims
 
 GRID_BLOCK_DIM_CAP = 4
 
@@ -144,7 +146,7 @@ def esep_grid(h: HermitianOperator, part: Partition, resolution: int) -> float:
     if resolution < 8:
         raise ValueError("resolution must be >= 8")
     part.validate_for(h.shape)
-    dims = part.block_dims(h.shape)
+    dims = block_dims(part, h.shape)
     if any(d > GRID_BLOCK_DIM_CAP for d in dims):
         raise ValueError(f"block too large for grid oracle (dims {dims}, cap {GRID_BLOCK_DIM_CAP})")
     states = [_grid_states(d, resolution) for d in dims]

@@ -87,17 +87,21 @@ class TestEsep:
     )
 
     @pytest.mark.parametrize(
-        "command, restarts, esep, agreeing",
+        "command, restarts, scale, esep, agreeing",
         [
-            ("esep", "4", "esep = -3.7086395178", 1),
-            ("esep", "32", "esep = -4.1559005217", 9),
-            ("witness", "4", "esep = -3.708639518 ", 1),
+            ("esep", "4", 1.0, "esep = -3.7086395178", 1),
+            ("esep", "32", 1.0, "esep = -4.1559005217", 9),
+            ("witness", "4", 1.0, "esep = -3.708639518 ", 1),
+            ("esep", "32", 1e-12, "esep = -0.0000000000", 9),
+            ("esep", "32", 1e12, "esep = -4155900521", 9),
         ],
-        ids=["esep-4", "esep-32", "witness-4"],
+        ids=["esep-4", "esep-32", "witness-4", "esep-32-1e-12", "esep-32-1e12"],
     )
-    def test_restarts_agreeing(self, command, restarts, esep, agreeing, tmp_path, capsys):
+    def test_restarts_agreeing(self, command, restarts, scale, esep, agreeing, tmp_path, capsys):
+        """The agreement tolerance scales with H, so the count does not depend on the unit."""
         pf = tmp_path / "h.txt"
-        pf.write_text(self.PAULI_8)
+        terms = map(str.split, self.PAULI_8.splitlines())
+        pf.write_text("".join(f"{float(c) * scale!r} {p}\n" for c, p in terms))
         argv = [
             command, "--model", "pauli-file", "--pauli-file", str(pf),
             "--restarts", restarts, "--seed", "0",
@@ -107,6 +111,15 @@ class TestEsep:
         assert esep in out
         assert f"restarts_agreeing = {agreeing}\n" in out
         assert ("warning: a single restart reached this esep" in err) == (agreeing == 1)
+
+    def test_rising_search_energy_exits_3(self, monkeypatch, capsys):
+        import enwit.bloch
+
+        monkeypatch.setattr(enwit.bloch, "_ROUNDOFF", -1.0)
+        code, out, err = run(["esep", "--J", "1", "--B", "0.5", "--restarts", "4"], capsys)
+        assert code == 3
+        assert out == ""
+        assert "raised the product-state energy" in err
 
     def test_restarts_agreeing_only_under_exact(self, capsys):
         for policy in ("closed-form", "fixed:-2"):

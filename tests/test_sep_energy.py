@@ -3,6 +3,7 @@ import pytest
 
 from enwit import (
     HermitianOperator,
+    NumericalError,
     Partition,
     PauliString,
     ProductStateAnsatz,
@@ -25,9 +26,9 @@ from enwit.bloch import (
     bloch_search,
     pauli_terms,
 )
-from enwit.sep_energy import _block_operators, closed_form_ansatz_xxx
+from enwit.sep_energy import closed_form_ansatz_xxx
 
-from conftest import PAULI, ansatz_energy, full_vector, random_ansatz
+from conftest import PAULI, ansatz_energy, block_dims, full_vector, random_ansatz
 from grid_oracle import esep_grid
 
 Q2 = SystemShape([2, 2])
@@ -49,7 +50,7 @@ class TestPartition:
 
     def test_block_dims(self):
         part = Partition([[0, 2], [1]])
-        assert part.block_dims(SystemShape([2, 3, 2])) == [4, 3]
+        assert block_dims(part, SystemShape([2, 3, 2])) == [4, 3]
 
 
 class TestProductStateAnsatz:
@@ -131,48 +132,6 @@ def random_hermitian(rng, dim):
 def random_unit_rows(rng, size):
     z = rng.standard_normal((size, 2)) + 1j * rng.standard_normal((size, 2))
     return z / np.linalg.norm(z, axis=1, keepdims=True)
-
-
-class TestBlockOperators:
-    @pytest.mark.parametrize(
-        "dims,blocks",
-        [
-            ([2, 2, 2], [[0, 2], [1]]),
-            ([2, 2, 2, 2], [[1], [0, 2, 3]]),
-            ([3, 2], [[0], [1]]),
-        ],
-        ids=["three_qubits", "four_qubits", "qutrit_qubit"],
-    )
-    def test_matches_full_vector_reference(self, dims, blocks):
-        """Each row r gives <psi_rest_r a|H|psi_rest_r b>, with psi_rest_r ⊗ a
-        assembled in site order by full_vector."""
-        rng = np.random.default_rng(21)
-        shape = SystemShape(dims)
-        part = Partition(blocks)
-        h = HermitianOperator(shape, random_hermitian(rng, shape.total_dim))
-        ansatze = [random_ansatz(shape, part, rng) for _ in range(3)]
-        states = [np.stack([a.block_states[bi] for a in ansatze]) for bi in range(len(blocks))]
-        for which, d in enumerate(part.block_dims(shape)):
-            m = _block_operators(h, part, states, which)
-            assert m.shape == (len(ansatze), d, d)
-            for r, ansatz in enumerate(ansatze):
-                basis = []
-                for k in range(d):
-                    block_states = list(ansatz.block_states)
-                    block_states[which] = np.eye(d)[k]
-                    basis.append(full_vector(shape, ProductStateAnsatz(part, block_states)))
-                basis = np.stack(basis, axis=1)
-                expected = basis.conj().T @ h.entries @ basis
-                assert np.abs(m[r] - expected).max() < 1e-12
-
-    def test_qutrit_qubit_seesaw(self):
-        rng = np.random.default_rng(22)
-        shape = SystemShape([3, 2])
-        h = HermitianOperator(shape, random_hermitian(rng, 6))
-        part = Partition.singletons(2)
-        rep = esep_seesaw(h, part, restarts=16, seed=3)
-        assert ansatz_energy(h, rep.minimizer) == pytest.approx(rep.esep, abs=1e-10)
-        assert rep.esep <= esep_grid(h, part, 16) + 1e-9
 
 
 class TestPauliTerms:
@@ -287,18 +246,24 @@ class TestBlochSearch:
         single-site move improves, but canting the pair lowers the energy: a saddle.
         Started exactly there, the search stays (zero gradient) and must not certify it."""
         down = np.tile([0.0, 1.0 + 0j], (1, 1))
-        states, gnorm, hmin, converged = bloch_search([h_xxx(1.0, 1.5)], [0, 1], [down, down])
+        states, energy, gnorm, hmin, converged = bloch_search(
+            [h_xxx(1.0, 1.5)], [0, 1], [down, down]
+        )
+        assert energy[0] == pytest.approx(1.0 - 2.0 * 1.5, abs=1e-14)  # zz + 1.5 (-1 - 1)
         assert gnorm[0] == 0.0
         # canting both spins by theta the opposite way: E'' = 2B - 4 along |xi|^2 = 2
         assert hmin[0] == pytest.approx(1.5 - 2.0, abs=1e-12)
         assert not converged[0]
         assert all(abs(abs(s[0, 1]) - 1.0) < 1e-15 for s in states)
 
-    def test_dense_path_has_no_certificate_numbers(self):
-        shape = SystemShape([2, 2, 2])
-        h = HermitianOperator(shape, random_hermitian(np.random.default_rng(31), 8))
-        rep = esep_seesaw(h, Partition([[0, 1], [2]]), restarts=4, seed=0)
-        assert rep.gradient_norm is None and rep.hessian_min is None
+    def test_rising_energy_raises(self, h_xxx, monkeypatch):
+        """A negative round-off slack makes every sweep look like a rise; the check
+        survives ``python -O`` because it raises, not asserts."""
+        import enwit.bloch
+
+        monkeypatch.setattr(enwit.bloch, "_ROUNDOFF", -1.0)
+        with pytest.raises(NumericalError, match="raised the product-state energy"):
+            esep_seesaw(h_xxx(1.0, 0.5), SINGLETONS, restarts=4, seed=0)
 
     def test_untouched_site_keeps_its_start(self):
         """No term acts on site 2 of ZZI, so its effective operator is a multiple of I."""
@@ -322,6 +287,7 @@ class TestStackedSearch:
         for h, rep, value in zip(hs, esep_search(hs, part, restarts=restarts, seed=seed), exact):
             alone = esep_seesaw(h, part, restarts=restarts, seed=seed)
             assert abs(rep.esep - alone.esep) < 1e-12
+            assert abs(rep.esep - ansatz_energy(h, rep.minimizer)) < 1e-12
             assert abs(rep.esep - value) < 1e-11
             assert rep.restarts_agreeing == alone.restarts_agreeing
             assert rep.converged == alone.converged
@@ -348,12 +314,12 @@ class TestStackedSearch:
         fields = [0.0, 2.0 - 8e-9, 2.0 - 5e-9, 4.0]
         hs = [h_xxx(1.0, b) for b in fields]
         down = np.tile([0.0, 1.0 + 0j], (len(fields), 1))
-        _, gnorm, hmin, converged = bloch_search(hs, [0, 1], [down, down])
+        _, _, gnorm, hmin, converged = bloch_search(hs, [0, 1], [down, down])
         assert hmin[1:3] == pytest.approx([-8e-9, -5e-9], abs=1e-12)
         assert list(converged[1:]) == [False, True, True]
         for j, h in enumerate(hs):
             one = down[j : j + 1]
-            _, gnorm_alone, hmin_alone, converged_alone = bloch_search([h], [0, 1], [one, one])
+            _, _, gnorm_alone, hmin_alone, converged_alone = bloch_search([h], [0, 1], [one, one])
             assert gnorm[j] == pytest.approx(gnorm_alone[0], abs=1e-14)
             assert hmin[j] == pytest.approx(hmin_alone[0], abs=1e-14)
             assert converged[j] == converged_alone[0]
@@ -361,19 +327,20 @@ class TestStackedSearch:
             assert rep.converged
             assert rep.gradient_norm <= NEWTON_TOL * (3.0 + 2.0 * b)
 
-    def test_block_seesaw_runs_each_hamiltonian(self):
-        rng = np.random.default_rng(33)
-        shape = SystemShape([2, 2, 2])
-        hs = [HermitianOperator(shape, random_hermitian(rng, 8)) for _ in range(2)]
-        part = Partition([[0, 1], [2]])
-        for h, rep in zip(hs, esep_search(hs, part, restarts=4, seed=0)):
-            alone = esep_seesaw(h, part, restarts=4, seed=0)
-            assert rep.esep == alone.esep
-            assert rep.restarts_agreeing == alone.restarts_agreeing
-
     def test_refuses_mixed_shapes(self, h_xxx):
         with pytest.raises(ValueError, match="Hamiltonians of one shape"):
             esep_search([h_xxx(1.0, 0.0), h_xxx(1.0, 0.0, 4)], SINGLETONS)
+
+    @pytest.mark.parametrize(
+        "dims, part",
+        [([2, 2, 2], Partition([[0, 1], [2]])), ([3, 2], Partition.singletons(2))],
+        ids=["multi_site_block", "qutrit_site"],
+    )
+    def test_refuses_all_but_one_qubit_per_block(self, dims, part):
+        shape = SystemShape(dims)
+        h = HermitianOperator(shape, np.eye(shape.total_dim))
+        with pytest.raises(ValueError, match="one qubit per block"):
+            esep_search([h], part)
 
 
 class TestRing:
@@ -474,16 +441,3 @@ class TestReference:
         assert report.bound <= 0.0
         assert not report.detected
 
-
-class TestPartitionRefinement:
-    def test_refining_never_decreases_minimum(self):
-        rng = np.random.default_rng(11)
-        shape = SystemShape([2, 2, 2])
-        coarse = Partition([[0, 1], [2]])
-        fine = Partition.singletons(3)
-        for _ in range(5):
-            g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-            h = HermitianOperator(shape, (g + g.conj().T) / 2)
-            e_coarse = esep_seesaw(h, coarse, restarts=24, seed=12).esep
-            e_fine = esep_seesaw(h, fine, restarts=24, seed=12).esep
-            assert e_fine >= e_coarse - 1e-9
