@@ -37,6 +37,7 @@ _TERM_CHUNK = 1 << 20  # elements of the largest (n, n, K, R) array in _bloch_de
 _PAULI_TRANSFORM = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0], [1, 0, 0, -1]]) / 2.0
 # Coefficients below this fraction of the largest are round-off of the transform.
 _PAULI_ZERO = 1e-13
+_BASE4_DIGITS = str.maketrans("IXYZ", "0123")
 
 
 def pauli_terms(hs: list[HermitianOperator]) -> tuple[np.ndarray, np.ndarray]:
@@ -44,18 +45,20 @@ def pauli_terms(hs: list[HermitianOperator]) -> tuple[np.ndarray, np.ndarray]:
 
     Returns the union of the nonzero strings as (K, n) letters coded I, X, Y, Z
     = 0, 1, 2, 3 (site 0 first; lexicographic order), and c_kj = Tr(P_k H_j) / 2^n
-    as a (K, len(hs)) array, 0 where H_j lacks string k.  Each transform regroups
-    H_j as one 4-index axis per site and contracts each with ``_PAULI_TRANSFORM``
-    in turn: O(n 4^n) per operator.
+    as a (K, len(hs)) array, 0 where H_j lacks string k.  A coefficient at most
+    ``_PAULI_ZERO`` times H_j's largest |c_kj| counts as absent.
+
+    When every operator carries the strings it was built from (``terms``, set
+    by :func:`enwit.hamiltonians.build_pauli`), the table comes from them in
+    O(terms): repeated strings are summed in term order.  Otherwise each
+    operator goes through :func:`_dense_pauli_coefficients`, O(n 4^n).
     """
+    if all(h.terms is not None for h in hs):
+        return _string_table(hs)
     n = hs[0].shape.n_sites
     found, present = [], np.zeros(4**n, dtype=bool)
     for h in hs:
-        t = h.entries.reshape((2,) * (2 * n))
-        t = t.transpose([ax for s in range(n) for ax in (s, n + s)]).reshape((4,) * n)
-        for _ in range(n):  # each pass contracts the leading axis and appends its Pauli axis
-            t = np.tensordot(t, _PAULI_TRANSFORM, axes=([0], [1]))
-        coeffs = t.real.ravel()
+        coeffs = _dense_pauli_coefficients(h)
         kept = np.flatnonzero(np.abs(coeffs) > _PAULI_ZERO * np.abs(coeffs).max())
         found.append((kept, coeffs[kept]))
         present[kept] = True
@@ -64,6 +67,40 @@ def pauli_terms(hs: list[HermitianOperator]) -> tuple[np.ndarray, np.ndarray]:
     for j, (kept, values) in enumerate(found):
         table[np.searchsorted(union, kept), j] = values
     return np.stack(np.unravel_index(union, (4,) * n), axis=1), table
+
+
+def _dense_pauli_coefficients(h: HermitianOperator) -> np.ndarray:
+    """All 4^n coefficients Tr(P H) / 2^n, strings in base-4 order (site 0 most significant).
+
+    Regroups H as one 4-index axis per site and contracts each with
+    ``_PAULI_TRANSFORM`` in turn.
+    """
+    n = h.shape.n_sites
+    t = h.entries.reshape((2,) * (2 * n))
+    t = t.transpose([ax for s in range(n) for ax in (s, n + s)]).reshape((4,) * n)
+    for _ in range(n):  # each pass contracts the leading axis and appends its Pauli axis
+        t = np.tensordot(t, _PAULI_TRANSFORM, axes=([0], [1]))
+    return t.real.ravel()
+
+
+def _string_table(hs: list[HermitianOperator]) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`pauli_terms` from the operators' ``terms``: no array of 4^n entries.
+
+    Each string is its base-4 code (site 0 most significant), so sorting the
+    codes gives the dense layout's order; ``np.bincount`` sums the repeated
+    strings of each operator in term order.
+    """
+    n = hs[0].shape.n_sites
+    terms = [t for h in hs for t in h.terms]
+    codes = np.array([int(t.letters.translate(_BASE4_DIGITS), 4) for t in terms], dtype=np.int64)
+    union, slot = np.unique(codes, return_inverse=True)
+    owner = np.repeat(np.arange(len(hs)), [len(h.terms) for h in hs])
+    table = np.bincount(
+        slot * len(hs) + owner, [t.coefficient for t in terms], minlength=len(union) * len(hs)
+    ).reshape(len(union), len(hs))
+    table[np.abs(table) <= _PAULI_ZERO * np.abs(table).max(axis=0, initial=0.0)] = 0.0
+    kept = table.any(axis=1)
+    return np.stack(np.unravel_index(union[kept], (4,) * n), axis=1), table[kept]
 
 
 def _states_to_bloch(states: np.ndarray) -> np.ndarray:

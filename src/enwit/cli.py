@@ -344,7 +344,7 @@ def cmd_esep(cfg: argparse.Namespace) -> int:
     report = _esep_report(cfg, h)
     _refute_fixed(cfg, [h])
     d = cfg.precision
-    print(f"esep = {report.esep:.{d}f}")
+    print(f"esep = {_fmt(report.esep, d)}")
     print(f"source = {report.source}")
     print(f"restarts_used = {report.restarts_used}")
     _print_agreement(cfg, report)

@@ -97,8 +97,9 @@ def build_pauli(shape: SystemShape, terms: Sequence[PauliString]) -> HermitianOp
     """Sum of coefficient-weighted Pauli strings on a register of qubits.
 
     Each string is added as a phased permutation (see the module docstring),
-    in the order given.  Terms whose |coefficients| sum above
-    ``MAX_COEFFICIENT_SUM`` are refused before any entry is written.
+    in the order given, and the operator keeps the terms as its ``terms``.
+    Terms whose |coefficients| sum above ``MAX_COEFFICIENT_SUM`` are refused
+    before any entry is written.
     """
     if any(d != 2 for d in shape.local_dims):
         raise ValueError("Pauli strings are defined on qubit registers only")
@@ -126,7 +127,7 @@ def build_pauli(shape: SystemShape, terms: Sequence[PauliString]) -> HermitianOp
                 parity ^= (cols >> bit) & 1
         value = term.coefficient * 1j ** term.letters.count("Y")
         h[cols ^ flip, cols] += np.where(parity, -value, value)
-    return HermitianOperator(shape, h)
+    return HermitianOperator(shape, h, terms)
 
 
 def parse_pauli_terms(text: str) -> list[PauliString]:

@@ -4,7 +4,9 @@ The model is a projective measurement in the energy eigenbasis: one shot
 draws one eigenvalue, with degenerate levels merged into eigenspace
 probabilities first.  Everything is deterministic given the seed.
 
-The probabilities <v_k|rho|v_k> are read sector by sector of
+A state built over ``eig(h)`` itself (``gibbs``, ``ground_state``) carries
+its populations p_k = <v_k|rho|v_k>, and they are used as they are: no
+matrix is formed.  For any other state they are read sector by sector of
 ``eig(h).sectors``, from the diagonal blocks rho[I, I] only.  That is exact
 for any rho, since each v_k is zero off its sector I.
 """
@@ -49,11 +51,14 @@ def _eigenspace_distribution(
     h: HermitianOperator, rho: DensityMatrix
 ) -> tuple[np.ndarray, np.ndarray]:
     dec = eig(h)
-    # v_k is zero off its sector I, so <v_k|rho|v_k> needs rho[I, I] only.
-    diag = np.empty(dec.eigenvalues.size)
-    for block in dec.sectors:
-        v = block.vectors
-        diag[block.ranks] = np.einsum("mik,mik->mk", v.conj(), block.take(rho.entries) @ v).real
+    if rho.spectrum is dec:
+        diag = rho.populations
+    else:
+        # v_k is zero off its sector I, so <v_k|rho|v_k> needs rho[I, I] only.
+        diag = np.empty(dec.eigenvalues.size)
+        for block in dec.sectors:
+            v = block.vectors
+            diag[block.ranks] = np.einsum("mik,mik->mk", v.conj(), block.take(rho.entries) @ v).real
     levels, counts = dec.levels()
     pr = np.clip(np.add.reduceat(diag, np.cumsum(counts) - counts), 0.0, None)
     total = float(pr.sum())

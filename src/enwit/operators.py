@@ -21,6 +21,11 @@ Smaller matrices go to LAPACK whole.  The decomposition keeps the sectors:
 indices, the ranks of their eigenvalues and their eigenvector blocks, so
 Gibbs states and level distributions are built block by block.  The dense
 eigenvector matrix is assembled only when ``eigenvectors`` is read.
+
+A ``DensityMatrix`` is either a checked dense matrix or, from
+``DensityMatrix.from_spectrum``, populations p over a decomposition's
+eigenvectors.  The latter needs O(d) checks only (p are its eigenvalues),
+and its dense matrix is assembled only when ``entries`` or ``op`` is read.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -175,25 +180,36 @@ class HermitianOperator:
     """A dense Hermitian matrix acting on a tensor-product space.
 
     Construction symmetrizes ``(M + M^dagger)/2`` to absorb floating-point
-    drift, but rejects matrices whose asymmetry exceeds ``1e-12`` so real
-    bugs are not masked, and matrices with a NaN or infinite entry.
+    drift, but rejects matrices whose asymmetry exceeds ``1e-12`` times
+    max(1, max |M_ij|) so real bugs are not masked, and matrices with a NaN
+    or infinite entry.  ``terms`` holds the ``PauliString`` terms whose sum
+    the entries are, when the operator was built from them
+    (:func:`enwit.hamiltonians.build_pauli`), else ``None``; the E_sep
+    search reads them instead of expanding the matrix.
     """
 
     shape: SystemShape
     entries: np.ndarray = field(repr=False)
+    terms: Optional[tuple] = field(default=None, repr=False, compare=False)
 
-    def __init__(self, shape: SystemShape, entries: np.ndarray):
+    def __init__(self, shape: SystemShape, entries: np.ndarray, terms: Optional[Sequence] = None):
         mat = np.asarray(entries, dtype=np.complex128)
         d = shape.total_dim
         if mat.shape != (d, d):
             raise ValueError(f"entries must be {d}x{d} for shape {shape.local_dims}, got {mat.shape}")
         if not np.isfinite(mat).all():
             raise ValueError("matrix entries must be finite")
-        asym = np.abs(mat - mat.conj().T).max()
-        if asym > HERMITICITY_TOL * max(1.0, np.abs(mat).max()):
+        adjoint = mat.conj().T
+        out = mat - adjoint
+        asym = np.abs(out).max()
+        # asym > TOL * max(1, max |M|), with the d x d scale read only past TOL
+        if asym > HERMITICITY_TOL and asym > HERMITICITY_TOL * np.abs(mat).max():
             raise ValueError(f"matrix is not Hermitian (asymmetry {asym:.3e})")
+        np.add(mat, adjoint, out=out)
+        out /= 2.0
         object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "entries", _frozen_array((mat + mat.conj().T) / 2.0))
+        object.__setattr__(self, "entries", _frozen_array(out))
+        object.__setattr__(self, "terms", None if terms is None else tuple(terms))
 
     @property
     def dim(self) -> int:
@@ -213,26 +229,74 @@ class HermitianOperator:
         return SpectralDecomposition._of_sectors(_frozen_array(vals), sectors)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class DensityMatrix:
-    """A unit-trace positive operator (trace within 1e-10, eigenvalues >= -1e-10)."""
+    """A unit-trace positive operator.
 
-    op: HermitianOperator
+    ``DensityMatrix(op)``, ``from_entries`` and ``pure`` check the matrix:
+    trace within ``TRACE_TOL`` of 1, eigenvalues >= -``PSD_TOL``.
+    ``from_spectrum`` builds sum_k p_k |v_k><v_k| over the eigenvectors of a
+    ``SpectralDecomposition``: p are then the state's eigenvalues, so it
+    checks them in O(d), and ``spectrum`` and ``populations`` keep both.
+    Such a state assembles its dense ``op`` only when ``op`` or ``entries``
+    is first read, sector by sector into a zero matrix.
+    """
 
-    def __post_init__(self):
-        tr = self.op.trace()
+    spectrum: Optional["SpectralDecomposition"] = field(repr=False)
+    populations: Optional[np.ndarray] = field(repr=False)
+
+    def __init__(self, op: HermitianOperator):
+        tr = op.trace()
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"density matrix trace {tr} is not 1 within {TRACE_TOL}")
         # The sectors of the state's own nonzero pattern hold all of its
-        # eigenvalues.  A state built from sector eigenvectors keeps exact
-        # zeros between them, so the split pays off on Gibbs states too.
-        lo = float(_eigh_by_sectors(self.op.entries, vectors=False)[0][0])
+        # eigenvalues, so the split pays off on block-diagonal states too.
+        lo = float(_eigh_by_sectors(op.entries, vectors=False)[0][0])
         if lo < -PSD_TOL:
             raise ValueError(f"density matrix has negative eigenvalue {lo}")
+        object.__setattr__(self, "_shape", op.shape)
+        object.__setattr__(self, "spectrum", None)
+        object.__setattr__(self, "populations", None)
+        self.__dict__["op"] = op
+
+    @classmethod
+    def from_spectrum(
+        cls, shape: SystemShape, dec: "SpectralDecomposition", p: np.ndarray
+    ) -> "DensityMatrix":
+        """The state sum_k p_k |v_k><v_k| over the eigenvectors v_k of ``dec``.
+
+        The eigenvectors are orthonormal, so p holds the state's eigenvalues:
+        they must be finite and >= 0 and sum to 1 within ``TRACE_TOL``.
+        """
+        p = _frozen_array(np.array(p, dtype=float))
+        d = shape.total_dim
+        if p.shape != (d,) or dec.eigenvalues.shape != (d,):
+            raise ValueError(f"populations and spectrum need {d} entries for {shape.local_dims}")
+        if not (np.isfinite(p).all() and (p >= 0.0).all()):
+            raise ValueError("populations must be finite and nonnegative")
+        total = float(p.sum())
+        if abs(total - 1.0) > TRACE_TOL:
+            raise ValueError(f"populations sum to {total}, not 1 within {TRACE_TOL}")
+        rho = cls.__new__(cls)
+        object.__setattr__(rho, "_shape", shape)
+        object.__setattr__(rho, "spectrum", dec)
+        object.__setattr__(rho, "populations", p)
+        return rho
+
+    @cached_property
+    def op(self) -> HermitianOperator:
+        """The dense state; a spectral state writes each sector's V diag(p) V^dagger into zeros."""
+        d = self.shape.total_dim
+        rho = np.zeros((d, d), dtype=np.complex128)
+        p = self.populations
+        for block in self.spectrum.sectors:
+            v = block.vectors
+            block.put(rho, (v * p[block.ranks][:, None, :]) @ v.conj().swapaxes(1, 2))
+        return HermitianOperator(self.shape, rho)
 
     @property
     def shape(self) -> SystemShape:
-        return self.op.shape
+        return self._shape
 
     @property
     def entries(self) -> np.ndarray:

@@ -122,8 +122,9 @@ def esep_search(
     order, and every Hamiltonian starts from the same draws.
 
     The restarts of all the Hamiltonians run as one stack on Bloch vectors
-    (see :func:`enwit.bloch.bloch_search`): each H is expanded in Pauli
-    strings (O(n 4^n)), up to ``MEAN_FIELD_SWEEPS`` sweeps of
+    (see :func:`enwit.bloch.bloch_search`): each H's Pauli strings are read
+    from the terms ``build_pauli`` summed (O(terms)), or else expanded from
+    its matrix (O(n 4^n)), up to ``MEAN_FIELD_SWEEPS`` sweeps of
     r_i <- -g_i/|g_i| warm each restart up, and saddle-free Riemannian
     Newton steps on (S^2)^n with Armijo backtracking follow until the
     Riemannian gradient norm is at most ``NEWTON_TOL`` times the sum of the

@@ -4,11 +4,13 @@ All thermal quantities are computed in the eigenbasis of H with the
 spectrum shifted by its minimum before exponentiating, so temperatures
 down to 1e-3 J (beta up to 1e3) stay finite.
 
-Gibbs and ground states are written sector by sector of ``eig(h).sectors``:
-each exact sector's block V diag(p) V^dagger is one stacked product per
-sector size, placed into a zero matrix.  No product of d x d matrices is
-formed (a matrix with one sector is one block), and the state is exactly
-zero between sectors.
+Gibbs and ground states are spectral objects: ``eig(h)`` and the level
+populations p (Boltzmann weights, or 1/k over a k-fold ground level), built
+with ``DensityMatrix.from_spectrum``.  Their construction checks p in O(d)
+and forms no d x d matrix.  A consumer that reads ``entries`` gets the dense
+state, written sector by sector of ``eig(h).sectors``: each exact sector's
+block V diag(p) V^dagger is one stacked product per sector size, placed into
+a zero matrix, so the state is exactly zero between sectors.
 """
 
 from __future__ import annotations
@@ -60,15 +62,6 @@ def _thermal_table(dec: SpectralDecomposition, temps: np.ndarray) -> tuple[np.nd
     return probs, points
 
 
-def _mixture(h: HermitianOperator, dec: SpectralDecomposition, p: np.ndarray) -> DensityMatrix:
-    """The state sum_k p_k |v_k><v_k|, written sector by sector into a zero matrix."""
-    rho = np.zeros((h.dim, h.dim), dtype=np.complex128)
-    for block in dec.sectors:
-        v = block.vectors
-        block.put(rho, (v * p[block.ranks][:, None, :]) @ v.conj().swapaxes(1, 2))
-    return DensityMatrix.from_entries(h.shape, rho)
-
-
 def gibbs(h: HermitianOperator, temperature: float) -> tuple[DensityMatrix, ThermalPoint]:
     """Thermal equilibrium state of ``h`` at temperature T > 0 (units J/k_B)."""
     t = float(temperature)
@@ -76,7 +69,7 @@ def gibbs(h: HermitianOperator, temperature: float) -> tuple[DensityMatrix, Ther
         raise ValueError("temperature must be positive; use ground_state for T = 0")
     dec = eig(h)
     probs, points = _thermal_table(dec, np.array([t]))
-    return _mixture(h, dec, probs[0]), ThermalPoint(*points[0].tolist())
+    return DensityMatrix.from_spectrum(h.shape, dec, probs[0]), ThermalPoint(*points[0].tolist())
 
 
 def ground_state(h: HermitianOperator) -> DensityMatrix:
@@ -86,7 +79,7 @@ def ground_state(h: HermitianOperator) -> DensityMatrix:
     k = int(counts[0])
     p = np.zeros(h.dim)
     p[:k] = 1.0 / k
-    return _mixture(h, dec, p)
+    return DensityMatrix.from_spectrum(h.shape, dec, p)
 
 
 def energy_curve(h: HermitianOperator, temps: Sequence[float]) -> np.recarray:

@@ -78,6 +78,41 @@ class TestEigenspaceDistribution:
             assert np.abs(probs - ref_probs).max() <= 1e-12
 
 
+class TestSpectralStates:
+    """A state built over eig(h) gives its populations to the measurement directly."""
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_measuring_forms_no_dense_state(self, n):
+        h = build_xxx(XXXParams(1.0, 0.3, n, "periodic"))
+        for rho in (gibbs(h, 0.9)[0], ground_state(h)):
+            w = make_witness(h, esep_reference(-n - n * 0.3**2 / 8))
+            est = measure_energy(h, rho, shots=10_000, seed=n)
+            bound_with_confidence(w, est, 3.0)
+            assert "op" not in vars(rho)
+
+    @pytest.mark.parametrize("n", [2, 4, 7, 8])
+    def test_populations_match_the_sector_read(self, n):
+        """The same levels, and probabilities within 1e-12 of <v_k|rho|v_k> read
+        from the dense state (which no longer shares the spectrum object)."""
+        h = build_xxx(XXXParams(1.0, 0.3, n, "periodic"))
+        for rho in (gibbs(h, 0.9)[0], ground_state(h)):
+            levels, probs = _eigenspace_distribution(h, rho)
+            dense = DensityMatrix.from_entries(h.shape, rho.entries)
+            ref_levels, ref_probs = _eigenspace_distribution(h, dense)
+            assert np.array_equal(levels, ref_levels)
+            assert np.abs(probs - ref_probs).max() <= 1e-12
+
+    def test_a_state_over_another_decomposition_is_read_from_its_matrix(self):
+        """Equal Hamiltonians have separate spectra, so the identity test fails and
+        the level probabilities come from the state's entries."""
+        h, other = (build_xxx(XXXParams(1.0, 0.3, 4, "periodic")) for _ in range(2))
+        rho, _ = gibbs(other, 0.9)
+        levels, probs = _eigenspace_distribution(h, rho)
+        assert "op" in vars(rho)
+        assert np.array_equal(levels, eig(other).levels()[0])
+        assert np.abs(probs - _eigenspace_distribution(other, rho)[1]).max() <= 1e-12
+
+
 class TestMeasureEnergy:
     def test_eigenstate_has_zero_spread(self, h_xxx):
         h = h_xxx()

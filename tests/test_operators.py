@@ -56,10 +56,26 @@ class TestHermitianOperator:
         m = np.array([[1.0, 1e-13j], [0.0, 2.0]])
         h = op1(m + m.conj().T - np.diag(m.diagonal().real))  # tiny asymmetry survives
         assert np.allclose(h.entries, h.entries.conj().T)
+        # a random complex M, Hermitian only up to round-off: the entries are
+        # (M + M^dagger)/2 bit for bit
+        rng = np.random.default_rng(11)
+        g = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+        m = g @ g.conj().T + 1e-14 * rng.standard_normal((16, 16))
+        assert not np.array_equal(m, m.conj().T)
+        h = HermitianOperator(SystemShape([2] * 4), m)
+        assert np.array_equal(h.entries, (m + m.conj().T) / 2.0)
+        assert np.array_equal(h.entries, h.entries.conj().T)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             op1(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        # refused above 1e-12 max(1, max |M_ij|), at unit scale and at 1e6, and kept below
+        for scale in (1.0, 1e6):
+            limit = 1e-12 * scale
+            with pytest.raises(ValueError, match="not Hermitian"):
+                op1(np.array([[scale, 2.0 * limit], [0.0, 0.0]]))
+            h = op1(np.array([[scale, 0.5 * limit], [0.0, 0.0]]))
+            assert h.entries[0, 1] == h.entries[1, 0] == 0.25 * limit
 
     def test_rejects_wrong_size(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,9 @@ from enwit import (
     esep_reference,
     esep_search,
     esep_seesaw,
+    parse_pauli_terms,
 )
+from enwit import bloch
 from enwit.bloch import (
     NEWTON_TOL,
     _bloch_derivatives,
@@ -28,7 +32,7 @@ from enwit.bloch import (
 )
 from enwit.sep_energy import closed_form_ansatz_xxx
 
-from conftest import PAULI, ansatz_energy, block_dims, full_vector, random_ansatz
+from conftest import PAULI, ansatz_energy, block_dims, dm_chain, full_vector, random_ansatz
 from grid_oracle import esep_grid
 
 Q2 = SystemShape([2, 2])
@@ -134,6 +138,38 @@ def random_unit_rows(rng, size):
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
+def _random_pauli_operator(n):
+    """build_pauli of the strings of a random Hermitian matrix on n qubits: all 4^n strings."""
+    rng = np.random.default_rng(30 + n)
+    shape = SystemShape([2] * n)
+    h = HermitianOperator(shape, random_hermitian(rng, shape.total_dim))
+    letters, coeffs = pauli_terms([h])
+    terms = [
+        PauliString(c, "".join("IXYZ"[a] for a in row)) for row, c in zip(letters, coeffs[:, 0])
+    ]
+    return build_pauli(shape, terms)
+
+
+def _pauli_operator(*lines):
+    """build_pauli of '<coef> <letters>' lines."""
+    n = len(lines[0].split()[1])
+    return build_pauli(SystemShape([2] * n), parse_pauli_terms("\n".join(lines)))
+
+
+STRING_CASES = {
+    "random-2": lambda: [_random_pauli_operator(2)],
+    "random-3": lambda: [_random_pauli_operator(3)],
+    "random-4": lambda: [_random_pauli_operator(4)],
+    "duplicate": lambda: [
+        _pauli_operator("0.5 XYZ", "-1.25 IZI", "0.75 XYZ", "0.3 YYX", "-0.3 YYX")
+    ],
+    "identity": lambda: [_pauli_operator("2.0 III", "1.0 ZZI", "-0.5 IXX")],
+    "xxx-b0": lambda: [build_xxx(XXXParams(1.0, 0.0, 4, "periodic"))],
+    "complex-chain": lambda: [dm_chain(4)],
+    "field-grid": lambda: [build_xxx(XXXParams(1.0, float(b))) for b in np.linspace(0.0, 2.0, 41)],
+}
+
+
 class TestPauliTerms:
     def test_recovers_summed_coefficients(self):
         """Repeated strings sum; cancelling and identity strings behave like any other."""
@@ -164,6 +200,42 @@ class TestPauliTerms:
             PauliString(c, "".join("IXYZ"[a] for a in row)) for row, c in zip(letters, coeffs[:, 0])
         ]
         assert np.abs(build_pauli(shape, terms).entries - h.entries).max() < 1e-12
+
+    @pytest.mark.parametrize("case", sorted(STRING_CASES))
+    def test_strings_give_the_dense_table(self, case):
+        """From build_pauli's strings: the dense transform's letters, in its order, and
+        each H's coefficients within 1e-15 times its sum of |c|."""
+        hs = STRING_CASES[case]()
+        letters, table = pauli_terms(hs)
+        stripped = [HermitianOperator(h.shape, h.entries) for h in hs]  # no strings: dense path
+        dense_letters, dense_table = pauli_terms(stripped)
+        assert np.array_equal(letters, dense_letters)
+        scale = np.array([sum(abs(t.coefficient) for t in h.terms) for h in hs])
+        assert (np.abs(table - dense_table) <= 1e-15 * scale).all()
+
+    def test_search_on_build_pauli_operators_skips_the_dense_transform(self, monkeypatch):
+        def refuse(h):
+            raise AssertionError("the dense Pauli transform ran")
+
+        monkeypatch.setattr(bloch, "_dense_pauli_coefficients", refuse)
+        fields = [build_xxx(XXXParams(1.0, b)) for b in (0.0, 0.5, 3.0)]
+        esep_search(fields, SINGLETONS, restarts=4, seed=0)
+        esep_seesaw(build_xxx(XXXParams(1.0, 0.3, 6, "periodic")), Partition.singletons(6), 4)
+        esep_seesaw(dm_chain(4), Partition.singletons(4), restarts=4)
+        # an operator without strings still takes the dense transform
+        with pytest.raises(AssertionError, match="dense Pauli transform"):
+            esep_seesaw(HermitianOperator(Q2, fields[0].entries), SINGLETONS, restarts=4)
+
+    def test_strings_allocate_no_4n_array(self):
+        """At n = 10 one byte per string would be 1 MiB; the dense transform takes more."""
+        h = build_xxx(XXXParams(1.0, 0.3, 10, "periodic"))
+        peaks = []
+        for op in (h, HermitianOperator(h.shape, h.entries)):
+            tracemalloc.start()
+            pauli_terms([op])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[0] < 4**10 < 8 * 4**10 < peaks[1]
 
 
 class TestBlochSearch:

@@ -108,6 +108,71 @@ class TestGroundState:
         assert np.abs(rho.entries - np.diag([0.5, 0.5, 0, 0, 0, 0])).max() < 1e-12
 
 
+def sector_state(h, p):
+    """The dense state as built before states kept their spectrum: each sector's
+    V diag(p) V^dagger written into zeros, then passed through HermitianOperator."""
+    rho = np.zeros((h.dim, h.dim), dtype=np.complex128)
+    for block in eig(h).sectors:
+        v = block.vectors
+        block.put(rho, (v * p[block.ranks][:, None, :]) @ v.conj().swapaxes(1, 2))
+    return HermitianOperator(h.shape, rho).entries
+
+
+SPECTRAL_CASES = [("gibbs", n, 0.3) for n in (2, 4, 8)] + [("ground", n, 0.3) for n in (2, 4, 8)]
+
+
+class TestSpectralStates:
+    """Gibbs and ground states hold eig(h) and their populations; the dense state
+    is formed only when read, with the bits of the sector construction."""
+
+    @pytest.mark.parametrize(
+        "kind, n, b", SPECTRAL_CASES + [("ground", 7, 0.0)], ids=lambda v: str(v)
+    )
+    def test_entries_match_the_sector_construction(self, kind, n, b):
+        h = build_xxx(XXXParams(1.0, b, n, "periodic"))
+        dec = eig(h)
+        if kind == "gibbs":
+            rho, _ = gibbs(h, 0.7)
+            p = thermal._thermal_table(dec, np.array([0.7]))[0][0]
+        else:
+            rho = ground_state(h)
+            k = int(dec.levels()[1][0])
+            p = np.where(np.arange(h.dim) < k, 1.0 / k, 0.0)
+            if n == 7:  # the odd ring's frustrated ground level: two doublets
+                assert k == 4
+        assert rho.spectrum is dec
+        assert np.array_equal(rho.populations, p)
+        assert "op" not in vars(rho)  # nothing dense yet
+        assert np.array_equal(rho.entries, sector_state(h, p))
+        assert rho.op.shape == rho.shape == h.shape
+
+    @pytest.mark.parametrize(
+        "p, match",
+        [
+            ([1.1, -0.1, 0.0, 0.0], "nonnegative"),
+            ([np.nan, 1.0, 0.0, 0.0], "finite"),
+            ([np.inf, 0.0, 0.0, 0.0], "finite"),
+            ([0.5, 0.4, 0.0, 0.0], "sum to"),
+            ([0.5, 0.5, 1e-9, 0.0], "sum to"),
+            ([0.5, 0.5, 0.0], "entries"),
+        ],
+        ids=["negative", "nan", "inf", "short-sum", "long-sum", "wrong-length"],
+    )
+    def test_bad_populations_raise(self, h_xxx, p, match):
+        h = h_xxx(1.0, 0.3)
+        with pytest.raises(ValueError, match=match):
+            DensityMatrix.from_spectrum(h.shape, eig(h), np.array(p))
+
+    def test_populations_are_copied_and_frozen(self, h_xxx):
+        h = h_xxx(1.0, 0.3)
+        p = np.array([1.0, 0.0, 0.0, 0.0])
+        rho = DensityMatrix.from_spectrum(h.shape, eig(h), p)
+        p[0] = 5.0
+        assert rho.populations[0] == 1.0
+        with pytest.raises(ValueError):
+            rho.populations[0] = 0.0
+
+
 class TestEnergyCurve:
     def test_monotone_mean_energy(self, h_xxx):
         pts = energy_curve(h_xxx(), [0.5, 1.0, 2.0])
