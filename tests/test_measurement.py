@@ -93,7 +93,7 @@ class TestSpectralStates:
     @pytest.mark.parametrize("n", [2, 4, 7, 8])
     def test_populations_match_the_sector_read(self, n):
         """The same levels, and probabilities within 1e-12 of <v_k|rho|v_k> read
-        from the dense state (which no longer shares the spectrum object)."""
+        from the same state built from its entries, which carries no spectrum."""
         h = build_xxx(XXXParams(1.0, 0.3, n, "periodic"))
         for rho in (gibbs(h, 0.9)[0], ground_state(h)):
             levels, probs = _eigenspace_distribution(h, rho)

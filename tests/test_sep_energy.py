@@ -139,7 +139,7 @@ def random_unit_rows(rng, size):
 
 
 def _random_pauli_operator(n):
-    """build_pauli of the strings of a random Hermitian matrix on n qubits: all 4^n strings."""
+    """A random Hermitian matrix on n qubits, and build_pauli of its 4^n strings."""
     rng = np.random.default_rng(30 + n)
     shape = SystemShape([2] * n)
     h = HermitianOperator(shape, random_hermitian(rng, shape.total_dim))
@@ -147,7 +147,7 @@ def _random_pauli_operator(n):
     terms = [
         PauliString(c, "".join("IXYZ"[a] for a in row)) for row, c in zip(letters, coeffs[:, 0])
     ]
-    return build_pauli(shape, terms)
+    return h, build_pauli(shape, terms)
 
 
 def _pauli_operator(*lines):
@@ -157,9 +157,9 @@ def _pauli_operator(*lines):
 
 
 STRING_CASES = {
-    "random-2": lambda: [_random_pauli_operator(2)],
-    "random-3": lambda: [_random_pauli_operator(3)],
-    "random-4": lambda: [_random_pauli_operator(4)],
+    "random-2": lambda: [_random_pauli_operator(2)[1]],
+    "random-3": lambda: [_random_pauli_operator(3)[1]],
+    "random-4": lambda: [_random_pauli_operator(4)[1]],
     "duplicate": lambda: [
         _pauli_operator("0.5 XYZ", "-1.25 IZI", "0.75 XYZ", "0.3 YYX", "-0.3 YYX")
     ],
@@ -192,14 +192,8 @@ class TestPauliTerms:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_build_pauli_rebuilds_random_operators(self, n):
-        rng = np.random.default_rng(30 + n)
-        shape = SystemShape([2] * n)
-        h = HermitianOperator(shape, random_hermitian(rng, shape.total_dim))
-        letters, coeffs = pauli_terms([h])
-        terms = [
-            PauliString(c, "".join("IXYZ"[a] for a in row)) for row, c in zip(letters, coeffs[:, 0])
-        ]
-        assert np.abs(build_pauli(shape, terms).entries - h.entries).max() < 1e-12
+        h, rebuilt = _random_pauli_operator(n)
+        assert np.abs(rebuilt.entries - h.entries).max() < 1e-12
 
     @pytest.mark.parametrize("case", sorted(STRING_CASES))
     def test_strings_give_the_dense_table(self, case):

@@ -109,8 +109,8 @@ class TestGroundState:
 
 
 def sector_state(h, p):
-    """The dense state as built before states kept their spectrum: each sector's
-    V diag(p) V^dagger written into zeros, then passed through HermitianOperator."""
+    """Reference dense state: each sector's V diag(p) V^dagger written into zeros,
+    then passed through HermitianOperator."""
     rho = np.zeros((h.dim, h.dim), dtype=np.complex128)
     for block in eig(h).sectors:
         v = block.vectors
@@ -118,15 +118,14 @@ def sector_state(h, p):
     return HermitianOperator(h.shape, rho).entries
 
 
-SPECTRAL_CASES = [("gibbs", n, 0.3) for n in (2, 4, 8)] + [("ground", n, 0.3) for n in (2, 4, 8)]
-
-
 class TestSpectralStates:
     """Gibbs and ground states hold eig(h) and their populations; the dense state
     is formed only when read, with the bits of the sector construction."""
 
     @pytest.mark.parametrize(
-        "kind, n, b", SPECTRAL_CASES + [("ground", 7, 0.0)], ids=lambda v: str(v)
+        "kind, n, b",
+        [(kind, n, 0.3) for kind in ("gibbs", "ground") for n in (2, 4, 8)] + [("ground", 7, 0.0)],
+        ids=str,
     )
     def test_entries_match_the_sector_construction(self, kind, n, b):
         h = build_xxx(XXXParams(1.0, b, n, "periodic"))
