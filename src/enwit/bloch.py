@@ -188,11 +188,26 @@ def _bloch_derivatives(
 
 
 def _tangent_bases(r: np.ndarray) -> np.ndarray:
-    """Orthonormal bases (..., 3, 2) of the tangent planes of S^2 at unit vectors r."""
-    axis = np.eye(3)[np.argmin(abs(r), axis=-1)]
-    u = np.cross(r, axis)
-    u /= np.linalg.norm(u, axis=-1, keepdims=True)
-    return np.stack([u, np.cross(r, u)], axis=-1)
+    """Orthonormal bases (..., 3, 2) of the tangent planes of S^2 at unit vectors r.
+
+    Column 0 is u = r x e / |r x e| for the axis e least aligned with r, and
+    column 1 is r x u.  The cross products are written out in ``np.cross``'s
+    operand order, and u has a zero component, so |u| sums the same squares:
+    every bit is that of ``np.cross`` and ``np.linalg.norm``.
+    """
+    e = np.eye(3)[np.argmin(abs(r), axis=-1)]
+    x, y, z = r[..., 0], r[..., 1], r[..., 2]
+    out = np.empty(r.shape + (2,))
+    u, w = out[..., 0], out[..., 1]
+    u[..., 0] = y * e[..., 2] - z * e[..., 1]
+    u[..., 1] = z * e[..., 0] - x * e[..., 2]
+    u[..., 2] = x * e[..., 1] - y * e[..., 0]
+    u0, u1, u2 = u[..., 0], u[..., 1], u[..., 2]
+    u /= np.sqrt(u0 * u0 + u1 * u1 + u2 * u2)[..., None]
+    w[..., 0] = y * u2 - z * u1
+    w[..., 1] = z * u0 - x * u2
+    w[..., 2] = x * u1 - y * u0
+    return out
 
 
 def _riemannian(
@@ -246,17 +261,28 @@ def bloch_search(
     # Mean-field sweeps: r_i <- -g_i/|g_i| minimizes the energy, affine in r_i,
     # exactly; a site whose g_i is zero keeps its vector.  A Hamiltonian's rows
     # stop once a sweep lowers none of their energies by more than round-off.
+    # Site i's g_i takes the prefix product f[0] ... f[i] (coefficients, then
+    # the sites already swept) times the suffix f[i + 2] ... f[n].  The prefix
+    # is carried forward one factor per site: numpy's product over axis 0
+    # multiplies left to right, so it has the bits of f[: i + 1].prod(axis=0),
+    # and after the last site it is each string's term of the sweep's energy.
+    # |g| = sqrt((g * g).sum) is np.linalg.norm's arithmetic on real rows.
     f = np.concatenate([coeffs[None], _factors(v, letters)])  # f[1 + i]: site i's factors
     energy = f.prod(axis=0).sum(axis=0)
     sweeping = np.ones(len(r), dtype=bool)
     for _ in range(MEAN_FIELD_SWEEPS):
+        prefix = f[0]
         for i in range(n):
-            g = (f[: i + 1].prod(axis=0) * f[i + 2 :].prod(axis=0)).T @ onehot[:, i]
-            norm = np.linalg.norm(g, axis=1)
+            g = (prefix * f[i + 2 :].prod(axis=0)).T @ onehot[:, i]
+            norm = np.sqrt((g * g).sum(axis=1))
             turn = sweeping & (norm > 0.0)
-            r[turn, i] = -g[turn] / norm[turn, None]
+            if turn.all():
+                r[:, i] = -g / norm[:, None]
+            else:
+                r[turn, i] = -g[turn] / norm[turn, None]
             f[i + 1] = v[:, i, letters[:, i]].T
-        new = f.prod(axis=0).sum(axis=0)
+            prefix = prefix * f[i + 1]
+        new = prefix.sum(axis=0)
         if not (new <= energy + slack).all():
             raise NumericalError("a mean-field sweep raised the product-state energy")
         sweeping = (energy - new > slack).reshape(len(hs), -1).any(axis=1)[owner]

@@ -25,7 +25,8 @@ def bloch_angles(state: np.ndarray) -> tuple[float, float]:
     v = v / np.linalg.norm(v)
     theta = 2.0 * math.atan2(abs(v[1]), abs(v[0]))
     phi = float(np.angle(v[1]) - np.angle(v[0])) % (2.0 * math.pi)
-    if abs(v[1]) < 1e-15 or abs(v[0]) < 1e-15:
+    # a difference within half an ulp below 0 rounds up to exactly 2pi
+    if phi == 2.0 * math.pi or abs(v[1]) < 1e-15 or abs(v[0]) < 1e-15:
         phi = 0.0
     return theta, phi
 

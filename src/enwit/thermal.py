@@ -2,7 +2,12 @@
 
 All thermal quantities are computed in the eigenbasis of H with the
 spectrum shifted by its minimum before exponentiating, so temperatures
-down to 1e-3 J (beta up to 1e3) stay finite.
+down to 1e-3 J (beta up to 1e3) stay finite.  One routine,
+:func:`_thermal_table`, computes them for an (F, d) stack of spectra at T
+temperatures: :func:`gibbs` is its one-field, one-temperature case,
+:func:`energy_curve` its one-field case, and :func:`energy_table` serves a
+sweep of F fields and holds the one check that no field's mean energy
+falls as T rises.
 
 Gibbs and ground states are spectral objects: ``eig(h)`` and the level
 populations p (Boltzmann weights, or 1/k over a k-fold ground level), built
@@ -21,9 +26,12 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NumericalError
-from .operators import DensityMatrix, HermitianOperator, SpectralDecomposition, eig
+from .operators import DensityMatrix, HermitianOperator, eig
 
 _EXP_MAX = 700.0  # log of the largest finite float64, rounded down
+# Entries of the largest (F, T, d) Boltzmann table energy_table forms (1 MB
+# per array): a sweep's memory stays that of one field's table, or 1 MB.
+_TABLE_CHUNK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -46,20 +54,44 @@ class ThermalPoint:
             raise ValueError("beta must equal 1/T")
 
 
-def _thermal_table(dec: SpectralDecomposition, temps: np.ndarray) -> tuple[np.ndarray, np.recarray]:
-    """Boltzmann probabilities (T x levels) and the thermal points, via the max-shift trick."""
-    lam = dec.eigenvalues
+def _thermal_table(spectra: np.ndarray, temps: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Boltzmann probabilities (F, T, d), log Z (F, T) and mean energies (F, T) of an
+    (F, d) stack of ascending spectra at the temperatures (T,), via the max-shift trick."""
     beta = 1.0 / temps
-    w = np.exp(-beta[:, None] * (lam - lam[0]))
-    s = w.sum(axis=1)
-    log_z = np.log(s) - beta * lam[0]
-    probs = w / s[:, None]
-    mean = (probs * lam).sum(axis=1)
-    z = np.exp(np.where(log_z < _EXP_MAX, log_z, np.inf))
-    points = np.rec.fromarrays(
-        [temps, beta, z, mean, log_z], names=[f.name for f in fields(ThermalPoint)]
-    )
-    return probs, points
+    w = np.exp(-beta[:, None] * (spectra[:, None] - spectra[:, :1, None]))
+    s = w.sum(axis=-1)
+    log_z = np.log(s) - beta * spectra[:, :1]
+    probs = w / s[..., None]
+    mean = (probs * spectra[:, None]).sum(axis=-1)
+    return probs, log_z, mean
+
+
+def energy_table(spectra: np.ndarray, temps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log Z and the mean energy, each (F, T), of an (F, d) stack of ascending spectra.
+
+    ``temps`` must be positive and ascending.  Fields go through
+    :func:`_thermal_table` in groups of at most ``_TABLE_CHUNK`` table entries,
+    which keeps every number as in a table of one field.  A mean energy that
+    falls with rising T by more than 1e-12 times max(1, max |eigenvalue|) of
+    its field raises :class:`~enwit.errors.NumericalError`.
+    """
+    if not (temps > 0).all():
+        raise ValueError("all temperatures must be positive")
+    if (np.diff(temps) < 0).any():
+        raise ValueError("temperatures must be ascending")
+    log_z = np.empty((len(spectra), temps.size))
+    mean = np.empty_like(log_z)
+    rows = max(1, _TABLE_CHUNK // max(1, temps.size * spectra.shape[1]))
+    for lo in range(0, len(spectra), rows):
+        part = slice(lo, lo + rows)
+        _, log_z[part], mean[part] = _thermal_table(spectra[part], temps)
+    # Round-off in the mean energy grows with the spectrum.
+    rise = np.diff(mean, axis=1)
+    falls = (rise < -1e-12 * np.maximum(1.0, np.abs(spectra).max(axis=1))[:, None]).any(axis=1)
+    if falls.any():
+        first = rise[np.argmax(falls)]
+        raise NumericalError(f"mean energy falls by {-first.min():.3e} as the temperature rises")
+    return log_z, mean
 
 
 def gibbs(h: HermitianOperator, temperature: float) -> tuple[DensityMatrix, ThermalPoint]:
@@ -68,8 +100,10 @@ def gibbs(h: HermitianOperator, temperature: float) -> tuple[DensityMatrix, Ther
     if not t > 0.0:
         raise ValueError("temperature must be positive; use ground_state for T = 0")
     dec = eig(h)
-    probs, points = _thermal_table(dec, np.array([t]))
-    return DensityMatrix.from_spectrum(h.shape, dec, probs[0]), ThermalPoint(*points[0].tolist())
+    probs, log_z, mean = _thermal_table(dec.eigenvalues[None], np.array([t]))
+    z = np.exp(log_z[0, 0]) if log_z[0, 0] < _EXP_MAX else np.inf
+    point = ThermalPoint(t, 1.0 / t, float(z), float(mean[0, 0]), float(log_z[0, 0]))
+    return DensityMatrix.from_spectrum(h.shape, dec, probs[0, 0]), point
 
 
 def ground_state(h: HermitianOperator) -> DensityMatrix:
@@ -91,14 +125,8 @@ def energy_curve(h: HermitianOperator, temps: Sequence[float]) -> np.recarray:
     :class:`~enwit.errors.NumericalError`.
     """
     ts = np.fromiter(temps, dtype=float)
-    if not (ts > 0).all():
-        raise ValueError("all temperatures must be positive")
-    if (np.diff(ts) < 0).any():
-        raise ValueError("temperatures must be ascending")
-    dec = eig(h)
-    _, points = _thermal_table(dec, ts)
-    # Round-off in the mean energy grows with the spectrum.
-    rise = np.diff(points.mean_energy)
-    if (rise < -1e-12 * max(1.0, float(np.abs(dec.eigenvalues).max()))).any():
-        raise NumericalError(f"mean energy falls by {-rise.min():.3e} as the temperature rises")
-    return points
+    (log_z,), (mean,) = energy_table(eig(h).eigenvalues[None], ts)
+    z = np.exp(np.where(log_z < _EXP_MAX, log_z, np.inf))
+    return np.rec.fromarrays(
+        [ts, 1.0 / ts, z, mean, log_z], names=[f.name for f in fields(ThermalPoint)]
+    )

@@ -4,6 +4,12 @@ The witness W = (H - E_sep I)/A with A = max(E_max - E_sep, E_sep - E_min)
 satisfies W <= I because expectation values of H fill exactly
 [E_min, E_max]; for any state with mean energy below E_sep this yields
 R_g >= (E_sep - <H>)/A.
+
+A sweep is one array pass over its (F fields, T temperatures) grid: one
+witness per field, then the mean energies of every field from one stacked
+Boltzmann table (:func:`enwit.thermal.energy_table`), the range checks and
+bounds in one call, and each column of the ``SWEEP_DTYPE`` record array
+written once.  :func:`sweep_single_hamiltonian` is the same pass with F = 1.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from .sep_energy import (
     esep_search,
     esep_seesaw,
 )
-from .thermal import energy_curve, ground_state
+from .thermal import energy_table, ground_state
 
 DEGENERATE_NORMALIZER = 1e-12
 CONSERVATIVE_ESEP_TOL = 1e-9
@@ -83,26 +89,27 @@ def make_witness(h: HermitianOperator, esep_report: SepEnergyReport) -> WitnessS
     )
 
 
-def _bound(w: WitnessSpec, mean_energy):
-    """(esep - <H>)/A for one mean energy or an array of them, each within the spectral range.
+def _bound(esep, e_min, e_max, a, mean: np.ndarray) -> np.ndarray:
+    """(esep - <H>)/A for an (F, T) table of mean energies, row f within field f's spectral range.
 
-    The range is widened by ``MEAN_RANGE_TOL`` times the largest |eigenvalue|
-    of H, so the check does not depend on the energy unit.
+    The witness numbers are scalars or (F, 1) columns.  Each range is widened
+    by ``MEAN_RANGE_TOL`` times the largest |eigenvalue| of its H, so the
+    check does not depend on the energy unit; the refusal names the first
+    mean outside its range, field-major.
     """
-    m = np.asarray(mean_energy, dtype=float)
-    slack = MEAN_RANGE_TOL * max(-w.e_min, w.e_max)
-    outside = (m < w.e_min - slack) | (m > w.e_max + slack)
+    slack = MEAN_RANGE_TOL * np.maximum(-e_min, e_max)
+    outside = (mean < e_min - slack) | (mean > e_max + slack)
     if outside.any():
-        raise ValueError(
-            f"mean energy {m[outside][0]} lies outside the spectral range [{w.e_min}, {w.e_max}]"
-        )
-    return (w.esep - m) / w.normalizer_a
+        f, k = np.argwhere(outside)[0]
+        lo, hi = (np.broadcast_to(e, mean.shape)[f, k] for e in (e_min, e_max))
+        raise ValueError(f"mean energy {mean[f, k]} lies outside the spectral range [{lo}, {hi}]")
+    return (esep - mean) / a
 
 
 def robustness_lower_bound(w: WitnessSpec, mean_energy: float) -> BoundReport:
     """Evaluate (esep - <H>)/A for a measured or computed mean energy."""
     m = float(mean_energy)
-    bound = float(_bound(w, m))
+    bound = float(_bound(w.esep, w.e_min, w.e_max, w.normalizer_a, np.array([[m]]))[0, 0])
     return BoundReport(
         mean_energy=m,
         esep=w.esep,
@@ -181,6 +188,52 @@ SWEEP_DTYPE = np.dtype(
 )
 
 
+def _sweep(
+    hs: list[HermitianOperator],
+    reports: Sequence[SepEnergyReport],
+    t: np.ndarray,
+    b_values: Sequence[float],
+) -> np.recarray:
+    """Bound columns of the fields ``hs`` (E_sep from ``reports``) at every temperature of ``t``.
+
+    One witness per field, then one array pass over the (F, T) grid: the
+    thermal means of all fields from one :func:`energy_table`, the range
+    checks and bounds in one :func:`_bound`, and each ``SWEEP_DTYPE`` column
+    written once.  T = 0 is served by each field's ground state.  Each H is
+    popped off ``hs`` as soon as its numbers are read, so its cached
+    spectrum goes with it.
+    """
+    if not (t >= 0.0).all():
+        raise ValueError("temperatures must be >= 0")
+    positive = t > 0.0
+    ws, spectra, ground = [], [], []
+    for report in reports:
+        h = hs.pop(0)
+        ws.append(make_witness(h, report))
+        spectra.append(eig(h).eigenvalues)
+        if not positive.all():
+            ground.append(expectation(h, ground_state(h)))
+    mean = np.empty((len(ws), t.size))
+    mean[:, positive] = energy_table(np.stack(spectra), t[positive])[1]
+    if ground:
+        mean[:, ~positive] = np.array(ground)[:, None]
+    esep, e_min, e_max, a = np.array(
+        [[w.esep, w.e_min, w.e_max, w.normalizer_a] for w in ws]
+    ).T[..., None]  # (F, 1) columns
+    bound = _bound(esep, e_min, e_max, a, mean).ravel()
+    cells = np.recarray(mean.size, dtype=SWEEP_DTYPE)
+    cells.b = np.repeat(b_values, t.size)
+    cells.t = np.tile(t, len(ws))
+    cells.mean_energy = mean.ravel()
+    cells.esep = np.repeat(esep, t.size)
+    cells.normalizer_a = np.repeat(a, t.size)
+    cells.bound_raw = bound
+    cells.detected = bound > 0.0
+    cells.entanglement_gap = np.repeat(esep - e_min, t.size)
+    cells.restarts_agreeing = np.repeat([r.restarts_agreeing for r in reports], t.size)
+    return cells
+
+
 def sweep_single_hamiltonian(
     h: HermitianOperator,
     esep_report: SepEnergyReport,
@@ -191,29 +244,9 @@ def sweep_single_hamiltonian(
 
     Returns a record array of ``SWEEP_DTYPE``, one row per temperature;
     ``bound_raw`` is unclipped.  A temperature of exactly 0 is served by the
-    ground state.
+    ground state.  This is :func:`bound_sweep`'s array pass for one field.
     """
-    w = make_witness(h, esep_report)
-    t = np.fromiter(t_grid, dtype=float)
-    if not (t >= 0.0).all():
-        raise ValueError("temperatures must be >= 0")
-    positive = t > 0.0
-    mean = np.empty_like(t)
-    mean[positive] = energy_curve(h, t[positive]).mean_energy
-    if not positive.all():
-        mean[~positive] = expectation(h, ground_state(h))
-    bound = _bound(w, mean)
-    cells = np.recarray(t.size, dtype=SWEEP_DTYPE)
-    cells.b = b_value
-    cells.t = t
-    cells.mean_energy = mean
-    cells.esep = w.esep
-    cells.normalizer_a = w.normalizer_a
-    cells.bound_raw = bound
-    cells.detected = bound > 0.0
-    cells.entanglement_gap = w.entanglement_gap
-    cells.restarts_agreeing = esep_report.restarts_agreeing
-    return cells
+    return _sweep([h], [esep_report], np.fromiter(t_grid, dtype=float), [b_value])
 
 
 def bound_sweep(
@@ -226,9 +259,12 @@ def bound_sweep(
 ) -> np.recarray:
     """Robustness lower bounds on a (B, T) grid of thermal Heisenberg states.
 
-    Every field's H is built from ``params`` first, E_sep resolved per the policy
-    (``exact``: one :func:`esep_search` over all fields), and every temperature
-    evaluated.  Returns a ``SWEEP_DTYPE`` record array, rows B-major then T.
+    Every field's H is built from ``params`` first and E_sep resolved per the
+    policy (``exact``: one :func:`esep_search` over all fields).  Then one
+    array pass covers the whole grid: each field's witness, the thermal
+    means of all fields from one stacked table, and the bounds and record
+    columns, each computed once.  Returns a ``SWEEP_DTYPE`` record array,
+    rows B-major then T.
     """
     t_list = [float(t) for t in t_grid]
     b_list = [float(b) for b in b_grid]
@@ -244,8 +280,4 @@ def bound_sweep(
         reports = esep_search(hs, Partition.singletons(params.n_sites), restarts, seed)
     else:
         reports = [resolve_esep(policy, h, params=p) for h, p in zip(hs, fields)]
-    parts = [  # pop drops each H, with its cached spectrum, once its field is swept
-        sweep_single_hamiltonian(hs.pop(0), report, t_list, b_value=b)
-        for report, b in zip(reports, b_list)
-    ]
-    return np.concatenate(parts).view(np.recarray)
+    return _sweep(hs, reports, np.array(t_list), b_list)

@@ -29,7 +29,7 @@ from enwit import (
     rg_exact_2q,
     robustness_lower_bound,
 )
-from enwit.cli import cmd_reproduce_figure
+from enwit.cli import cmd_reproduce_figure, main
 from enwit.operators import HermitianOperator
 from enwit.states import singlet
 
@@ -259,3 +259,23 @@ def test_criterion_11_reproducible_figure_output(tmp_path, capsys):
         f"criterion 11 PASS: {' and '.join(names)} byte-identical across runs "
         "and to the recorded sha256 digests"
     )
+
+
+# sha256 of the 41 x 400 exact-policy sweep at seed 0: the E_sep search, the
+# thermal table and the CSV writer all show in it.
+EXACT_SWEEP_SHA256 = "e6b4145bfcb9e7bf3a1fec9a36e42834600d8fd8b86a84909b6416773c209762"
+
+
+def test_exact_sweep_output_is_pinned(tmp_path, capsys):
+    path = tmp_path / "exact.csv"
+    argv = [
+        "bound-sweep", "--J", "1", "--policy", "exact", "--seed", "0",
+        "--T-min", "0.01", "--T-max", "4", "--T-steps", "400",
+        "--B-min", "0", "--B-max", "2", "--B-steps", "41", "--out", str(path),
+    ]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == f"wrote {path} (16400 rows)\n"
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == EXACT_SWEEP_SHA256
+    print("exact sweep PASS: 41 x 400 CSV matches its recorded sha256, nothing on stderr")

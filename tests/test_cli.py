@@ -1030,10 +1030,9 @@ class TestNumericalFailureExitCode:
 
         real = thermal._thermal_table
 
-        def reversed_means(dec, temps):
-            probs, points = real(dec, temps)
-            points.mean_energy[:] = points.mean_energy[::-1].copy()
-            return probs, points
+        def reversed_means(spectra, temps):
+            probs, log_z, mean = real(spectra, temps)
+            return probs, log_z, mean[:, ::-1].copy()
 
         monkeypatch.setattr(thermal, "_thermal_table", reversed_means)
         argv = ["bound-sweep", "--J", "1", "--T-min", "0.5", "--T-max", "2", "--T-steps", "3",

@@ -1,3 +1,5 @@
+import hashlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -31,6 +33,7 @@ from enwit.bloch import (
     pauli_terms,
 )
 from enwit.sep_energy import closed_form_ansatz_xxx
+from enwit.states import bloch_angles
 
 from conftest import PAULI, ansatz_energy, block_dims, dm_chain, full_vector, random_ansatz
 from grid_oracle import esep_grid
@@ -407,6 +410,90 @@ class TestStackedSearch:
         h = HermitianOperator(shape, np.eye(shape.total_dim))
         with pytest.raises(ValueError, match="one qubit per block"):
             esep_search([h], part)
+
+
+def search_digest(reports):
+    """sha256 of each report's esep, restarts_agreeing, converged, gradient_norm,
+    hessian_min (floats as hex) and minimizer bytes, in order."""
+    h = hashlib.sha256()
+    for r in reports:
+        h.update(
+            f"{r.esep.hex()} {r.restarts_agreeing} {r.converged} "
+            f"{r.gradient_norm.hex()} {r.hessian_min.hex()}".encode()
+        )
+        for s in r.minimizer.block_states:
+            h.update(s.tobytes())
+    return h.hexdigest()
+
+
+class TestSearchBits:
+    """The search's written-out forms keep every bit: of ``np.cross`` and
+    ``np.linalg.norm`` in the tangent bases, and of recorded search results."""
+
+    @staticmethod
+    def unit_vectors():
+        rng = np.random.default_rng(2424)
+        r = rng.standard_normal((200, 4, 3))
+        # axes and ties in |r_i| give zero components and argmin ties
+        r[0] = [[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [1.0, 1.0, 1.0]]
+        r[1] = [[-1.0, 1.0, 0.0], [0.0, 1.0, -1.0], [1.0, -1.0, 1.0], [0.0, 0.0, 1.0]]
+        return r / np.linalg.norm(r, axis=-1, keepdims=True)
+
+    def test_tangent_bases_match_np_cross(self):
+        r = self.unit_vectors()
+        axis = np.eye(3)[np.argmin(abs(r), axis=-1)]
+        u = np.cross(r, axis)
+        u /= np.linalg.norm(u, axis=-1, keepdims=True)
+        expected = np.stack([u, np.cross(r, u)], axis=-1)
+        got = _tangent_bases(r)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()  # signed zeros included
+
+    def test_tangent_bases_are_orthonormal_and_tangent(self):
+        r = self.unit_vectors()
+        bases = _tangent_bases(r)
+        gram = np.einsum("...xa,...xb->...ab", bases, bases)
+        assert np.abs(gram - np.eye(2)).max() <= 1e-15
+        assert np.abs(np.einsum("...x,...xa->...a", r, bases)).max() <= 1e-15
+
+    # search_digest of seeded searches, recorded before the mean-field sweep
+    # carried its prefix product and the tangent bases were written out
+    RECORDED = {
+        "ring-4-0.3": "88427684ef8733d702b5e595315cd9b1adec4fc787ecfe8c67b7375e8f086793",
+        "ring-4-1": "e315e706dfa241464bd454b516f9a6224c702d96ae1973c4981289dbad6f5de0",
+        "ring-4-5": "0d2fde9d01cbeb8487e119c9d4422c12d66a6bb0cbe84bdd12eee2df3f03403a",
+        "ring-6-1": "48ead1b23d67908be75e13fda2f4658bdde819e3e42c69b61420e55df6c064ba",
+        "ring-6-5": "bab8797e6f1770fe25c5c8dba9a06750d93125de35af35684f5651bb7c6dfc1d",
+        "fields-41": "005acd5c5a41da775e07ff4d98d2b0106dddd4f5719d846b3b277d4ca4519a63",
+    }
+
+    @pytest.mark.parametrize("case", list(RECORDED))
+    def test_search_results_keep_recorded_bits(self, case):
+        """The periodic rings of the chain_scaling benchmark (8 restarts) and the 41
+        two-site fields of the figure grid (one stacked search, 32 restarts), seed 0."""
+        if case == "fields-41":
+            hs = [build_xxx(XXXParams(1.0, float(b))) for b in np.linspace(0.0, 2.0, 41)]
+            reports = esep_search(hs, SINGLETONS, restarts=32, seed=0)
+        else:
+            _, n, b = case.split("-")
+            h = build_xxx(XXXParams(1.0, float(b), int(n), "periodic"))
+            reports = esep_search([h], Partition.singletons(int(n)), restarts=8, seed=0)
+        assert search_digest(reports) == self.RECORDED[case]
+
+
+class TestBlochAngles:
+    @pytest.mark.parametrize("phase", [1e-16, -1e-16, 1e-17, -1e-17], ids=str)
+    def test_phi_below_two_pi_near_zero_phase(self, phase):
+        """A relative phase just below 0 must not round up to phi = 2 pi."""
+        theta, phi = bloch_angles(np.array([1.0, np.exp(1j * phase)]) / math.sqrt(2.0))
+        assert theta == pytest.approx(math.pi / 2.0, abs=1e-15)
+        assert 0.0 <= phi < 2.0 * math.pi
+        assert phi == pytest.approx(0.0, abs=1e-15)
+
+    def test_phi_just_below_two_pi_stays(self):
+        """-1e-15 mod 2 pi is the float just below 2 pi, a valid angle that stays."""
+        _, phi = bloch_angles(np.array([1.0, np.exp(-1e-15j)]) / math.sqrt(2.0))
+        assert phi == np.nextafter(2.0 * math.pi, 0.0)
 
 
 class TestRing:

@@ -132,7 +132,7 @@ class TestSpectralStates:
         dec = eig(h)
         if kind == "gibbs":
             rho, _ = gibbs(h, 0.7)
-            p = thermal._thermal_table(dec, np.array([0.7]))[0][0]
+            p = thermal._thermal_table(dec.eigenvalues[None], np.array([0.7]))[0][0, 0]
         else:
             rho = ground_state(h)
             k = int(dec.levels()[1][0])
@@ -232,13 +232,25 @@ class TestEnergyCurve:
         pts = energy_curve(build_xxx(XXXParams(j, 0.3 * j, 6, "periodic")), j * temps)
         assert np.abs(pts.mean_energy / j - unit.mean_energy).max() <= 1e-12
 
+    @pytest.mark.parametrize("chunk", [1, 2 * 400 * 16, 1 << 20], ids=["field", "two", "all"])
+    def test_stacked_fields_keep_each_curve(self, chunk, monkeypatch):
+        """energy_table over a stack of spectra, in table groups of any size, gives
+        each field's energy_curve bit for bit (16-level rings, 400 temperatures)."""
+        temps = np.linspace(0.01, 4.0, 400)
+        hs = [build_xxx(XXXParams(1.0, b, 4, "periodic")) for b in (0.0, 0.3, 1.0, 2.5, 5.0)]
+        monkeypatch.setattr(thermal, "_TABLE_CHUNK", chunk)
+        log_z, mean = thermal.energy_table(np.stack([eig(h).eigenvalues for h in hs]), temps)
+        for j, h in enumerate(hs):
+            pts = energy_curve(h, temps)
+            assert log_z[j].tobytes() == pts.log_partition_z.tobytes()
+            assert mean[j].tobytes() == pts.mean_energy.tobytes()
+
     def test_falling_mean_energy_raises_numerical_error(self, h_xxx, monkeypatch):
         real = thermal._thermal_table
 
-        def reversed_means(dec, temps):
-            probs, points = real(dec, temps)
-            points.mean_energy[:] = points.mean_energy[::-1].copy()
-            return probs, points
+        def reversed_means(spectra, temps):
+            probs, log_z, mean = real(spectra, temps)
+            return probs, log_z, mean[:, ::-1].copy()
 
         monkeypatch.setattr(thermal, "_thermal_table", reversed_means)
         with pytest.raises(NumericalError, match="mean energy falls"):

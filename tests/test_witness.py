@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,7 +20,11 @@ from enwit import (
     make_witness,
     robustness_lower_bound,
 )
-from enwit.witness import resolve_esep, sweep_single_hamiltonian
+from enwit import thermal
+from enwit.errors import NumericalError
+from enwit.sep_energy import esep_search
+from enwit.thermal import ground_state
+from enwit.witness import SWEEP_DTYPE, resolve_esep, sweep_single_hamiltonian
 
 from conftest import PAULI, ansatz_energy, full_vector, normalized_witness, random_ansatz
 
@@ -194,6 +199,75 @@ class TestSweep:
         exact = bound_sweep(doubled_p, EsepPolicy("exact"), [1.0], [0.0]).esep[0]
         assert closed == -2.0
         assert closed == pytest.approx(exact, abs=1e-9)
+
+
+FIELDS = [float(b) for b in np.linspace(0.0, 2.0, 41)]
+FIGURE_TEMPS = [float(t) for t in np.linspace(0.01, 4.0, 400)]
+
+
+def per_field_sweeps(policy, temps, fields, restarts=32, seed=0):
+    """bound_sweep's rows, built one field at a time by sweep_single_hamiltonian."""
+    params = [XXXParams(1.0, b) for b in fields]
+    hs = [build_xxx(p) for p in params]
+    if policy.kind == "exact":
+        reports = esep_search(hs, Partition.singletons(2), restarts, seed)
+    else:
+        reports = [resolve_esep(policy, h, params=p) for h, p in zip(hs, params)]
+    parts = [
+        sweep_single_hamiltonian(h, rep, temps, b_value=b) for h, rep, b in zip(hs, reports, fields)
+    ]
+    return np.concatenate(parts)
+
+
+def edit_mean_of_field(field, edit):
+    """A _thermal_table whose mean energies of one field's row go through ``edit``."""
+    real = thermal._thermal_table
+
+    def edited(spectra, temps):
+        probs, log_z, mean = real(spectra, temps)
+        mean = mean.copy()
+        mean[field] = edit(mean[field])
+        return probs, log_z, mean
+
+    return edited
+
+
+class TestStackedSweep:
+    """bound_sweep's one array pass gives the bits of one sweep per field."""
+
+    @pytest.mark.parametrize("policy", ["closed-form", "exact", "fixed:-1.5"])
+    def test_equals_per_field_sweeps(self, policy):
+        policy = EsepPolicy.parse(policy)
+        stacked = bound_sweep(XXXParams(1.0), policy, FIGURE_TEMPS, FIELDS)
+        single = per_field_sweeps(policy, FIGURE_TEMPS, FIELDS)
+        assert stacked.dtype == SWEEP_DTYPE and len(stacked) == 41 * 400
+        for name in SWEEP_DTYPE.names:
+            assert stacked[name].tobytes() == single[name].tobytes(), name
+
+    def test_zero_temperature_column(self):
+        temps = [0.0, 0.5, 1.0]
+        fields = [0.0, 0.7, 2.5]
+        policy = EsepPolicy("closed-form")
+        stacked = bound_sweep(XXXParams(1.0), policy, temps, fields)
+        single = per_field_sweeps(policy, temps, fields)
+        for name in SWEEP_DTYPE.names:
+            assert stacked[name].tobytes() == single[name].tobytes(), name
+        for b, cell in zip(fields, stacked[stacked.t == 0.0]):
+            h = build_xxx(XXXParams(1.0, b))
+            assert cell.mean_energy == expectation(h, ground_state(h))
+
+    def test_mean_outside_one_fields_range_names_that_range(self, monkeypatch):
+        fields = [0.0, 0.5, 1.0, 1.5]
+        monkeypatch.setattr(thermal, "_thermal_table", edit_mean_of_field(2, lambda m: m + 10.0))
+        dec = eig(build_xxx(XXXParams(1.0, 1.0)))
+        match = re.escape(f"lies outside the spectral range [{dec.e_min}, {dec.e_max}]")
+        with pytest.raises(ValueError, match=match):
+            bound_sweep(XXXParams(1.0), EsepPolicy("closed-form"), [0.5, 1.0], fields)
+
+    def test_falling_mean_in_one_of_several_fields(self, monkeypatch):
+        monkeypatch.setattr(thermal, "_thermal_table", edit_mean_of_field(1, lambda m: m[::-1]))
+        with pytest.raises(NumericalError, match="mean energy falls by "):
+            bound_sweep(XXXParams(1.0), EsepPolicy("closed-form"), [0.5, 1.0, 2.0], FIELDS[:4])
 
 
 class TestPolicy:
