@@ -20,6 +20,7 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass, replace
+from functools import cache
 from itertools import repeat
 from pathlib import Path
 from typing import Optional, Sequence
@@ -36,6 +37,7 @@ from .sep_energy import Partition, SepEnergyReport, esep_search
 from .thermal import gibbs, ground_state
 from .witness import (
     EsepPolicy,
+    _sweep_fields,
     bound_sweep,
     make_witness,
     resolve_esep,
@@ -383,12 +385,9 @@ def cmd_bound_sweep(cfg: argparse.Namespace) -> int:
     params = _xxx_params(cfg)
     if params is not None:
         b_values = cfg.b_grid.values()
-        if cfg.policy.kind == "fixed":  # one search over every field's H
-            hs = [build_xxx(replace(params, field_b=b)) for b in b_values]
-            _refute_fixed(cfg, hs, [f" at B = {b:g}" for b in b_values])
-        cells = bound_sweep(
-            params, cfg.policy, t_values, b_values, restarts=cfg.restarts, seed=cfg.seed
-        )
+        hs = [build_xxx(replace(params, field_b=b)) for b in b_values]
+        _refute_fixed(cfg, hs, [f" at B = {b:g}" for b in b_values])  # one search over all
+        cells = _sweep_fields(params, hs, cfg.policy, t_values, b_values, cfg.restarts, cfg.seed)
     else:
         h = _build_hamiltonian(cfg)
         _refute_fixed(cfg, [h])
@@ -486,7 +485,9 @@ _COMMANDS = {
 }
 
 
+@cache
 def _make_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process: parsing leaves no state in it."""
     parser = argparse.ArgumentParser(
         prog="enwit",
         description="Energy-based entanglement witnesses and robustness bounds.",

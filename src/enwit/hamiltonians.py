@@ -93,13 +93,35 @@ def build_xxx(p: XXXParams) -> HermitianOperator:
     return build_pauli(SystemShape([2] * p.n_sites), _xxx_terms(p))
 
 
+def _parities(d: int) -> np.ndarray:
+    """parity(x) for every basis index x < d: True where x has an odd number of set bits."""
+    cols = np.arange(d)
+    odd = np.zeros(d, dtype=bool)
+    while d > 1:
+        d >>= 1
+        odd ^= (cols & d).astype(bool)
+    return odd
+
+
 def build_pauli(shape: SystemShape, terms: Sequence[PauliString]) -> HermitianOperator:
     """Sum of coefficient-weighted Pauli strings on a register of qubits.
 
-    Each string is added as a phased permutation (see the module docstring),
-    in the order given, and the operator keeps the terms as its ``terms``.
-    Terms whose |coefficients| sum above ``MAX_COEFFICIENT_SUM`` are refused
-    before any entry is written.
+    Each string is a phased permutation (see the module docstring).  Strings
+    with the same flip mask f write the same d entries (x ^ f, x), so they
+    are summed per mask: each group's amplitude vector is the sum of its
+    strings' amplitudes in the order given, starting from zeros, which is
+    the sum term-by-term addition into a zero matrix gives, to the bit, and
+    each group is written with one scatter.  The operator keeps the terms
+    as its ``terms``.  Terms whose |coefficients| sum above
+    ``MAX_COEFFICIENT_SUM`` are refused before any entry is written.
+
+    The sum is Hermitian by construction: a string's entry at (x, x ^ f) is
+    the exact conjugate of its entry at (x ^ f, x), and so is each group's
+    sum.  So in place of :class:`HermitianOperator`'s d x d check and
+    symmetrization, which make several d x d temporaries and were most of
+    the build from n = 8 up, each group is checked for exact conjugate
+    symmetry in O(d), O(d F) in all for F masks, and the matrix is wrapped
+    as it is; the coefficient cap keeps every entry finite.
     """
     if any(d != 2 for d in shape.local_dims):
         raise ValueError("Pauli strings are defined on qubit registers only")
@@ -110,24 +132,32 @@ def build_pauli(shape: SystemShape, terms: Sequence[PauliString]) -> HermitianOp
         )
     n = shape.n_sites
     d = shape.total_dim
-    h = np.zeros((d, d), dtype=np.complex128)
     cols = np.arange(d)
+    odd = _parities(d)
+    groups: dict[int, np.ndarray] = {}  # flip mask -> amplitude of column x at row x ^ flip
     for term in terms:
         if len(term.letters) != n:
             raise ValueError(
                 f"term {term.letters!r} has {len(term.letters)} letters, expected {n}"
             )
-        flip = 0
-        parity = np.zeros(d, dtype=cols.dtype)
-        for k, c in enumerate(term.letters):
-            bit = n - 1 - k
-            if c in "XY":
-                flip |= 1 << bit
-            if c in "YZ":
-                parity ^= (cols >> bit) & 1
+        flip = yz = 0
+        for c in term.letters:  # site 0 is the most significant bit
+            flip = flip << 1 | (c in "XY")
+            yz = yz << 1 | (c in "YZ")
         value = term.coefficient * 1j ** term.letters.count("Y")
-        h[cols ^ flip, cols] += np.where(parity, -value, value)
-    return HermitianOperator(shape, h, terms)
+        amplitude = groups.get(flip)
+        if amplitude is None:
+            amplitude = groups[flip] = np.zeros(d, dtype=np.complex128)
+        amplitude += np.where(odd[cols & yz], -value, value)
+    h = np.zeros((d, d), dtype=np.complex128)
+    for flip, amplitude in groups.items():
+        rows = cols ^ flip
+        if not np.array_equal(amplitude[rows], amplitude.conj()):
+            raise ValueError(
+                f"the strings with flip mask {flip:#x} do not sum to a Hermitian matrix"
+            )
+        h[rows, cols] = amplitude
+    return HermitianOperator._trusted(shape, h, terms)
 
 
 def parse_pauli_terms(text: str) -> list[PauliString]:

@@ -211,6 +211,17 @@ class HermitianOperator:
         object.__setattr__(self, "entries", _frozen_array(out))
         object.__setattr__(self, "terms", None if terms is None else tuple(terms))
 
+    @classmethod
+    def _trusted(
+        cls, shape: SystemShape, entries: np.ndarray, terms: Optional[Sequence] = None
+    ) -> "HermitianOperator":
+        """Wrap a finite d x d matrix that is Hermitian by construction, with no check or copy."""
+        op = cls.__new__(cls)
+        object.__setattr__(op, "shape", shape)
+        object.__setattr__(op, "entries", _frozen_array(entries))
+        object.__setattr__(op, "terms", None if terms is None else tuple(terms))
+        return op
+
     @property
     def dim(self) -> int:
         return self.shape.total_dim

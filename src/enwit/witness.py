@@ -274,10 +274,28 @@ def bound_sweep(
         y < x for x, y in zip(b_list, b_list[1:])
     ):
         raise ValueError("grids must be ascending")
-    fields = [replace(params, field_b=b) for b in b_list]
-    hs = [build_xxx(p) for p in fields]
+    hs = [build_xxx(replace(params, field_b=b)) for b in b_list]
+    return _sweep_fields(params, hs, policy, t_list, b_list, restarts, seed)
+
+
+def _sweep_fields(
+    params: XXXParams,
+    hs: list[HermitianOperator],
+    policy: EsepPolicy,
+    t_list: list[float],
+    b_list: list[float],
+    restarts: int,
+    seed: int,
+) -> np.recarray:
+    """:func:`bound_sweep` once every field's H is built: ``hs[j]`` is ``params`` at ``b_list[j]``.
+
+    The CLI builds the fields itself to refute a ``fixed:`` E_sep first, and
+    hands that list in here, so no field is built twice.
+    """
     if policy.kind == "exact":
         reports = esep_search(hs, Partition.singletons(params.n_sites), restarts, seed)
     else:
-        reports = [resolve_esep(policy, h, params=p) for h, p in zip(hs, fields)]
+        reports = [
+            resolve_esep(policy, h, params=replace(params, field_b=b)) for h, b in zip(hs, b_list)
+        ]
     return _sweep(hs, reports, np.array(t_list), b_list)

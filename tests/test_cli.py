@@ -476,6 +476,28 @@ class TestRefutedFixedValue:
             assert run(argv, capsys)[0] == 0
         assert calls == [41, 41]
 
+    def test_sweep_builds_every_field_once(self, tmp_path, monkeypatch, capsys):
+        """The fields built to refute a fixed value are the ones the sweep reads."""
+        import enwit.cli
+        import enwit.witness
+
+        built = []
+        real = enwit.cli.build_xxx
+
+        def counted(params):
+            built.append(params.field_b)
+            return real(params)
+
+        monkeypatch.setattr(enwit.cli, "build_xxx", counted)
+        monkeypatch.setattr(enwit.witness, "build_xxx", counted)
+        argv = [
+            "bound-sweep", "--J", "1", "--B-min", "0", "--B-max", "2", "--B-steps", "41",
+            "--T-min", "0.1", "--T-max", "1", "--T-steps", "3", "--policy", "fixed:-5",
+            "--out", str(tmp_path / "sweep.csv"),
+        ]
+        assert run(argv, capsys)[0] == 0
+        assert len(built) == 41 and len(set(built)) == 41
+
 
 class TestRobustnessCommand:
     def test_singlet(self, capsys):
@@ -815,6 +837,29 @@ class TestCommandTable:
             _make_parser().parse_args([command, "--help"])
         listed = set(re.findall(r"(?<![\w-])--[\w-]+", capsys.readouterr().out))
         assert listed == {"--help", "--config"} | {f"--{k}" for k in _COMMANDS[command][1]}
+
+    def test_consecutive_calls_parse_independently(self, tmp_path, monkeypatch, capsys):
+        """The parser is built once per process; no value of one call reaches the next."""
+        import enwit.cli
+
+        seen = []
+        real = enwit.cli._config
+
+        def spy(args):
+            seen.append(dict(vars(args)))
+            return real(args)
+
+        monkeypatch.setattr(enwit.cli, "_config", spy)
+        first = ["witness", "--J", "2", "--B", "0.5", "--policy", "fixed:-7", "--precision", "7"]
+        calls = [first, ["witness", "--J", "1"], ["spectrum", "--J", "1", "--sites", "3"]]
+        for argv in calls:
+            assert run(argv, capsys)[0] == 0
+        assert _make_parser() is _make_parser()
+        given = {"2", "0.5", "fixed:-7", "7"}
+        for later in seen[1:]:
+            assert given.isdisjoint(later.values())
+        assert seen[1]["B"] is None and seen[1]["policy"] is None
+        assert seen[2]["command"] == "spectrum" and "policy" not in seen[2]
 
     def test_every_option_is_read(self):
         assert {k for _, options in _COMMANDS.values() for k in options} == set(_OPTION_SPECS)

@@ -15,9 +15,11 @@ from enwit import (
     eig,
     parse_pauli_terms,
 )
-from enwit.hamiltonians import MAX_COEFFICIENT_SUM
+from enwit import hamiltonians
+from enwit.hamiltonians import MAX_COEFFICIENT_SUM, _xxx_terms
 
 from conftest import PAULI
+from pauli_reference import build_pauli_per_term
 
 # Reference builders from Kronecker and matrix products of single-site Paulis,
 # sharing no code with the library.  Every entry receives the same additions in
@@ -198,6 +200,49 @@ class TestBuildPauli:
         for c in (MAX_COEFFICIENT_SUM, 1e308):
             with pytest.raises(ValueError, match="sum to"):
                 build_pauli(shape, [PauliString(c, "XX"), PauliString(c, "ZZ")])
+
+
+class TestGroupedAssembly:
+    """Strings grouped by flip mask give the per-term loop's entries, bit for bit."""
+
+    @staticmethod
+    def _bits(op: HermitianOperator) -> np.ndarray:
+        return op.entries.view(np.uint64)  # signed zeros count as different bits
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_random_sets_match_the_per_term_loop(self, n):
+        rng = np.random.default_rng(200 + n)
+        shape = SystemShape([2] * n)
+        for count in (1, 4, 16, 40):
+            terms = random_terms(rng, n, count)
+            terms += [PauliString(-t.coefficient, t.letters) for t in terms[: count // 2]]
+            expected = build_pauli_per_term(shape, terms)
+            assert np.array_equal(self._bits(build_pauli(shape, terms)), self._bits(expected))
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_rings_match_the_per_term_loop(self, n):
+        for b in (0.0, -0.3):
+            p = XXXParams(1.0, b, n, "periodic")
+            shape = SystemShape([2] * n)
+            expected = build_pauli_per_term(shape, _xxx_terms(p))
+            assert np.array_equal(self._bits(build_xxx(p)), self._bits(expected))
+
+    def test_a_corrupted_parity_table_is_refused(self, monkeypatch):
+        """One wrong sign breaks the exact conjugate symmetry of its flip group."""
+        shape = SystemShape([2, 2, 2])
+        terms = [PauliString(0.5, "YZI"), PauliString(1.0, "ZZZ")]
+        build_pauli(shape, terms)
+        real = hamiltonians._parities
+
+        def corrupted(d):
+            odd = real(d).copy()
+            odd[6] = ~odd[6]  # read at x & 0b110 = 6, but not at x ^ 0b100
+            return odd
+
+        monkeypatch.setattr(hamiltonians, "_parities", corrupted)
+        with pytest.raises(ValueError, match="flip mask 0x4 do not sum to a Hermitian"):
+            build_pauli(shape, terms)
+        build_pauli(shape, [PauliString(1.0, "ZZZ")])  # a diagonal group stays Hermitian
 
 
 class TestParsePauliTerms:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -286,7 +287,8 @@ class TestStepLength:
     def _stack(rng):
         blocks = np.stack([_random_pd(rng) for _ in range(4)])
         inv = _sym(np.linalg.inv(blocks))
-        return blocks, inv, np.linalg.cholesky(inv)
+        whitener = np.linalg.cholesky(inv)
+        return blocks, inv, (np.swapaxes(whitener, -1, -2).conj(), whitener)
 
     def test_matches_nonsymmetric_eigenvalues(self):
         """Cholesky whitening gives the step of min Re eig(A^-1 dA), within 1e-12 relative."""
@@ -300,7 +302,7 @@ class TestStepLength:
                 g = rng.standard_normal((4, 4, 4)) + 1j * rng.standard_normal((4, 4, 4))
                 delta = scale * (g + np.swapaxes(g, -1, -2).conj())
                 expected = self._reference(inv, delta)
-                step = _step_length(whitener, delta)
+                step = _step_length(*whitener, delta)
                 assert abs(step - expected) <= 1e-12 * expected
                 steps.append(step)
         assert min(steps) < 0.1 and max(steps) == 1.0
@@ -317,7 +319,7 @@ class TestStepLength:
             shrinking = -0.9 * blocks
             for delta in (growing, shrinking, growing + shrinking):
                 assert self._reference(inv, delta) == 1.0
-                assert _step_length(whitener, delta) == 1.0
+                assert _step_length(*whitener, delta) == 1.0
 
 
 def _thermal(j, b, t):
@@ -359,15 +361,15 @@ class TestLinalgBudget:
     # inv, one cholesky, two solve and two eigvalsh, plus the eigvalsh of PT(rho) and of
     # the certificate check); I/4 2 (those two eigvalsh: PPT needs no iteration)
     @pytest.mark.parametrize(
-        "make_rho, limit",
+        "make_rho, count",
         [
-            (singlet, 60),
-            (lambda: rand_dm(np.random.default_rng(0)), 60),
+            (singlet, 44),
+            (lambda: rand_dm(np.random.default_rng(0)), 44),
             (lambda: DensityMatrix.from_entries(Q2, np.eye(4) / 4.0), 2),
         ],
         ids=["singlet", "hs_seed0", "maximally_mixed"],
     )
-    def test_calls_per_solve(self, make_rho, limit, monkeypatch):
+    def test_calls_per_solve(self, make_rho, count, monkeypatch):
         rho = make_rho()
         calls = []
         for name in ("cholesky", "inv", "solve", "eigvals", "eigvalsh", "eigh"):
@@ -379,8 +381,76 @@ class TestLinalgBudget:
 
             monkeypatch.setattr(np.linalg, name, counting)
         rg_exact_2q(rho)
-        assert 0 < len(calls) <= limit
+        assert len(calls) == count
         assert "eigvals" not in calls
+
+
+def _seeded_states():
+    """480 seeded states: Hilbert-Schmidt random and thermal two-site XXX, alternating."""
+    rng = np.random.default_rng(2525)
+    states = []
+    for _ in range(240):
+        states.append(rand_dm(rng))
+        b, t = rng.uniform(0.0, 2.0), rng.uniform(0.05, 4.0)
+        states.append(_thermal(1.0, b, t))
+    return states
+
+
+class TestIterationPins:
+    """Per-state iteration counts and R_g values, recorded before the iteration was
+    rewritten with its blocks updated in place; any change to the steps shows here."""
+
+    COUNTS_SHA256 = "9e4fecb19074b907399a1e31657793d83ccb1abea7b0c7800e614690279fa133"
+    # (index into _seeded_states(), R_g to 12 significant digits)
+    RG = [
+        (0, 0.0821278762139), (10, 0.165163815833), (18, 0.106861118323),
+        (27, 0.0127066525034), (35, 0.567679821989), (43, 0.0048863976788),
+        (50, 0.00923760141986), (58, 0.0059736581604), (66, 0.0428602299797),
+        (75, 0.184283988472), (83, 0.0433243086732), (90, 0.405690084432),
+        (98, 0.0473582886083), (107, 1.00000000024), (116, 0.0115876950145),
+        (124, 0.0657912560313), (133, 0.0491759565283), (140, 0.519436007037),
+        (150, 0.0493882145765), (157, 0.0165781596123), (167, 0.521708915768),
+        (175, 0.12650717436), (182, 0.0633662705289), (189, 0.649290619496),
+        (197, 0.999465019756), (207, 0.930729956103), (216, 0.0615241699525),
+        (224, 0.0793451822589), (233, 0.435127676126), (243, 0.0929070558632),
+        (251, 0.686789257458), (259, 0.747565176549), (267, 0.154303236332),
+        (275, 0.645816933806), (284, 0.145660947769), (291, 0.178571375579),
+        (300, 0.148619169483), (309, 0.154220835044), (317, 0.301351434655),
+        (325, 0.0989868281577), (333, 0.0431023209667), (340, 0.00991874251201),
+        (349, 0.0306444059889), (357, 0.208374392566), (365, 0.246800231963),
+        (373, 0.995182460964), (381, 0.0530188755519), (389, 0.260775975407),
+        (396, 0.0963424373129), (405, 0.277777067844),
+    ]
+
+    def test_iteration_counts_and_values(self):
+        counts, values = [], []
+        for rho in _seeded_states():
+            trace = []
+            values.append(rg_exact_2q(rho, trace=trace).rg_value)
+            counts.append(len(trace) - 1)
+        assert sum(c > 0 for c in counts) == 404  # the rest are PPT
+        digest = hashlib.sha256(",".join(map(str, counts)).encode()).hexdigest()
+        assert digest == self.COUNTS_SHA256
+        for k, expected in self.RG:
+            assert abs(values[k] - expected) <= 1e-9
+
+
+class TestNearThePptEdge:
+    """Just below T = 4/ln 3, the dimer's PPT edge for every B, a thermal state is
+    entangled with R_g far below 1e-6; the library reports both consistently."""
+
+    @pytest.mark.parametrize(
+        "b, t",
+        [(1.617539170914093, 3.64095532606061), (1.2121354536872477, 3.6409555974717565)],
+    )
+    def test_entangled_with_tiny_robustness(self, b, t):
+        assert t < 4.0 / math.log(3.0)
+        rho = _thermal(1.0, b, t)
+        check = is_entangled_2q(rho)
+        assert check.entangled and -1e-7 < check.margin < 0.0
+        cert = rg_exact_2q(rho)
+        assert 0.0 < cert.rg_value < 1e-6
+        assert cert.duality_gap <= 1e-8
 
 
 class TestPureClosedForm:
