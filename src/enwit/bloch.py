@@ -5,8 +5,10 @@ On qubits a pure product state is one Bloch vector r_i in S^2 per site, and
 its energy is multilinear in them: with H = sum_k c_k P_k over Pauli
 strings, <H> = sum_k c_k prod_i v_i[letter_i(k)] with v_i = (1, r_i).  So
 the gradient and Hessian follow from the strings in O(terms), and
-:func:`bloch_search` minimizes over (S^2)^n by mean-field sweeps and
-saddle-free Riemannian Newton steps (Absil, Mahony & Sepulchre,
+:func:`bloch_search` minimizes over (S^2)^n by mean-field sweeps, which
+converge linearly and so hand over once a sweep gains less than
+``MEAN_FIELD_HANDOVER`` of the energy scale, then saddle-free Riemannian
+Newton steps, which converge quadratically (Absil, Mahony & Sepulchre,
 *Optimization Algorithms on Matrix Manifolds*, 2008).
 
 :func:`enwit.sep_energy.esep_search` runs this search for a list of
@@ -22,6 +24,7 @@ from .errors import NumericalError
 from .operators import HermitianOperator
 
 MEAN_FIELD_SWEEPS = 20
+MEAN_FIELD_HANDOVER = 1e-4  # relative to the same sum as NEWTON_TOL
 NEWTON_STEP_CAP = 50
 NEWTON_TOL = 1e-9  # relative to the sum of |c_k| over the non-identity Pauli strings
 
@@ -219,10 +222,13 @@ def _riemannian(
     projector onto the tangent plane at r_i.
     """
     rows, n = r.shape[:2]
-    g = np.einsum("rixa,rix->ria", bases, grad).reshape(rows, 2 * n)
-    # two two-operand contractions run faster than one three-operand einsum
-    h = np.einsum("riajy,rjyb->riajb", np.einsum("rixa,rixjy->riajy", bases, hess), bases)
-    shift = np.einsum("rix,rix->ri", r, grad)
+    g = (grad[:, :, None] @ bases).reshape(rows, 2 * n)
+    # B_i^T H_ij B_j as two batched products: over the rows and sites i, then
+    # over the rows and sites j
+    left = bases.transpose(0, 1, 3, 2) @ hess.reshape(rows, n, 3, 3 * n)  # [r, i, a, (j, y)]
+    left = left.reshape(rows, 2 * n, n, 3).transpose(0, 2, 1, 3)  # [r, j, (i, a), y]
+    h = (left @ bases).transpose(0, 2, 1, 3).reshape(rows, n, 2, n, 2)
+    shift = (r * grad).sum(axis=-1)
     h[:, range(n), :, range(n), :] -= shift.T[:, :, None, None] * np.eye(2)
     h = h.reshape(rows, 2 * n, 2 * n)
     return g, (h + h.transpose(0, 2, 1)) / 2.0
@@ -230,18 +236,21 @@ def _riemannian(
 
 def bloch_search(
     hs: list[HermitianOperator], sites: list[int], starts: list[np.ndarray]
-) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Minimize the energy over one qubit state per site, for a stack of starts.
 
     ``starts[b]`` holds the start states of site ``sites[b]``: the rows of
     ``hs[0]`` first, then an equal number for ``hs[1]``, and so on.  Each row
     has its own Hamiltonian's coefficients over the union of the strings (0
-    where a string is absent) and the tolerance and round-off slack of that
-    Hamiltonian's sum of |c_k|, so it runs as in a search of its Hamiltonian
-    alone.  Returns the final states in the same layout, and per row the
-    final energy (the multilinear sum over the strings), the Riemannian
-    gradient norm, the smallest reduced-Hessian eigenvalue and whether both
-    are within the tolerance (a second-order certificate of a local minimum).
+    where a string is absent) and the tolerance, hand-over threshold and
+    round-off slack of that Hamiltonian's sum of |c_k|, so it runs as in a
+    search of its Hamiltonian alone.  Returns the final states in the same
+    layout; per row the final energy (the multilinear sum over the strings),
+    the Riemannian gradient norm, the smallest reduced-Hessian eigenvalue and
+    whether both are within the tolerance (a second-order certificate of a
+    local minimum); and per Hamiltonian its sum of |c_k| over all strings,
+    identity included, which is at least its largest absolute row sum and
+    so serves as the energy scale of tolerances downstream.
     An energy that rises beyond round-off raises ``NumericalError``.
     """
     n = hs[0].shape.n_sites
@@ -249,18 +258,22 @@ def bloch_search(
     onehot = (letters[..., None] == np.arange(1, 4)).astype(float)  # (K, n, 3)
     owner = np.repeat(np.arange(len(hs)), len(starts[0]) // len(hs))  # each row's Hamiltonian
     coeffs = table[:, owner]  # (K, R): row r's coefficients
-    tol = NEWTON_TOL * np.abs(table[letters.any(axis=1)]).sum(axis=0)[owner]
+    scale = np.abs(table).sum(axis=0)  # per Hamiltonian
+    spread = np.abs(table[letters.any(axis=1)]).sum(axis=0)[owner]  # identity left out
+    tol = NEWTON_TOL * spread
+    handover = MEAN_FIELD_HANDOVER * spread
     # Energy differences below this are round-off; without the slack, Armijo
     # would refuse a last Newton step whose true decrease is smaller still.
-    slack = _ROUNDOFF * np.abs(table).sum(axis=0)[owner]
+    slack = _ROUNDOFF * scale[owner]
     v = np.ones((len(starts[0]), n, 4))
     for site, s in zip(sites, starts):
         v[:, site, 1:] = _states_to_bloch(s)
     r = v[..., 1:]
 
     # Mean-field sweeps: r_i <- -g_i/|g_i| minimizes the energy, affine in r_i,
-    # exactly; a site whose g_i is zero keeps its vector.  A Hamiltonian's rows
-    # stop once a sweep lowers none of their energies by more than round-off.
+    # exactly; a site whose g_i is zero keeps its vector.  Sweeps converge only
+    # linearly, so a Hamiltonian's rows hand over to Newton once a sweep lowers
+    # none of their energies by more than the hand-over threshold.
     # Site i's g_i takes the prefix product f[0] ... f[i] (coefficients, then
     # the sites already swept) times the suffix f[i + 2] ... f[n].  The prefix
     # is carried forward one factor per site: numpy's product over axis 0
@@ -285,13 +298,13 @@ def bloch_search(
         new = prefix.sum(axis=0)
         if not (new <= energy + slack).all():
             raise NumericalError("a mean-field sweep raised the product-state energy")
-        sweeping = (energy - new > slack).reshape(len(hs), -1).any(axis=1)[owner]
+        sweeping = (energy - new > handover).reshape(len(hs), -1).any(axis=1)[owner]
         energy = new
         if not sweeping.any():
             break
 
     # Saddle-free Newton steps, all restarts at once: the reduced Hessian with
-    # its eigenvalues replaced by max(|lambda|, tol), then Armijo backtracking
+    # its eigenvalues (from eigh) replaced by max(|lambda|, tol), then Armijo backtracking
     # along the retraction r_i <- (r_i + t xi_i)/|r_i + t xi_i|.
     gnorm = np.empty(len(r))
     red = np.empty((len(r), 2 * n, 2 * n))
@@ -305,14 +318,12 @@ def bloch_search(
         if step == NEWTON_STEP_CAP or not go.any():
             break
         act, g, e, bases = moved[go], g[go], e[go], bases[go]
-        # For a symmetric matrix the singular values are |lambda| and the right
-        # singular vectors are eigenvectors, so one SVD gives |Hessian|.
-        _, sigma, vt = np.linalg.svd(red[act])
-        coef = np.einsum("rkj,rj->rk", vt, g) / np.maximum(sigma, tol[act, None])
-        eta = -np.einsum("rki,rk->ri", vt, coef)
+        lam, vecs = np.linalg.eigh(red[act])
+        coef = (g[:, None] @ vecs)[:, 0] / np.maximum(abs(lam), tol[act, None])
+        eta = -(vecs @ coef[..., None])[..., 0]
         eta *= np.minimum(1.0, _STEP_NORM_CAP / np.linalg.norm(eta, axis=1))[:, None]
-        slope = np.einsum("ri,ri->r", g, eta)
-        move = np.einsum("rixa,ria->rix", bases, eta.reshape(len(act), n, 2))
+        slope = (g * eta).sum(axis=1)
+        move = (bases @ eta.reshape(len(act), n, 2, 1))[..., 0]
         t = 1.0
         pending = np.arange(len(act))
         for _ in range(_LINE_SEARCH_HALVINGS):
@@ -337,4 +348,5 @@ def bloch_search(
     hmin = np.linalg.eigvalsh(red)[:, 0]
     converged = (gnorm <= tol) & (hmin >= -tol)
     energy = _bloch_energy(v, letters, coeffs)
-    return [_bloch_to_states(r[:, site]) for site in sites], energy, gnorm, hmin, converged
+    states = [_bloch_to_states(r[:, site]) for site in sites]
+    return states, energy, gnorm, hmin, converged, scale

@@ -257,8 +257,9 @@ def _refute_fixed(cfg: argparse.Namespace, hs: list[HermitianOperator], fields=(
     """Under ``fixed:<v>``, refuse v when a product state of any of ``hs`` has an energy below it.
 
     Such a state proves that v is not E_sep.  "Below" means by more than
-    ``FIXED_REFUTATION_TOL`` times that H's largest absolute row sum, so the
-    verdict does not depend on the energy unit.  One search, with the
+    ``FIXED_REFUTATION_TOL`` times that H's sum of |Pauli coefficients| (the
+    search's ``coefficient_sum``, at least H's largest absolute row sum), so
+    the verdict does not depend on the energy unit.  One search, with the
     command's ``--restarts`` and ``--seed``, covers all of ``hs``;
     ``fields[j]`` names ``hs[j]``.
     """
@@ -266,8 +267,8 @@ def _refute_fixed(cfg: argparse.Namespace, hs: list[HermitianOperator], fields=(
         return
     part = Partition.singletons(hs[0].shape.n_sites)
     found_all = esep_search(hs, part, restarts=cfg.restarts, seed=cfg.seed)
-    for h, found, where in zip(hs, found_all, fields):
-        tol = FIXED_REFUTATION_TOL * float(np.abs(h.entries).sum(axis=1).max())
+    for found, where in zip(found_all, fields):
+        tol = FIXED_REFUTATION_TOL * found.coefficient_sum
         if found.esep < cfg.policy.value - tol:
             angles = ", ".join(
                 "({:.6f}, {:.6f})".format(*states.bloch_angles(v))

@@ -2,7 +2,10 @@
 
 The model is a projective measurement in the energy eigenbasis: one shot
 draws one eigenvalue, with degenerate levels merged into eigenspace
-probabilities first.  Everything is deterministic given the seed.
+probabilities first.  The shots are independent, so ``shots`` of them are
+one multinomial histogram over the levels, and the sample mean and
+variance are read from that histogram: time and memory grow with the
+number of levels, not of shots.  Everything is deterministic given the seed.
 
 A state built over ``eig(h)`` itself (``gibbs``, ``ground_state``) carries
 its populations p_k = <v_k|rho|v_k>, and they are used as they are: no
@@ -70,16 +73,22 @@ def _eigenspace_distribution(
 def measure_energy(
     h: HermitianOperator, rho: DensityMatrix, shots: int, seed: int
 ) -> EnergyEstimate:
-    """Draw ``shots`` projective energy measurements from rho, seeded."""
+    """Draw ``shots`` projective energy measurements from rho, seeded.
+
+    The draws are one histogram, ``counts = rng.multinomial(shots, probs)``
+    over the merged levels; ``mean`` and the ddof = 1 ``stderr`` are those
+    of the expanded draws ``np.repeat(levels, counts)``.
+    """
     if shots < 1:
         raise ValueError("shots must be >= 1")
     if h.shape.local_dims != rho.shape.local_dims:
         raise ValueError("operator and state shapes differ")
     levels, probs = _eigenspace_distribution(h, rho)
     rng = np.random.default_rng(int(seed) & 0xFFFFFFFFFFFFFFFF)
-    draws = levels[rng.choice(levels.size, size=shots, p=probs)]
-    mean = float(draws.mean())
-    stderr = 0.0 if shots == 1 else float(draws.std(ddof=1) / math.sqrt(shots))
+    counts = rng.multinomial(shots, probs)
+    mean = float(counts @ levels) / shots
+    spread = float(counts @ (levels - mean) ** 2)
+    stderr = 0.0 if shots == 1 else math.sqrt(spread / (shots - 1) / shots)
     return EnergyEstimate(mean=mean, stderr=stderr, shots=shots, seed=int(seed))
 
 

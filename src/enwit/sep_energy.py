@@ -27,7 +27,7 @@ import numpy as np
 from .hamiltonians import XXXParams
 from .operators import HermitianOperator, SystemShape, _frozen_array
 
-RESTART_AGREEMENT_TOL = 1e-9  # relative to each H's largest absolute row sum
+RESTART_AGREEMENT_TOL = 1e-9  # relative to each H's sum of |Pauli coefficients|
 
 
 @dataclass(frozen=True)
@@ -89,6 +89,7 @@ class SepEnergyReport:
     source: str  # exact-optimized | closed-form | user-supplied
     gradient_norm: Optional[float] = None  # search only: Riemannian gradient norm
     hessian_min: Optional[float] = None  # search only: smallest reduced-Hessian eigenvalue
+    coefficient_sum: Optional[float] = None  # search only: sum of H's |Pauli coefficients|
 
 
 def _draw_block_states(
@@ -124,20 +125,26 @@ def esep_search(
     The restarts of all the Hamiltonians run as one stack on Bloch vectors
     (see :func:`enwit.bloch.bloch_search`): each H's Pauli strings are read
     from the terms ``build_pauli`` summed (O(terms)), or else expanded from
-    its matrix (O(n 4^n)), up to ``MEAN_FIELD_SWEEPS`` sweeps of
-    r_i <- -g_i/|g_i| warm each restart up, and saddle-free Riemannian
-    Newton steps on (S^2)^n with Armijo backtracking follow until the
-    Riemannian gradient norm is at most ``NEWTON_TOL`` times the sum of the
-    |coefficients| of that H's own non-identity strings, or a line search
-    stalls at round-off.  ``converged`` then certifies a local minimum to
-    second order (gradient and smallest reduced-Hessian eigenvalue within
-    that per-H tolerance), and each report carries both numbers of its best
-    restart.  Each step costs O(R K n^2) for R rows and K strings in all.
+    its matrix (O(n 4^n)).  Sweeps of r_i <- -g_i/|g_i| warm each restart
+    up until one sweep lowers none of that H's energies by more than
+    ``MEAN_FIELD_HANDOVER`` times the sum of the |coefficients| of its own
+    non-identity strings (at most ``MEAN_FIELD_SWEEPS`` sweeps), and
+    saddle-free Riemannian Newton steps on (S^2)^n (the reduced Hessian's
+    |eigenvalues| from ``eigh``, floored at the tolerance) with Armijo
+    backtracking follow until the Riemannian gradient norm is at most
+    ``NEWTON_TOL`` times that sum, or a line search stalls at round-off.
+    ``converged`` then certifies a local minimum to second order (gradient
+    and smallest reduced-Hessian eigenvalue within that per-H tolerance),
+    and each report carries both numbers of its best restart.  Each step
+    costs O(R K n^2) for R rows and K strings in all.
 
     The reported energy is the multilinear Bloch energy of the returned
-    product state.  ``restarts_agreeing`` counts the restarts within
-    ``RESTART_AGREEMENT_TOL`` times H's largest absolute row sum of the best,
-    so the count does not depend on the energy unit.
+    product state.  ``coefficient_sum`` is the sum of |c_k| over all of H's
+    Pauli strings, identity included, from the search's own table: it is at
+    least H's largest absolute row sum, and no d x d matrix is read for it.
+    ``restarts_agreeing`` counts the restarts within
+    ``RESTART_AGREEMENT_TOL`` times that sum of the best, so the count does
+    not depend on the energy unit.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
@@ -159,14 +166,14 @@ def esep_search(
     # row r of each block: the start state _draw_block_states draws from default_rng([seed, r])
     rngs = [np.random.default_rng([seed_u, r]) for r in range(restarts)]
     starts = [np.tile(s, (len(hs), 1)) for s in _draw_block_states([2] * shape.n_sites, rngs)]
-    states, energies, gnorm, hmin, converged = bloch.bloch_search(
+    states, energies, gnorm, hmin, converged, scale = bloch.bloch_search(
         hs, [b[0] for b in part.blocks], starts
     )
     reports = []
-    for j, h in enumerate(hs):
+    for j in range(len(hs)):
         mine = energies[j * restarts : (j + 1) * restarts]  # the rows of hs[j]
         best = j * restarts + int(np.argmin(mine))
-        tol = RESTART_AGREEMENT_TOL * float(np.abs(h.entries).sum(axis=1).max())
+        tol = RESTART_AGREEMENT_TOL * float(scale[j])
         reports.append(
             SepEnergyReport(
                 esep=float(energies[best]),
@@ -177,6 +184,7 @@ def esep_search(
                 source="exact-optimized",
                 gradient_norm=float(gnorm[best]),
                 hessian_min=float(hmin[best]),
+                coefficient_sum=float(scale[j]),
             )
         )
     return reports

@@ -654,7 +654,7 @@ class TestMeasureCommand:
         """T = 3.9 lies above 4/ln 3, where the two-site thermal state is separable."""
         argv = [
             "measure", "--J", "1", "--B", "0", "--state", "thermal", "--T", "3.9",
-            "--shots", "1", "--seed", "2", "--policy", "closed-form", "--z", "3",
+            "--shots", "1", "--seed", "0", "--policy", "closed-form", "--z", "3",
         ]
         code, out, _ = run(argv, capsys)
         assert code == 0
@@ -924,7 +924,7 @@ class TestOverflowingHamiltonian:
 class TestScaleFreeTolerances:
     """Scaling J, B, T and a fixed E_sep by one factor changes the unit, not the verdict."""
 
-    UNIT_INTERVAL = "bound_interval = [-0.4157305275, -0.2362694725] (z = 3)"
+    UNIT_INTERVAL = "bound_interval = [-0.4369830432, -0.2590169568] (z = 3)"
     SCALES = pytest.mark.parametrize(
         "s", [1e-13, 1e-10, 1.0, 1e10], ids=["1e-13", "1e-10", "1", "1e10"]
     )

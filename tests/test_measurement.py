@@ -1,4 +1,6 @@
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -180,6 +182,52 @@ class TestMeasureEnergy:
         pooled_mean = float(np.mean([r.mean for r in runs]))
         pooled_se = float(np.mean([r.stderr for r in runs])) / math.sqrt(len(runs))
         assert abs(pooled_mean - pt.mean_energy) <= 3.0 * pooled_se
+
+
+class TestHistogramSampler:
+    """The shots of one measurement are one multinomial histogram over the levels."""
+
+    @staticmethod
+    def ring_state():
+        h = build_xxx(XXXParams(1.0, 0.3, 6, "periodic"))
+        rho, point = gibbs(h, 1.3)
+        return h, rho, point
+
+    @pytest.mark.parametrize("shots", [2, 3, 1000, 100_000])
+    @pytest.mark.parametrize("seed", [0, 7, 2**40])
+    def test_matches_the_expanded_draws(self, shots, seed):
+        h, rho, _ = self.ring_state()
+        est = measure_energy(h, rho, shots, seed)
+        levels, probs = _eigenspace_distribution(h, rho)
+        draws = np.repeat(levels, np.random.default_rng(seed).multinomial(shots, probs))
+        assert est.mean == pytest.approx(float(draws.mean()), rel=1e-12, abs=0.0)
+        stderr = float(draws.std(ddof=1)) / math.sqrt(shots)
+        assert est.stderr == pytest.approx(stderr, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_one_shot_is_one_level_with_zero_stderr(self, seed):
+        h, rho, _ = self.ring_state()
+        est = measure_energy(h, rho, 1, seed)
+        assert est.stderr == 0.0
+        assert est.mean in _eigenspace_distribution(h, rho)[0]
+
+    def test_a_billion_shots_cost_what_the_levels_cost(self):
+        """Time and memory grow with the levels, not the shots."""
+        h, rho, point = self.ring_state()
+        measure_energy(h, rho, 10, 0)  # warm: the level distribution's first call
+        start = time.perf_counter()
+        est = measure_energy(h, rho, 10**9, 3)
+        elapsed = time.perf_counter() - start
+        tracemalloc.start()
+        try:
+            measure_energy(h, rho, 10**9, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.1
+        assert peak < 1 << 20
+        assert est.shots == 10**9
+        assert abs(est.mean - point.mean_energy) <= 5.0 * est.stderr
 
 
 class TestBoundWithConfidence:
