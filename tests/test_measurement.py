@@ -204,13 +204,6 @@ class TestHistogramSampler:
         stderr = float(draws.std(ddof=1)) / math.sqrt(shots)
         assert est.stderr == pytest.approx(stderr, rel=1e-12, abs=0.0)
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_one_shot_is_one_level_with_zero_stderr(self, seed):
-        h, rho, _ = self.ring_state()
-        est = measure_energy(h, rho, 1, seed)
-        assert est.stderr == 0.0
-        assert est.mean in _eigenspace_distribution(h, rho)[0]
-
     def test_a_billion_shots_cost_what_the_levels_cost(self):
         """Time and memory grow with the levels, not the shots."""
         h, rho, point = self.ring_state()
