@@ -21,7 +21,6 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from functools import cache
-from itertools import repeat
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -46,7 +45,6 @@ from .witness import (
 )
 
 CSV_HEADER = "B,T,mean_energy,esep,A,bound_raw,bound_clipped,detected"
-_CSV_DETECTED = np.array(["false\n", "true\n"], dtype=object)  # the last column ends the row
 _CSV_CHUNK = 4096  # rows formatted and written at a time
 FIXED_REFUTATION_TOL = 1e-9
 
@@ -302,15 +300,18 @@ def _write_sweep_csv(path: str, cells: np.recarray, digits: int) -> None:
 
     The bound columns are recomputed from the rounded mean/esep/A columns, so
     the printed table is self-consistent: a reader recomputing bound_raw from
-    the file reproduces the column to the last printed digit.
+    the file reproduces the column to the last printed digit, and ``detected``
+    is true exactly when the printed bound_clipped is positive.
+
+    A chunk formats each float column with one ``%`` operation on a repeated
+    ``%.{digits}g`` template (the same strings as ``format``), parses the
+    rounded means back with one ``np.array`` call, gathers the B, T, esep and
+    A strings as lists and writes its rows with one ``write``.
     """
-    spec = f".{digits}g"
+    spec = f"%.{digits}g\n"
 
-    def fmt(values: np.ndarray) -> np.ndarray:
-        return np.array(list(map(format, values.tolist(), repeat(spec))), dtype=object)
-
-    def parsed(strings: np.ndarray) -> np.ndarray:
-        return np.fromiter(map(float, strings), dtype=float, count=len(strings))
+    def fmt(values: np.ndarray) -> list[str]:
+        return (spec * len(values) % tuple(values.tolist())).split("\n")[:-1]
 
     # B, T, esep and A repeat along the grid, so each distinct value, told apart
     # by its bits (-0.0 prints as -0), is formatted and parsed back once
@@ -318,19 +319,21 @@ def _write_sweep_csv(path: str, cells: np.recarray, digits: int) -> None:
     for column in ("b", "t", "esep", "normalizer_a"):
         keys, at = np.unique(cells[column].view(np.int64), return_inverse=True)
         index.append(at)
-        strings.append(fmt(keys.view(float)))
-    esep_v, a_v = parsed(strings[2]), parsed(strings[3])
+        strings.append(np.array(fmt(keys.view(float)), dtype=object))
+    esep_v, a_v = (np.array(s, dtype=float) for s in strings[2:])
     with open(path, "w", newline="") as fh:
         fh.write(CSV_HEADER + "\n")
         for lo in range(0, len(cells), _CSV_CHUNK):
             rows = slice(lo, lo + _CSV_CHUNK)
-            b, t, esep, a = (s[at[rows]] for s, at in zip(strings, index))
+            at = [i[rows] for i in index]
+            b, t, esep, a = (s[i].tolist() for s, i in zip(strings, at))
             mean = fmt(cells.mean_energy[rows])
-            bound = (esep_v[index[2][rows]] - parsed(mean)) / a_v[index[3][rows]]
+            bound = (esep_v[at[2]] - np.array(mean, dtype=float)) / a_v[at[3]]
             bound_s = fmt(bound)
-            clipped = np.where(bound > 0.0, bound_s, "0")
-            detected = _CSV_DETECTED[cells.detected[rows].view(np.uint8)]
-            fh.writelines(map(",".join, zip(b, t, mean, esep, a, bound_s, clipped, detected)))
+            positive = (bound > 0.0).tolist()
+            clipped = [s if p else "0" for s, p in zip(bound_s, positive)]
+            detected = ["true\n" if p else "false\n" for p in positive]  # it ends the row
+            fh.write("".join(map(",".join, zip(b, t, mean, esep, a, bound_s, clipped, detected))))
 
 
 def cmd_spectrum(cfg: argparse.Namespace) -> int:

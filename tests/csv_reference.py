@@ -1,8 +1,9 @@
 """The per-cell sweep CSV writer, kept as the byte-for-byte reference.
 
 ``_write_sweep_csv`` below is the writer ``enwit.cli`` used before it
-formatted columns in chunks, copied verbatim; ``tests/test_cli.py`` requires
-the chunked writer to produce the same bytes.
+formatted columns in chunks, copied verbatim except that ``detected`` is read
+from the recomputed bound, as the chunked writer does; ``tests/test_cli.py``
+requires the chunked writer to produce the same bytes.
 """
 
 import numpy as np
@@ -19,11 +20,12 @@ def _write_sweep_csv(path: str, cells: np.recarray, digits: int) -> None:
 
     The bound columns are recomputed from the rounded mean/esep/A columns, so
     the printed table is self-consistent: a reader recomputing bound_raw from
-    the file reproduces the column to the last printed digit.
+    the file reproduces the column to the last printed digit, and ``detected``
+    is true exactly when the printed bound_clipped is positive.
     """
     lines = [CSV_HEADER]
-    columns = ("b", "t", "mean_energy", "esep", "normalizer_a", "detected")
-    for b, t, mean, esep, a, detected in zip(*(cells[c].tolist() for c in columns)):
+    columns = ("b", "t", "mean_energy", "esep", "normalizer_a")
+    for b, t, mean, esep, a in zip(*(cells[c].tolist() for c in columns)):
         mean_s = _fmt(mean, digits)
         esep_s = _fmt(esep, digits)
         a_s = _fmt(a, digits)
@@ -38,7 +40,7 @@ def _write_sweep_csv(path: str, cells: np.recarray, digits: int) -> None:
                     a_s,
                     _fmt(bound, digits),
                     _fmt(max(0.0, bound), digits),
-                    "true" if detected else "false",
+                    "true" if bound > 0.0 else "false",
                 ]
             )
         )

@@ -262,8 +262,10 @@ def test_criterion_11_reproducible_figure_output(tmp_path, capsys):
 
 
 # sha256 of the 41 x 400 exact-policy sweep at seed 0: the E_sep search, the
-# thermal table and the CSV writer all show in it.
-EXACT_SWEEP_SHA256 = "e6b4145bfcb9e7bf3a1fec9a36e42834600d8fd8b86a84909b6416773c209762"
+# thermal table and the CSV writer all show in it.  The search meets the closed
+# form to every printed digit and ``detected`` is read from the printed bound,
+# so the file is the closed-form figure's, byte for byte.
+EXACT_SWEEP_SHA256 = "0495f82747e8c2093ca98f61850edf1054e9ffc26e2c3f956b0a0015c6b81f05"
 
 
 def test_exact_sweep_output_is_pinned(tmp_path, capsys):

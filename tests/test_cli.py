@@ -404,6 +404,45 @@ class TestSweepCsvWriter:
         cells = bound_sweep(self.TWO_SITE, EsepPolicy("closed-form"), t_values, [0, 1, 3])
         self.assert_same_bytes(tmp_path, cells, 10)
 
+    @staticmethod
+    def hard_floats() -> np.ndarray:
+        """Signed zeros, subnormals, 1e-300..1e300, and where %g changes notation or rounds up."""
+        edges = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1e-5, 1e-4, 1e300]
+        edges += [10.0**k for k in range(19)]
+        edges += [10.0**k * (10.0 - 5.0 * 10.0**-d) for d in range(5, 18) for k in (-6, -5, 0, d)]
+        edges = np.array(edges)
+        near = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+        return np.concatenate([near, -near])
+
+    @pytest.mark.parametrize("digits", range(6, 18))
+    def test_percent_formatting_matches_reference_on_hard_floats(self, tmp_path, digits):
+        rng = np.random.default_rng(27)
+        n = 2 * _CSV_CHUNK + 123
+        hard = self.hard_floats()
+        spread = rng.choice([-1.0, 1.0], 4096) * 10.0 ** rng.uniform(-300.0, 300.0, 4096)
+        pool = np.concatenate([hard, spread])
+        cells = np.recarray(n, dtype=SWEEP_DTYPE)
+        for column in ("b", "t", "mean_energy", "esep"):
+            cells[column] = rng.choice(pool, n)
+        # every hard value lands in the formatted-per-chunk mean column
+        cells.mean_energy[: len(hard)] = hard
+        # A >= 1e-7 keeps |esep - mean| / A <= 2e307 finite
+        cells.normalizer_a = rng.choice(np.abs(pool[np.abs(pool) >= 1e-7]), n)
+        cells.detected = rng.random(n) < 0.5  # the writer reads detected from the printed bound
+        self.assert_same_bytes(tmp_path, cells, digits)
+
+    def test_detected_follows_the_printed_bound(self, tmp_path):
+        # the search's E_sep at B = 2 lies 9.6e-13 above the true -3 = <H>, so
+        # the unrounded bound is 1.2e-13 while every printed input reads -3
+        cells = np.recarray(2, dtype=SWEEP_DTYPE)
+        cells.b, cells.t, cells.normalizer_a = 2.0, 0.01, 8.0
+        cells.mean_energy = [-3.0, -3.5]
+        cells.esep = -2.99999999999904
+        cells.detected = True
+        self.assert_same_bytes(tmp_path, cells, 10)
+        rows = (tmp_path / "new.csv").read_text().splitlines()[1:]
+        assert rows == ["2,0.01,-3,-3,8,0,0,false", "2,0.01,-3.5,-3,8,0.0625,0.0625,true"]
+
 
 class TestRefutedFixedValue:
     """E_sep = -1 for s1.s2 at B = 0, so fixed:0.5 is no separability energy."""
