@@ -30,7 +30,6 @@ from .robustness import (
 )
 from .sep_energy import (
     Partition,
-    ProductStateAnsatz,
     SepEnergyReport,
     esep_closed_form_xxx,
     esep_reference,
@@ -61,7 +60,6 @@ __all__ = [
     "NumericalError",
     "Partition",
     "PauliString",
-    "ProductStateAnsatz",
     "RobustnessCertificate",
     "SepEnergyReport",
     "SpectralDecomposition",

@@ -114,21 +114,6 @@ def _states_to_bloch(states: np.ndarray) -> np.ndarray:
     return r / np.linalg.norm(r, axis=-1, keepdims=True)
 
 
-def _bloch_to_states(r: np.ndarray) -> np.ndarray:
-    """Unit qubit states (..., 2) with Bloch vectors r (..., 3), up to global phase.
-
-    The larger of |a| = sqrt((1 + z)/2) and |b| = sqrt((1 - z)/2) is taken
-    real, so no denominator is below sqrt(2).
-    """
-    x, y, z = r[..., 0], r[..., 1], r[..., 2]
-    s = np.sqrt(2.0 * (1.0 + abs(z)))
-    north = z >= 0.0
-    out = np.empty(r.shape[:-1] + (2,), dtype=np.complex128)
-    out[..., 0] = np.where(north, s / 2.0, (x - 1j * y) / s)
-    out[..., 1] = np.where(north, (x + 1j * y) / s, s / 2.0)
-    return out / np.linalg.norm(out, axis=-1, keepdims=True)
-
-
 def _factors(v: np.ndarray, letters: np.ndarray) -> np.ndarray:
     """f[i, k, r] = v[r, i, letters[k, i]]: each string's one-site factors, (n, K, R)."""
     return v.transpose(1, 2, 0)[np.arange(v.shape[1])[:, None], letters.T]
@@ -235,20 +220,20 @@ def _riemannian(
 
 
 def bloch_search(
-    hs: list[HermitianOperator], sites: list[int], starts: list[np.ndarray]
-) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Minimize the energy over one qubit state per site, for a stack of starts.
+    hs: list[HermitianOperator], r0: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Minimize the energy over one unit Bloch vector per site, for a stack of starts.
 
-    ``starts[b]`` holds the start states of site ``sites[b]``: the rows of
-    ``hs[0]`` first, then an equal number for ``hs[1]``, and so on.  Each row
-    has its own Hamiltonian's coefficients over the union of the strings (0
-    where a string is absent) and the tolerance, hand-over threshold and
-    round-off slack of that Hamiltonian's sum of |c_k|, so it runs as in a
-    search of its Hamiltonian alone.  Returns the final states in the same
-    layout; per row the final energy (the multilinear sum over the strings),
-    the Riemannian gradient norm, the smallest reduced-Hessian eigenvalue and
-    whether both are within the tolerance (a second-order certificate of a
-    local minimum); and per Hamiltonian its sum of |c_k| over all strings,
+    ``r0`` (R, n, 3) holds the start vectors: the rows of ``hs[0]`` first,
+    then an equal number for ``hs[1]``, and so on.  Each row has its own
+    Hamiltonian's coefficients over the union of the strings (0 where a
+    string is absent) and the tolerance, hand-over threshold and round-off
+    slack of that Hamiltonian's sum of |c_k|, so it runs as in a search of
+    its Hamiltonian alone.  Returns the final vectors (R, n, 3); per row the
+    final energy (the multilinear sum over the strings), the Riemannian
+    gradient norm, the smallest reduced-Hessian eigenvalue and whether both
+    are within the tolerance (a second-order certificate of a local
+    minimum); and per Hamiltonian its sum of |c_k| over all strings,
     identity included, which is at least its largest absolute row sum and
     so serves as the energy scale of tolerances downstream.
     An energy that rises beyond round-off raises ``NumericalError``.
@@ -256,7 +241,7 @@ def bloch_search(
     n = hs[0].shape.n_sites
     letters, table = pauli_terms(hs)
     onehot = (letters[..., None] == np.arange(1, 4)).astype(float)  # (K, n, 3)
-    owner = np.repeat(np.arange(len(hs)), len(starts[0]) // len(hs))  # each row's Hamiltonian
+    owner = np.repeat(np.arange(len(hs)), len(r0) // len(hs))  # each row's Hamiltonian
     coeffs = table[:, owner]  # (K, R): row r's coefficients
     scale = np.abs(table).sum(axis=0)  # per Hamiltonian
     spread = np.abs(table[letters.any(axis=1)]).sum(axis=0)[owner]  # identity left out
@@ -265,9 +250,8 @@ def bloch_search(
     # Energy differences below this are round-off; without the slack, Armijo
     # would refuse a last Newton step whose true decrease is smaller still.
     slack = _ROUNDOFF * scale[owner]
-    v = np.ones((len(starts[0]), n, 4))
-    for site, s in zip(sites, starts):
-        v[:, site, 1:] = _states_to_bloch(s)
+    v = np.ones((len(r0), n, 4))
+    v[..., 1:] = r0
     r = v[..., 1:]
 
     # Mean-field sweeps: r_i <- -g_i/|g_i| minimizes the energy, affine in r_i,
@@ -348,5 +332,4 @@ def bloch_search(
     hmin = np.linalg.eigvalsh(red)[:, 0]
     converged = (gnorm <= tol) & (hmin >= -tol)
     energy = _bloch_energy(v, letters, coeffs)
-    states = [_bloch_to_states(r[:, site]) for site in sites]
-    return states, energy, gnorm, hmin, converged, scale
+    return r, energy, gnorm, hmin, converged, scale

@@ -32,7 +32,7 @@ from .hamiltonians import XXXParams, build_pauli, build_xxx, parse_pauli_terms
 from .measurement import bound_with_confidence, measure_energy
 from .operators import DensityMatrix, HermitianOperator, SystemShape, eig, expectation
 from .robustness import rg_exact_2q
-from .sep_energy import Partition, SepEnergyReport, esep_search
+from .sep_energy import SepEnergyReport, esep_search
 from .thermal import gibbs, ground_state
 from .witness import (
     EsepPolicy,
@@ -263,14 +263,12 @@ def _refute_fixed(cfg: argparse.Namespace, hs: list[HermitianOperator], fields=(
     """
     if cfg.policy.kind != "fixed":
         return
-    part = Partition.singletons(hs[0].shape.n_sites)
-    found_all = esep_search(hs, part, restarts=cfg.restarts, seed=cfg.seed)
+    found_all = esep_search(hs, restarts=cfg.restarts, seed=cfg.seed)
     for found, where in zip(found_all, fields):
         tol = FIXED_REFUTATION_TOL * found.coefficient_sum
         if found.esep < cfg.policy.value - tol:
             angles = ", ".join(
-                "({:.6f}, {:.6f})".format(*states.bloch_angles(v))
-                for v in found.minimizer.block_states
+                "({:.6f}, {:.6f})".format(*states.bloch_angles(r)) for r in found.minimizer
             )
             raise ValueError(
                 f"fixed esep {cfg.policy.value:g} is refuted{where}: the product state with Bloch "
@@ -359,11 +357,9 @@ def cmd_esep(cfg: argparse.Namespace) -> int:
         print(f"gradient_norm = {report.gradient_norm:.3e}")
         print(f"hessian_min = {report.hessian_min:.3e}")
     if report.minimizer is not None:
-        for i, (block, vec) in enumerate(
-            zip(report.minimizer.partition.blocks, report.minimizer.block_states)
-        ):
-            theta, phi = states.bloch_angles(vec)  # every CLI partition is single qubits
-            print(f"block {i} (sites {list(block)}): theta = {theta:.6f}, phi = {phi:.6f}")
+        for i, r in enumerate(report.minimizer):
+            theta, phi = states.bloch_angles(r)
+            print(f"block {i} (sites [{i}]): theta = {theta:.6f}, phi = {phi:.6f}")
     return 0
 
 

@@ -237,7 +237,7 @@ class HermitianOperator:
             vals, sectors = _eigh_by_sectors(self.entries)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"eigendecomposition did not converge: {exc}") from exc
-        return SpectralDecomposition._of_sectors(_frozen_array(vals), sectors)
+        return SpectralDecomposition(_frozen_array(vals), sectors)
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -327,35 +327,17 @@ class DensityMatrix:
         return DensityMatrix.from_entries(shape, np.outer(v, v.conj()))
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class SpectralDecomposition:
     """Ascending eigenvalues with orthonormal eigenvectors, kept per exact sector.
 
     ``sectors`` holds one ``SectorBlock`` per sector size; together they
     cover every basis index and every eigenvalue once.  The dense
     ``eigenvectors`` matrix is assembled from them on first access only.
-    ``SpectralDecomposition(eigenvalues, eigenvectors)`` is one block that
-    spans the whole space.
     """
 
     eigenvalues: np.ndarray = field(repr=False)
     sectors: tuple[SectorBlock, ...] = field(repr=False)
-
-    def __init__(self, eigenvalues: np.ndarray, eigenvectors: np.ndarray):
-        v = np.asarray(eigenvectors)
-        rows = np.arange(len(v))[None]
-        object.__setattr__(self, "eigenvalues", eigenvalues)
-        object.__setattr__(self, "sectors", (SectorBlock(rows, rows, v[None]),))
-        self.__dict__["eigenvectors"] = v
-
-    @classmethod
-    def _of_sectors(
-        cls, eigenvalues: np.ndarray, sectors: tuple[SectorBlock, ...]
-    ) -> "SpectralDecomposition":
-        dec = cls.__new__(cls)
-        object.__setattr__(dec, "eigenvalues", eigenvalues)
-        object.__setattr__(dec, "sectors", sectors)
-        return dec
 
     @cached_property
     def eigenvectors(self) -> np.ndarray:

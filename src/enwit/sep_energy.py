@@ -4,9 +4,9 @@ Because Tr(H sigma) is linear in sigma, its minimum over the full (mixed)
 separable set is attained at a pure product state, so pure-state
 minimization is all that is needed.  Two routes are provided:
 
-* :func:`esep_seesaw` (:func:`esep_search` for several H) -- local search with
-  random restarts on qubit Hamiltonians, one qubit per block: Riemannian
-  Newton on Bloch vectors (see :mod:`enwit.bloch`),
+* :func:`esep_search` (:func:`esep_seesaw` for one H) -- local search with
+  random restarts on qubit Hamiltonians, one Bloch vector per site:
+  Riemannian Newton on (S^2)^n (see :mod:`enwit.bloch`),
 * :func:`esep_closed_form_xxx` -- the analytic value for the two-site
   Heisenberg model in a field, with the bond counted once.
 
@@ -25,64 +25,26 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .hamiltonians import XXXParams
-from .operators import HermitianOperator, SystemShape, _frozen_array
+from .operators import HermitianOperator, _frozen_array
 
 RESTART_AGREEMENT_TOL = 1e-9  # relative to each H's sum of |Pauli coefficients|
 
 
 @dataclass(frozen=True)
 class Partition:
-    """Disjoint blocks of subsystem indices; product states factor across blocks."""
+    """Blocks of site indices; :func:`esep_seesaw` takes one qubit per block only."""
 
     blocks: tuple[tuple[int, ...], ...]
 
-    def __init__(self, blocks: Sequence[Sequence[int]]):
-        norm = tuple(tuple(sorted(int(s) for s in b)) for b in blocks)
-        if len(norm) < 2:
-            raise ValueError("a partition needs at least 2 blocks")
-        if any(not b for b in norm):
-            raise ValueError("blocks must be nonempty")
-        flat = [s for b in norm for s in b]
-        if len(set(flat)) != len(flat):
-            raise ValueError("blocks must be pairwise disjoint")
-        object.__setattr__(self, "blocks", norm)
-
     @staticmethod
     def singletons(n_sites: int) -> "Partition":
-        return Partition([[i] for i in range(n_sites)])
-
-    def validate_for(self, shape: SystemShape) -> None:
-        flat = sorted(s for b in self.blocks for s in b)
-        if flat != list(range(shape.n_sites)):
-            raise ValueError(
-                f"partition {self.blocks} does not cover sites 0..{shape.n_sites - 1}"
-            )
-
-
-@dataclass(frozen=True)
-class ProductStateAnsatz:
-    """One unit vector per block; together they define a pure product state."""
-
-    partition: Partition
-    block_states: tuple[np.ndarray, ...]
-
-    def __init__(self, partition: Partition, block_states: Sequence[np.ndarray]):
-        states = []
-        for v in block_states:
-            arr = np.asarray(v, dtype=np.complex128).reshape(-1)
-            if abs(np.linalg.norm(arr) - 1.0) > 1e-12:
-                raise ValueError("block states must be unit vectors")
-            states.append(_frozen_array(arr))
-        if len(states) != len(partition.blocks):
-            raise ValueError("one state per block required")
-        object.__setattr__(self, "partition", partition)
-        object.__setattr__(self, "block_states", tuple(states))
+        return Partition(tuple((i,) for i in range(n_sites)))
 
 
 @dataclass(frozen=True)
 class SepEnergyReport:
     esep: float
-    minimizer: Optional[ProductStateAnsatz]
+    minimizer: Optional[np.ndarray]  # read-only (n, 3): one unit Bloch vector per site
     restarts_used: int
     restarts_agreeing: int  # search restarts within the agreement tolerance of the best, else 0
     converged: bool
@@ -92,35 +54,26 @@ class SepEnergyReport:
     coefficient_sum: Optional[float] = None  # search only: sum of H's |Pauli coefficients|
 
 
-def _draw_block_states(
-    block_dims: Sequence[int], rngs: Sequence[np.random.Generator]
-) -> list[np.ndarray]:
-    """Per block, one row per generator: d real then d imaginary normal draws, normalized."""
-    z = np.stack([rng.standard_normal(2 * sum(block_dims)) for rng in rngs])
-    states, lo = [], 0
-    for d in block_dims:
-        block = z[:, lo : lo + d] + 1j * z[:, lo + d : lo + 2 * d]
-        states.append(block / np.linalg.norm(block, axis=1, keepdims=True))
-        lo += 2 * d
-    return states
-
-
 def esep_seesaw(
     h: HermitianOperator, part: Partition, restarts: int = 32, seed: int = 0
 ) -> SepEnergyReport:
-    """Local minimization of the energy over product states: :func:`esep_search` for one H."""
-    return esep_search([h], part, restarts=restarts, seed=seed)[0]
+    """:func:`esep_search` for one H; ``part`` must be ``Partition.singletons(n)``."""
+    if [tuple(b) for b in part.blocks] != [(i,) for i in range(h.shape.n_sites)]:
+        raise ValueError(f"the search needs one qubit per block, not blocks {part.blocks}")
+    return esep_search([h], restarts=restarts, seed=seed)[0]
 
 
 def esep_search(
-    hs: Sequence[HermitianOperator], part: Partition, restarts: int = 32, seed: int = 0
+    hs: Sequence[HermitianOperator], restarts: int = 32, seed: int = 0
 ) -> list[SepEnergyReport]:
-    """:func:`esep_seesaw` for each Hamiltonian of ``hs`` (all of one shape), one report each.
+    """The separability energy of each Hamiltonian of ``hs`` (all of one shape), one report each.
 
-    Every site must be a qubit and every block one site; anything else
-    raises ``ValueError``.  Each restart's random stream is derived solely
-    from ``(seed, restart index)``, so results do not depend on execution
-    order, and every Hamiltonian starts from the same draws.
+    Every site must be a qubit; anything else raises ``ValueError``.
+    Restart r starts from the product state drawn from
+    ``default_rng([seed, r])``, 4n normals, the real then the imaginary
+    parts of each site's state in turn, so results do not depend on
+    execution order, and every Hamiltonian starts from the same draws.
+    Each report's ``minimizer`` is its best restart's Bloch vectors.
 
     The restarts of all the Hamiltonians run as one stack on Bloch vectors
     (see :func:`enwit.bloch.bloch_search`): each H's Pauli strings are read
@@ -150,24 +103,22 @@ def esep_search(
         raise ValueError("restarts must be >= 1")
     if not hs or any(h.shape != hs[0].shape for h in hs):
         raise ValueError("the search needs one or more Hamiltonians of one shape")
-    shape = hs[0].shape
-    part.validate_for(shape)
-    if any(len(b) != 1 for b in part.blocks) or any(d != 2 for d in shape.local_dims):
-        raise ValueError(
-            f"the search needs one qubit per block, not blocks {part.blocks} "
-            f"on sites of dimensions {list(shape.local_dims)}"
-        )
+    dims = list(hs[0].shape.local_dims)
+    if any(d != 2 for d in dims):
+        raise ValueError(f"the search needs one qubit per block, not sites of dimensions {dims}")
 
     # imported on first use: code that never searches (the R_g oracle, the
     # closed form) does not compile it, which shows in its import time
     from . import bloch
 
     seed_u = int(seed) & 0xFFFFFFFFFFFFFFFF
-    # row r of each block: the start state _draw_block_states draws from default_rng([seed, r])
-    rngs = [np.random.default_rng([seed_u, r]) for r in range(restarts)]
-    starts = [np.tile(s, (len(hs), 1)) for s in _draw_block_states([2] * shape.n_sites, rngs)]
-    states, energies, gnorm, hmin, converged, scale = bloch.bloch_search(
-        hs, [b[0] for b in part.blocks], starts
+    z = np.stack(
+        [np.random.default_rng([seed_u, r]).standard_normal(4 * len(dims)) for r in range(restarts)]
+    ).reshape(restarts, len(dims), 2, 2)
+    states = z[..., 0, :] + 1j * z[..., 1, :]
+    starts = bloch._states_to_bloch(states / np.linalg.norm(states, axis=-1, keepdims=True))
+    r, energies, gnorm, hmin, converged, scale = bloch.bloch_search(
+        hs, np.tile(starts, (len(hs), 1, 1))
     )
     reports = []
     for j in range(len(hs)):
@@ -177,7 +128,7 @@ def esep_search(
         reports.append(
             SepEnergyReport(
                 esep=float(energies[best]),
-                minimizer=ProductStateAnsatz(part, [s[best] for s in states]),
+                minimizer=_frozen_array(r[best]),
                 restarts_used=restarts,
                 restarts_agreeing=int((mine <= energies[best] + tol).sum()),
                 converged=bool(converged[best]),
@@ -210,18 +161,16 @@ def esep_closed_form_xxx(p: XXXParams) -> float:
     return j - 2.0 * abs(b)
 
 
-def closed_form_ansatz_xxx(p: XXXParams) -> ProductStateAnsatz:
-    """An analytic minimizer realizing :func:`esep_closed_form_xxx`."""
+def closed_form_ansatz_xxx(p: XXXParams) -> np.ndarray:
+    """Bloch vectors (2, 3) of an analytic minimizer realizing :func:`esep_closed_form_xxx`."""
     _closed_form_check(p)
     j, b = p.coupling_j, p.field_b
-    part = Partition.singletons(2)
     if abs(b) <= 2.0 * j:
-        theta = math.acos(-b / (2.0 * j))
-        up = np.array([math.cos(theta / 2.0), math.sin(theta / 2.0)], dtype=np.complex128)
-        down = np.array([math.cos(theta / 2.0), -math.sin(theta / 2.0)], dtype=np.complex128)
-        return ProductStateAnsatz(part, [up, down])
-    pole = np.array([0.0, 1.0] if b > 0 else [1.0, 0.0], dtype=np.complex128)
-    return ProductStateAnsatz(part, [pole, pole])
+        z = -b / (2.0 * j)
+        x = math.sqrt((1.0 - z) * (1.0 + z))
+        return _frozen_array(np.array([[x, 0.0, z], [-x, 0.0, z]]))
+    pole = -1.0 if b > 0 else 1.0
+    return _frozen_array(np.array([[0.0, 0.0, pole], [0.0, 0.0, pole]]))
 
 
 def esep_reference(value: float) -> SepEnergyReport:

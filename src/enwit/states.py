@@ -19,16 +19,18 @@ def bloch_state(theta: float, phi: float) -> np.ndarray:
     )
 
 
-def bloch_angles(state: np.ndarray) -> tuple[float, float]:
-    """Inverse of :func:`bloch_state`, up to global phase; phi in [0, 2pi)."""
-    v = np.asarray(state, dtype=np.complex128).reshape(2)
-    v = v / np.linalg.norm(v)
-    theta = 2.0 * math.atan2(abs(v[1]), abs(v[0]))
-    phi = float(np.angle(v[1]) - np.angle(v[0])) % (2.0 * math.pi)
-    # a difference within half an ulp below 0 rounds up to exactly 2pi
-    if phi == 2.0 * math.pi or abs(v[1]) < 1e-15 or abs(v[0]) < 1e-15:
+def bloch_angles(r: np.ndarray) -> tuple[float, float]:
+    """Polar angle theta and azimuth phi in [0, 2pi) of a unit Bloch vector r = (x, y, z).
+
+    phi is 0 on the poles, where |(x, y)| < 2e-15 leaves it to round-off.
+    """
+    x, y, z = (float(c) for c in r)
+    rho = math.hypot(x, y)
+    phi = math.atan2(y, x) % (2.0 * math.pi)
+    # an azimuth within half an ulp below 0 rounds up to exactly 2pi
+    if phi == 2.0 * math.pi or rho < 2e-15:
         phi = 0.0
-    return theta, phi
+    return math.atan2(rho, z), phi
 
 
 def product_state(theta_a: float, phi_a: float, theta_b: float, phi_b: float) -> DensityMatrix:

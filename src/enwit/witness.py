@@ -23,13 +23,11 @@ import numpy as np
 from .hamiltonians import XXXParams, build_xxx
 from .operators import HermitianOperator, eig, expectation
 from .sep_energy import (
-    Partition,
     SepEnergyReport,
     closed_form_ansatz_xxx,
     esep_closed_form_xxx,
     esep_reference,
     esep_search,
-    esep_seesaw,
 )
 from .thermal import energy_table, ground_state
 
@@ -123,7 +121,7 @@ def robustness_lower_bound(w: WitnessSpec, mean_energy: float) -> BoundReport:
 class EsepPolicy:
     """How to obtain E_sep for each Hamiltonian in a sweep.
 
-    ``kind`` is one of ``exact`` (:func:`esep_seesaw`), ``closed-form`` (two-site
+    ``kind`` is one of ``exact`` (:func:`esep_search`), ``closed-form`` (two-site
     Heisenberg analytic value) or ``fixed`` (a user-supplied constant,
     carried in ``value``).
     """
@@ -154,8 +152,7 @@ def resolve_esep(
 ) -> SepEnergyReport:
     """Produce a SepEnergyReport for ``h`` according to the policy.
 
-    ``exact`` runs :func:`esep_seesaw` with one qubit per block, the only
-    partition it searches.
+    ``exact`` runs :func:`esep_search` on ``h`` alone.
     """
     if policy.kind == "fixed":
         return esep_reference(policy.value)
@@ -170,7 +167,7 @@ def resolve_esep(
             converged=True,
             source="closed-form",
         )
-    return esep_seesaw(h, Partition.singletons(h.shape.n_sites), restarts=restarts, seed=seed)
+    return esep_search([h], restarts=restarts, seed=seed)[0]
 
 
 SWEEP_DTYPE = np.dtype(
@@ -293,7 +290,7 @@ def _sweep_fields(
     hands that list in here, so no field is built twice.
     """
     if policy.kind == "exact":
-        reports = esep_search(hs, Partition.singletons(params.n_sites), restarts, seed)
+        reports = esep_search(hs, restarts, seed)
     else:
         reports = [
             resolve_esep(policy, h, params=replace(params, field_b=b)) for h, b in zip(hs, b_list)

@@ -6,7 +6,6 @@ import pytest
 from enwit import (
     DensityMatrix,
     HermitianOperator,
-    ProductStateAnsatz,
     SystemShape,
     XXXParams,
     build_pauli,
@@ -14,7 +13,7 @@ from enwit import (
     operators,
     parse_pauli_terms,
 )
-from enwit.sep_energy import _draw_block_states
+from enwit.bloch import _states_to_bloch
 from enwit.states import singlet as _singlet
 
 TWO_QUBITS = SystemShape([2, 2])
@@ -56,32 +55,45 @@ def random_pure_state(rng, dim=4):
     return v / np.linalg.norm(v)
 
 
-def full_vector(shape, ansatz):
-    """The product state as a vector over the full Hilbert space, sites in order."""
-    n = shape.n_sites
-    letters = [chr(ord("a") + i) for i in range(n)]
-    subs, ops = [], []
-    for block, state in zip(ansatz.partition.blocks, ansatz.block_states):
-        ops.append(state.reshape(tuple(shape.local_dims[s] for s in block)))
-        subs.append("".join(letters[s] for s in block))
-    return np.einsum(",".join(subs) + "->" + "".join(letters), *ops).reshape(-1)
+def _bloch_to_states(r: np.ndarray) -> np.ndarray:
+    """Unit qubit states (..., 2) with Bloch vectors r (..., 3), up to global phase.
+
+    The larger of |a| = sqrt((1 + z)/2) and |b| = sqrt((1 - z)/2) is taken
+    real, so no denominator is below sqrt(2).
+    """
+    x, y, z = r[..., 0], r[..., 1], r[..., 2]
+    s = np.sqrt(2.0 * (1.0 + abs(z)))
+    north = z >= 0.0
+    out = np.empty(r.shape[:-1] + (2,), dtype=np.complex128)
+    out[..., 0] = np.where(north, s / 2.0, (x - 1j * y) / s)
+    out[..., 1] = np.where(north, (x + 1j * y) / s, s / 2.0)
+    return out / np.linalg.norm(out, axis=-1, keepdims=True)
 
 
-def ansatz_energy(h, ansatz):
-    """<psi|H|psi> of a product state, from its full vector."""
-    v = full_vector(h.shape, ansatz)
+def full_vector(r):
+    """The product state with Bloch vectors r (n, 3) as a vector over all n qubits, site 0 first."""
+    v = np.ones(1, dtype=np.complex128)
+    for state in _bloch_to_states(np.asarray(r)):
+        v = np.kron(v, state)
+    return v
+
+
+def ansatz_energy(h, r):
+    """<psi|H|psi> of the product state with Bloch vectors r, from its full vector."""
+    v = full_vector(r)
     return float((v.conj() @ (h.entries @ v)).real)
 
 
-def block_dims(part, shape):
-    """The Hilbert-space dimension of each block of ``part`` on ``shape``."""
-    return [math.prod(shape.local_dims[s] for s in b) for b in part.blocks]
+def block_dims(blocks, shape):
+    """The Hilbert-space dimension of each block (a list of sites) on ``shape``."""
+    return [math.prod(shape.local_dims[s] for s in b) for b in blocks]
 
 
-def random_ansatz(shape, part, rng):
-    """A restart's start state: each block uniform on its complex unit sphere."""
-    states = _draw_block_states(block_dims(part, shape), [rng])
-    return ProductStateAnsatz(part, [s[0] for s in states])
+def random_ansatz(n, rng):
+    """A restart's start state on n qubits as Bloch vectors (n, 3): 4n normal draws,
+    the real then the imaginary parts of each site's state, as the search draws them."""
+    z = rng.standard_normal(4 * n).reshape(n, 2, 2)
+    return _states_to_bloch(z[:, 0] + 1j * z[:, 1])
 
 
 def normalized_witness(w):

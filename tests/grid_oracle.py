@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from enwit import HermitianOperator, Partition, SystemShape
+from enwit import HermitianOperator, SystemShape
 
 from conftest import block_dims
 
@@ -136,17 +136,23 @@ def _contract_block_out(
     return m.reshape(d_rest, d_rest)
 
 
-def esep_grid(h: HermitianOperator, part: Partition, resolution: int) -> float:
+def esep_grid(h: HermitianOperator, blocks, resolution: int) -> float:
     """Brute-force scan over nested product-state grids; an upper bound to E_sep.
 
-    Every block must have total dimension <= 4; the scan cost grows steeply
-    with block dimension, so this is an oracle for desk-scale checks, not a
-    production minimizer.
+    ``blocks`` lists the sites of each block: two or more blocks that together
+    hold every site once; product states factor across them.  Every block
+    must have total dimension <= 4; the scan cost grows steeply with block
+    dimension, so this is an oracle for desk-scale checks, not a production
+    minimizer.
     """
     if resolution < 8:
         raise ValueError("resolution must be >= 8")
-    part.validate_for(h.shape)
-    dims = block_dims(part, h.shape)
+    blocks = [tuple(sorted(b)) for b in blocks]
+    if len(blocks) < 2:
+        raise ValueError("a partition needs at least 2 blocks")
+    if sorted(s for b in blocks for s in b) != list(range(h.shape.n_sites)):
+        raise ValueError(f"blocks {blocks} do not hold each of sites 0..{h.shape.n_sites - 1} once")
+    dims = block_dims(blocks, h.shape)
     if any(d > GRID_BLOCK_DIM_CAP for d in dims):
         raise ValueError(f"block too large for grid oracle (dims {dims}, cap {GRID_BLOCK_DIM_CAP})")
     states = [_grid_states(d, resolution) for d in dims]
@@ -170,4 +176,4 @@ def esep_grid(h: HermitianOperator, part: Partition, resolution: int) -> float:
             best = min(best, recurse(h_eff, new_dims, new_blocks, block_states[1:]))
         return best
 
-    return recurse(h.entries, h.shape.local_dims, list(part.blocks), states)
+    return recurse(h.entries, h.shape.local_dims, blocks, states)

@@ -150,7 +150,7 @@ def test_criterion_06_esep_correctness():
         else:
             assert exact == pytest.approx(1.0 - 2.0 * abs(b), abs=1e-12)
         see = esep_seesaw(h, SINGLETONS, restarts=32, seed=23).esep
-        grid = esep_grid(h, SINGLETONS, 128)
+        grid = esep_grid(h, [[0], [1]], 128)
         assert abs(see - exact) <= 1e-7, (b, see, exact)
         assert abs(grid - exact) <= 2e-3, (b, grid, exact)
         worst_seesaw = max(worst_seesaw, abs(see - exact))
@@ -168,7 +168,7 @@ def test_criterion_07_witness_validity_on_product_states():
         h = build_xxx(XXXParams(1.0, b))
         w = make_witness(h, esep_seesaw(h, SINGLETONS, restarts=32, seed=31))
         wmat = normalized_witness(w).entries
-        vecs = np.stack([full_vector(Q2, random_ansatz(Q2, SINGLETONS, rng)) for _ in range(1000)])
+        vecs = np.stack([full_vector(random_ansatz(2, rng)) for _ in range(1000)])
         vals = np.einsum("ij,jk,ik->i", vecs.conj(), wmat, vecs).real
         assert vals.min() >= -1e-9
         worst = min(worst, float(vals.min()))

@@ -175,6 +175,124 @@ class TestEsep:
         assert "policy" in err
 
 
+def _lines(*lines):
+    return "".join(line + "\n" for line in lines)
+
+
+_SEARCH_HEAD = ("source = exact-optimized", "restarts_used = 32")
+
+
+class TestPrintedOutput:
+    """The whole stdout (and the refutation's stderr) of seeded commands, byte for byte."""
+
+    CASES = {
+        "exact-B0": (
+            ["esep", "--J", "1", "--B", "0"],
+            _lines(
+                "esep = -1", *_SEARCH_HEAD, "restarts_agreeing = 32", "converged = true",
+                "gradient_norm = 4.664e-17", "hessian_min = 0.000e+00",
+                "block 0 (sites [0]): theta = 1.894714, phi = 2.387101",
+                "block 1 (sites [1]): theta = 1.246879, phi = 5.528694",
+            ),
+        ),
+        "exact-B0.3": (
+            ["esep", "--J", "1", "--B", "0.3"],
+            _lines(
+                "esep = -1.045", *_SEARCH_HEAD, "restarts_agreeing = 32", "converged = true",
+                "gradient_norm = 1.045e-12", "hessian_min = -1.029e-13",
+                "block 0 (sites [0]): theta = 1.721365, phi = 0.049307",
+                "block 1 (sites [1]): theta = 1.721365, phi = 3.190900",
+            ),
+        ),
+        "exact-B2": (
+            ["esep", "--J", "1", "--B", "2"],
+            _lines(
+                "esep = -3", *_SEARCH_HEAD, "restarts_agreeing = 32", "converged = true",
+                "gradient_norm = 2.307e-09", "hessian_min = 1.386e-06",
+                "block 0 (sites [0]): theta = 3.140415, phi = 0.049307",
+                "block 1 (sites [1]): theta = 3.140415, phi = 3.190900",
+            ),
+        ),
+        "exact-B3": (
+            ["esep", "--J", "1", "--B", "3"],
+            _lines(
+                "esep = -5", *_SEARCH_HEAD, "restarts_agreeing = 32", "converged = true",
+                "gradient_norm = 3.822e-22", "hessian_min = 1.000e+00",
+                "block 0 (sites [0]): theta = 3.141593, phi = 0.000000",
+                "block 1 (sites [1]): theta = 3.141593, phi = 0.000000",
+            ),
+        ),
+        "exact-ring-4": (
+            ["esep", "--J", "1", "--B", "0.3", "--sites", "4", "--boundary", "periodic"],
+            _lines(
+                "esep = -4.045", *_SEARCH_HEAD, "restarts_agreeing = 32", "converged = true",
+                "gradient_norm = 2.061e-10", "hessian_min = 5.080e-12",
+                "block 0 (sites [0]): theta = 1.645867, phi = 2.300898",
+                "block 1 (sites [1]): theta = 1.645867, phi = 5.442490",
+                "block 2 (sites [2]): theta = 1.645867, phi = 2.300898",
+                "block 3 (sites [3]): theta = 1.645867, phi = 5.442490",
+            ),
+        ),
+        "exact-pauli-file": (
+            ["esep", "--model", "pauli-file", "--pauli-file", "h.txt", "--seed", "0"],
+            _lines(
+                "esep = -4.155900522", *_SEARCH_HEAD, "restarts_agreeing = 9",
+                "converged = true", "gradient_norm = 3.745e-11", "hessian_min = 8.114e-01",
+                "block 0 (sites [0]): theta = 2.322713, phi = 3.141593",
+                "block 1 (sites [1]): theta = 2.215070, phi = 3.141593",
+                "block 2 (sites [2]): theta = 1.644570, phi = 4.221793",
+            ),
+        ),
+        "closed-form-B0.5": (
+            ["esep", "--J", "1", "--B", "0.5", "--policy", "closed-form"],
+            _lines(
+                "esep = -1.125", "source = closed-form", "restarts_used = 0", "converged = true",
+                "block 0 (sites [0]): theta = 1.823477, phi = 0.000000",
+                "block 1 (sites [1]): theta = 1.823477, phi = 3.141593",
+            ),
+        ),
+        "closed-form-B2": (
+            ["esep", "--J", "1", "--B", "2", "--policy", "closed-form"],
+            _lines(
+                "esep = -3", "source = closed-form", "restarts_used = 0", "converged = true",
+                "block 0 (sites [0]): theta = 3.141593, phi = 0.000000",
+                "block 1 (sites [1]): theta = 3.141593, phi = 0.000000",
+            ),
+        ),
+        "closed-form-B-2.5": (
+            ["esep", "--J", "1", "--B", "-2.5", "--policy", "closed-form"],
+            _lines(
+                "esep = -4", "source = closed-form", "restarts_used = 0", "converged = true",
+                "block 0 (sites [0]): theta = 0.000000, phi = 0.000000",
+                "block 1 (sites [1]): theta = 0.000000, phi = 0.000000",
+            ),
+        ),
+        "witness-exact": (
+            ["witness", "--J", "1", "--B", "0.3", "--policy", "exact"],
+            _lines(
+                "esep = -1.045 (source = exact-optimized)", "restarts_agreeing = 32",
+                "e_min = -3", "e_max = 1.6", "A = 2.645", "entanglement_gap = 1.955",
+            ),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_stdout(self, case, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "h.txt").write_text(TestEsep.PAULI_8)
+        argv, expected = self.CASES[case]
+        assert run(argv, capsys) == (0, expected, "")
+
+    def test_refutation_stderr(self, capsys):
+        argv = ["esep", "--J", "1", "--B", "0", "--policy", "fixed:0.5"]
+        assert run(argv, capsys) == (
+            2,
+            "",
+            "error: fixed esep 0.5 is refuted: the product state with Bloch angles "
+            "(theta, phi) = (1.894714, 2.387101), (1.246879, 5.528694) has energy -1\n",
+        )
+
+
 class TestWitnessCommand:
     def test_reports_normalizer(self, capsys):
         code, out, _ = run(
@@ -501,9 +619,9 @@ class TestRefutedFixedValue:
         calls = []
         search = enwit.bloch.bloch_search
 
-        def counted(hs, sites, starts):
+        def counted(hs, r0):
             calls.append(len(hs))
-            return search(hs, sites, starts)
+            return search(hs, r0)
 
         monkeypatch.setattr(enwit.bloch, "bloch_search", counted)
         for policy in ("exact", "fixed:-9"):

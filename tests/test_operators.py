@@ -19,14 +19,20 @@ from enwit import (
     ground_state,
     make_witness,
     measure_energy,
-    thermal,
 )
 from enwit.errors import NumericalError
 from enwit.hamiltonians import _xxx_terms
-from enwit.operators import SECTOR_MIN_DIM, _partial_transpose_entries, _sectors
+from enwit.operators import SECTOR_MIN_DIM, SectorBlock, _partial_transpose_entries, _sectors
 from enwit.states import singlet
 
 from conftest import PAULI, dm_chain, random_dm
+
+
+def one_block(eigenvalues, eigenvectors):
+    """The decomposition of given eigenvalues and eigenvector columns as one sector."""
+    rows = np.arange(len(eigenvectors))[None]
+    return SpectralDecomposition(eigenvalues, (SectorBlock(rows, rows, eigenvectors[None]),))
+
 
 Q1 = SystemShape([2])
 Q2 = SystemShape([2, 2])
@@ -178,7 +184,7 @@ class TestSectorEigh:
         assert np.abs(lam - ref_vals).max() <= 1e-12 * scale
         assert np.abs(a @ v - v * lam).max() <= 1e-12 * scale
         assert np.abs(v.conj().T @ v - np.eye(h.dim)).max() <= 1e-12
-        got, ref = dec.levels(), SpectralDecomposition(ref_vals, ref_vecs).levels()
+        got, ref = dec.levels(), one_block(ref_vals, ref_vecs).levels()
         assert got[1].tolist() == ref[1].tolist()
         assert np.abs(got[0] - ref[0]).max() <= 1e-12 * scale
 
@@ -224,7 +230,7 @@ class TestSectorEigh:
         w = np.exp(-(lam - lam[0]) / 0.7)
         rho, _ = gibbs(h, 0.7)
         assert np.abs(rho.entries - (v * (w / w.sum())) @ v.conj().T).max() <= 1e-12
-        k = int(SpectralDecomposition(lam, v).levels()[1][0])
+        k = int(one_block(lam, v).levels()[1][0])
         rho0 = ground_state(h)
         assert np.abs(rho0.entries - v[:, :k] @ v[:, :k].conj().T / k).max() <= 1e-12
         # Zero between sectors, exactly: the positivity check per sector is exact.
@@ -238,7 +244,7 @@ class TestSectorEigh:
         the dense one."""
         h = build_xxx(XXXParams(1.0, 0.0, 7, "periodic"))
         lam, v = np.linalg.eigh(h.entries)
-        k = int(SpectralDecomposition(lam, v).levels()[1][0])
+        k = int(one_block(lam, v).levels()[1][0])
         assert k == 4
         assert np.abs(ground_state(h).entries - v[:, :k] @ v[:, :k].conj().T / k).max() <= 1e-12
 
@@ -301,24 +307,6 @@ class TestSectorBlocks:
         v = dec.eigenvectors
         assert dec.__dict__["eigenvectors"] is v
         assert dec.eigenvectors is v
-
-    @pytest.mark.parametrize("n", [2, 8])
-    def test_directly_constructed_decomposition_is_one_block(self, n, h_xxx, monkeypatch):
-        """SpectralDecomposition(lam, v) keeps v as its eigenvectors, is one block,
-        and gives the Gibbs and ground states of the dense formulas."""
-        h = h_xxx(1.0, 0.3, n, "periodic")
-        lam, v = np.linalg.eigh(h.entries)
-        dec = SpectralDecomposition(lam, v)
-        assert dec.eigenvectors is v
-        (block,) = dec.sectors
-        assert np.array_equal(block.rows, np.arange(h.dim)[None])
-        assert np.array_equal(block.ranks, np.arange(h.dim)[None])
-        monkeypatch.setattr(thermal, "eig", lambda _: dec)
-        w = np.exp(-(lam - lam[0]) / 0.7)
-        rho, _ = gibbs(h, 0.7)
-        assert np.abs(rho.entries - (v * (w / w.sum())) @ v.conj().T).max() <= 1e-12
-        k = int(dec.levels()[1][0])
-        assert np.abs(ground_state(h).entries - v[:, :k] @ v[:, :k].conj().T / k).max() <= 1e-12
 
 
 class TestExpectation:

@@ -10,7 +10,6 @@ from enwit import (
     NumericalError,
     Partition,
     PauliString,
-    ProductStateAnsatz,
     SystemShape,
     XXXParams,
     build_pauli,
@@ -35,46 +34,31 @@ from enwit.bloch import (
 from enwit.sep_energy import closed_form_ansatz_xxx
 from enwit.states import bloch_angles
 
-from conftest import PAULI, ansatz_energy, block_dims, dm_chain, full_vector, random_ansatz
+from conftest import PAULI, _bloch_to_states, ansatz_energy, block_dims, dm_chain, random_ansatz
 from grid_oracle import esep_grid
 
 Q2 = SystemShape([2, 2])
 SINGLETONS = Partition.singletons(2)
+PAIR = [[0], [1]]  # the grid oracle's blocks of two qubits
 
 
 class TestPartition:
+    """The grid oracle's blocks: two or more, holding every site once."""
+
     def test_needs_two_blocks(self):
-        with pytest.raises(ValueError):
-            Partition([[0, 1]])
+        with pytest.raises(ValueError, match="at least 2 blocks"):
+            esep_grid(HermitianOperator(Q2, np.eye(4)), [[0, 1]], 8)
 
     def test_rejects_overlap(self):
-        with pytest.raises(ValueError):
-            Partition([[0, 1], [1]])
+        with pytest.raises(ValueError, match="once"):
+            esep_grid(HermitianOperator(Q2, np.eye(4)), [[0, 1], [1]], 8)
 
     def test_coverage_check(self):
-        with pytest.raises(ValueError):
-            Partition([[0], [2]]).validate_for(Q2)
+        with pytest.raises(ValueError, match="once"):
+            esep_grid(HermitianOperator(Q2, np.eye(4)), [[0], [2]], 8)
 
     def test_block_dims(self):
-        part = Partition([[0, 2], [1]])
-        assert block_dims(part, SystemShape([2, 3, 2])) == [4, 3]
-
-
-class TestProductStateAnsatz:
-    def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError):
-            ProductStateAnsatz(SINGLETONS, [np.array([1.0, 1.0]), np.array([1.0, 0.0])])
-
-    def test_full_vector_interleaved_blocks(self):
-        part = Partition([[0, 2], [1]])
-        shape = SystemShape([2, 2, 2])
-        pair = np.zeros(4, dtype=complex)
-        pair[3] = 1.0  # |1>_0 |1>_2
-        mid = np.array([1.0, 0.0], dtype=complex)  # |0>_1
-        v = full_vector(shape, ProductStateAnsatz(part, [pair, mid]))
-        expected = np.zeros(8)
-        expected[0b101] = 1.0
-        assert np.abs(v - expected).max() < 1e-12
+        assert block_dims([[0, 2], [1]], SystemShape([2, 3, 2])) == [4, 3]
 
 
 class TestSeesaw:
@@ -119,15 +103,14 @@ class TestSeesaw:
         a = esep_seesaw(h_xxx(1.0, 0.4), SINGLETONS, restarts=6, seed=9)
         b = esep_seesaw(h_xxx(1.0, 0.4), SINGLETONS, restarts=6, seed=9)
         assert a.esep == b.esep
-        for u, v in zip(a.minimizer.block_states, b.minimizer.block_states):
-            assert np.array_equal(u, v)
+        assert np.array_equal(a.minimizer, b.minimizer)
 
     def test_product_states_never_beat_seesaw(self, h_xxx):
         h = h_xxx(1.0, 0.5)
         rep = esep_seesaw(h, SINGLETONS, restarts=32, seed=5)
         rng = np.random.default_rng(6)
         for _ in range(1000):
-            sigma = random_ansatz(Q2, SINGLETONS, rng)
+            sigma = random_ansatz(2, rng)
             assert ansatz_energy(h, sigma) >= rep.esep - 1e-9
 
 
@@ -216,7 +199,7 @@ class TestPauliTerms:
 
         monkeypatch.setattr(bloch, "_dense_pauli_coefficients", refuse)
         fields = [build_xxx(XXXParams(1.0, b)) for b in (0.0, 0.5, 3.0)]
-        esep_search(fields, SINGLETONS, restarts=4, seed=0)
+        esep_search(fields, restarts=4, seed=0)
         esep_seesaw(build_xxx(XXXParams(1.0, 0.3, 6, "periodic")), Partition.singletons(6), 4)
         esep_seesaw(dm_chain(4), Partition.singletons(4), restarts=4)
         # an operator without strings still takes the dense transform
@@ -271,9 +254,8 @@ class TestBlochSearch:
         v = np.ones((2, 3, 4))
         v[..., 1:] = np.stack([_states_to_bloch(s) for s in states], axis=1)
         energy, grad, hess = _bloch_derivatives(v, letters, coeffs, onehot)
-        part = Partition.singletons(3)
         for r in range(2):
-            dense = ansatz_energy(h, ProductStateAnsatz(part, [s[r] for s in states]))
+            dense = ansatz_energy(h, v[r, :, 1:])
             assert energy[r] == pytest.approx(dense, abs=1e-12)
 
         def e(*moves):  # energy with v[:, i, 1 + a] shifted by s for each (i, a, s)
@@ -314,16 +296,14 @@ class TestBlochSearch:
         """Both spins down is a stationary point of s1.s2 + 1.5 (sz1 + sz2) that no
         single-site move improves, but canting the pair lowers the energy: a saddle.
         Started exactly there, the search stays (zero gradient) and must not certify it."""
-        down = np.tile([0.0, 1.0 + 0j], (1, 1))
-        states, energy, gnorm, hmin, converged, _ = bloch_search(
-            [h_xxx(1.0, 1.5)], [0, 1], [down, down]
-        )
+        down = np.tile([0.0, 0.0, -1.0], (1, 2, 1))
+        r, energy, gnorm, hmin, converged, _ = bloch_search([h_xxx(1.0, 1.5)], down)
         assert energy[0] == pytest.approx(1.0 - 2.0 * 1.5, abs=1e-14)  # zz + 1.5 (-1 - 1)
         assert gnorm[0] == 0.0
         # canting both spins by theta the opposite way: E'' = 2B - 4 along |xi|^2 = 2
         assert hmin[0] == pytest.approx(1.5 - 2.0, abs=1e-12)
         assert not converged[0]
-        assert all(abs(abs(s[0, 1]) - 1.0) < 1e-15 for s in states)
+        assert np.abs(r - down).max() < 1e-15
 
     def test_rising_energy_raises(self, h_xxx, monkeypatch):
         """A negative round-off slack makes every sweep look like a rise; the check
@@ -337,15 +317,13 @@ class TestBlochSearch:
     def test_untouched_site_keeps_its_start(self):
         """No term acts on site 2 of ZZI, so its effective operator is a multiple of I."""
         shape = SystemShape([2, 2, 2])
-        part = Partition.singletons(3)
         h = build_pauli(shape, [PauliString(1.0, "ZZI")])
-        rep = esep_seesaw(h, part, restarts=1, seed=7)
+        rep = esep_seesaw(h, Partition.singletons(3), restarts=1, seed=7)
         assert rep.esep == pytest.approx(-1.0, abs=1e-12)
         assert rep.converged
-        assert all(np.isfinite(v).all() for v in rep.minimizer.block_states)
-        start = random_ansatz(shape, part, np.random.default_rng([7, 0])).block_states[2]
-        overlap = abs(np.vdot(start, rep.minimizer.block_states[2]))
-        assert overlap == pytest.approx(1.0, abs=1e-12)
+        assert np.isfinite(rep.minimizer).all()
+        start = random_ansatz(3, np.random.default_rng([7, 0]))[2]
+        assert float(start @ rep.minimizer[2]) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestStackedSearch:
@@ -353,7 +331,7 @@ class TestStackedSearch:
 
     @staticmethod
     def assert_matches_single_searches(hs, part, restarts, seed, exact):
-        for h, rep, value in zip(hs, esep_search(hs, part, restarts=restarts, seed=seed), exact):
+        for h, rep, value in zip(hs, esep_search(hs, restarts=restarts, seed=seed), exact):
             alone = esep_seesaw(h, part, restarts=restarts, seed=seed)
             assert abs(rep.esep - alone.esep) < 1e-12
             assert abs(rep.esep - ansatz_energy(h, rep.minimizer)) < 1e-12
@@ -382,25 +360,23 @@ class TestStackedSearch:
         is not, which a tolerance shared with the B = 0 or the B = 4 field would swap."""
         fields = [0.0, 2.0 - 8e-9, 2.0 - 5e-9, 4.0]
         hs = [h_xxx(1.0, b) for b in fields]
-        down = np.tile([0.0, 1.0 + 0j], (len(fields), 1))
-        _, _, gnorm, hmin, converged, _ = bloch_search(hs, [0, 1], [down, down])
+        down = np.tile([0.0, 0.0, -1.0], (len(fields), 2, 1))
+        _, _, gnorm, hmin, converged, _ = bloch_search(hs, down)
         assert hmin[1:3] == pytest.approx([-8e-9, -5e-9], abs=1e-12)
         assert list(converged[1:]) == [False, True, True]
         for j, h in enumerate(hs):
             one = down[j : j + 1]
-            _, _, gnorm_alone, hmin_alone, converged_alone, _ = bloch_search(
-                [h], [0, 1], [one, one]
-            )
+            _, _, gnorm_alone, hmin_alone, converged_alone, _ = bloch_search([h], one)
             assert gnorm[j] == pytest.approx(gnorm_alone[0], abs=1e-14)
             assert hmin[j] == pytest.approx(hmin_alone[0], abs=1e-14)
             assert converged[j] == converged_alone[0]
-        for b, rep in zip(fields, esep_search(hs, SINGLETONS, restarts=8, seed=3)):
+        for b, rep in zip(fields, esep_search(hs, restarts=8, seed=3)):
             assert rep.converged
             assert rep.gradient_norm <= NEWTON_TOL * (3.0 + 2.0 * b)
 
     def test_refuses_mixed_shapes(self, h_xxx):
         with pytest.raises(ValueError, match="Hamiltonians of one shape"):
-            esep_search([h_xxx(1.0, 0.0), h_xxx(1.0, 0.0, 4)], SINGLETONS)
+            esep_search([h_xxx(1.0, 0.0), h_xxx(1.0, 0.0, 4)])
 
     @pytest.mark.parametrize(
         "dims, part",
@@ -411,20 +387,19 @@ class TestStackedSearch:
         shape = SystemShape(dims)
         h = HermitianOperator(shape, np.eye(shape.total_dim))
         with pytest.raises(ValueError, match="one qubit per block"):
-            esep_search([h], part)
+            esep_seesaw(h, part)
 
 
 def search_digest(reports):
     """sha256 of each report's esep, restarts_agreeing, converged, gradient_norm,
-    hessian_min (floats as hex) and minimizer bytes, in order."""
+    hessian_min (floats as hex) and the bytes of its minimizer's qubit states, in order."""
     h = hashlib.sha256()
     for r in reports:
         h.update(
             f"{r.esep.hex()} {r.restarts_agreeing} {r.converged} "
             f"{r.gradient_norm.hex()} {r.hessian_min.hex()}".encode()
         )
-        for s in r.minimizer.block_states:
-            h.update(s.tobytes())
+        h.update(_bloch_to_states(r.minimizer).tobytes())
     return h.hexdigest()
 
 
@@ -505,7 +480,7 @@ class TestSearchQuality:
         return hs
 
     def test_no_worse_than_recorded(self):
-        reports = esep_search(self.hamiltonians(), Partition.singletons(3), restarts=8, seed=0)
+        reports = esep_search(self.hamiltonians(), restarts=8, seed=0)
         esep = np.array([r.esep for r in reports])
         assert int((esep > np.array(self.REFERENCE) + 1e-9).sum()) <= self.MISSED
         assert sum(r.restarts_agreeing for r in reports) >= self.AGREEING
@@ -558,27 +533,70 @@ class TestSearchBits:
         two-site fields of the figure grid (one stacked search, 32 restarts), seed 0."""
         if case == "fields-41":
             hs = [build_xxx(XXXParams(1.0, float(b))) for b in np.linspace(0.0, 2.0, 41)]
-            reports = esep_search(hs, SINGLETONS, restarts=32, seed=0)
+            reports = esep_search(hs, restarts=32, seed=0)
         else:
             _, n, b = case.split("-")
             h = build_xxx(XXXParams(1.0, float(b), int(n), "periodic"))
-            reports = esep_search([h], Partition.singletons(int(n)), restarts=8, seed=0)
+            reports = esep_search([h], restarts=8, seed=0)
         assert search_digest(reports) == self.RECORDED[case]
+
+
+def state_angles(state):
+    """Reference angles read from a qubit state (a, b), the state-vector form of
+    bloch_angles: theta = 2 atan2(|b|, |a|), phi = arg b - arg a, and phi = 0 when
+    |a| or |b| < 1e-15."""
+    v = np.asarray(state, dtype=np.complex128).reshape(2)
+    v = v / np.linalg.norm(v)
+    theta = 2.0 * math.atan2(abs(v[1]), abs(v[0]))
+    phi = float(np.angle(v[1]) - np.angle(v[0])) % (2.0 * math.pi)
+    if phi == 2.0 * math.pi or abs(v[1]) < 1e-15 or abs(v[0]) < 1e-15:
+        phi = 0.0
+    return theta, phi
 
 
 class TestBlochAngles:
     @pytest.mark.parametrize("phase", [1e-16, -1e-16, 1e-17, -1e-17], ids=str)
     def test_phi_below_two_pi_near_zero_phase(self, phase):
-        """A relative phase just below 0 must not round up to phi = 2 pi."""
-        theta, phi = bloch_angles(np.array([1.0, np.exp(1j * phase)]) / math.sqrt(2.0))
+        """An azimuth just below 0 must not round up to phi = 2 pi."""
+        theta, phi = bloch_angles(np.array([math.cos(phase), math.sin(phase), 0.0]))
         assert theta == pytest.approx(math.pi / 2.0, abs=1e-15)
         assert 0.0 <= phi < 2.0 * math.pi
         assert phi == pytest.approx(0.0, abs=1e-15)
 
     def test_phi_just_below_two_pi_stays(self):
         """-1e-15 mod 2 pi is the float just below 2 pi, a valid angle that stays."""
-        _, phi = bloch_angles(np.array([1.0, np.exp(-1e-15j)]) / math.sqrt(2.0))
+        _, phi = bloch_angles(np.array([math.cos(-1e-15), math.sin(-1e-15), 0.0]))
         assert phi == np.nextafter(2.0 * math.pi, 0.0)
+
+    @staticmethod
+    def assert_same_printed_angles(r):
+        """Six decimals of bloch_angles(r) against those of the states made from r."""
+        for v, state in zip(r, _bloch_to_states(r)):
+            assert "%.6f %.6f" % bloch_angles(v) == "%.6f %.6f" % state_angles(state), v
+
+    def test_seeded_unit_vectors_and_axes_print_as_states(self):
+        rng = np.random.default_rng(2929)
+        r = rng.standard_normal((20000, 3))
+        r = np.concatenate([r / np.linalg.norm(r, axis=1, keepdims=True), np.eye(3), -np.eye(3)])
+        self.assert_same_printed_angles(r)
+
+    def test_search_rows_print_as_states(self):
+        """Every row of seeded searches at fields up to and past polarization: the
+        polarized rows end within round-off of a pole, where the pole rule prints phi = 0."""
+        fields = np.linspace(0.0, 5.0, 11)
+        hs = [build_xxx(XXXParams(1.0, float(b))) for b in fields]
+        hs += [build_xxx(XXXParams(1.0, float(b), 4, "periodic")) for b in 2.0 * fields]
+        rings = np.stack([random_ansatz(4, np.random.default_rng([0, k])) for k in range(16)])
+        pairs = rings[:, :2]
+        r = np.concatenate(
+            [
+                bloch_search(hs[:11], np.tile(pairs, (11, 1, 1)))[0].reshape(-1, 3),
+                bloch_search(hs[11:], np.tile(rings, (11, 1, 1)))[0].reshape(-1, 3),
+            ]
+        )
+        rho = np.hypot(r[:, 0], r[:, 1])
+        assert ((0.0 < rho) & (rho < 2e-15)).any()
+        self.assert_same_printed_angles(r)
 
 
 class TestRing:
@@ -598,43 +616,43 @@ class TestRing:
 
 class TestGrid:
     def test_field_free_value(self, h_xxx):
-        assert esep_grid(h_xxx(), SINGLETONS, 64) == pytest.approx(-1.0, abs=2e-3)
+        assert esep_grid(h_xxx(), PAIR, 64) == pytest.approx(-1.0, abs=2e-3)
 
     def test_constant_operator(self):
         h = HermitianOperator(Q2, np.eye(4))
-        assert esep_grid(h, SINGLETONS, 16) == pytest.approx(1.0, abs=1e-12)
+        assert esep_grid(h, PAIR, 16) == pytest.approx(1.0, abs=1e-12)
 
     def test_nested_grid_monotonicity(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
             h = HermitianOperator(Q2, (g + g.conj().T) / 2)
-            coarse = esep_grid(h, SINGLETONS, 16)
-            fine = esep_grid(h, SINGLETONS, 128)
+            coarse = esep_grid(h, PAIR, 16)
+            fine = esep_grid(h, PAIR, 128)
             assert fine <= coarse + 1e-12
 
     def test_rejects_small_resolution(self, h_xxx):
         with pytest.raises(ValueError):
-            esep_grid(h_xxx(), SINGLETONS, 4)
+            esep_grid(h_xxx(), PAIR, 4)
 
     def test_rejects_large_blocks(self):
         shape = SystemShape([2, 2, 2, 2])
         h = HermitianOperator(shape, np.eye(16))
         with pytest.raises(ValueError):
-            esep_grid(h, Partition([[0, 1, 2], [3]]), 8)
+            esep_grid(h, [[0, 1, 2], [3]], 8)
 
     def test_three_blocks(self):
         shape = SystemShape([2, 2, 2])
         zzz = np.kron(np.kron(PAULI["Z"], PAULI["Z"]), PAULI["Z"])
         h = HermitianOperator(shape, zzz)
-        val = esep_grid(h, Partition.singletons(3), 8)
+        val = esep_grid(h, [[0], [1], [2]], 8)
         assert val == pytest.approx(-1.0, abs=1e-9)
 
     def test_seesaw_at_least_as_good_as_grid(self, h_xxx):
         for b in (0.0, 0.8, 1.7):
             h = h_xxx(1.0, b)
             see = esep_seesaw(h, SINGLETONS, restarts=32, seed=8).esep
-            grid = esep_grid(h, SINGLETONS, 32)
+            grid = esep_grid(h, PAIR, 32)
             assert see <= grid + 1e-9
 
 

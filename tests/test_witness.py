@@ -120,9 +120,7 @@ class TestWitnessValidity:
         w = make_witness(h, esep_seesaw(h, part, restarts=32, seed=1))
         wmat = normalized_witness(w).entries
         rng = np.random.default_rng(2)
-        vecs = np.stack(
-            [full_vector(Q2, random_ansatz(Q2, part, rng)) for _ in range(1000)]
-        )
+        vecs = np.stack([full_vector(random_ansatz(2, rng)) for _ in range(1000)])
         vals = np.einsum("ij,jk,ik->i", vecs.conj(), wmat, vecs).real
         assert vals.min() >= -1e-9
 
@@ -210,7 +208,7 @@ def per_field_sweeps(policy, temps, fields, restarts=32, seed=0):
     params = [XXXParams(1.0, b) for b in fields]
     hs = [build_xxx(p) for p in params]
     if policy.kind == "exact":
-        reports = esep_search(hs, Partition.singletons(2), restarts, seed)
+        reports = esep_search(hs, restarts, seed)
     else:
         reports = [resolve_esep(policy, h, params=p) for h, p in zip(hs, params)]
     parts = [
