@@ -51,25 +51,32 @@ def pauli_terms(hs: list[HermitianOperator]) -> tuple[np.ndarray, np.ndarray]:
     as a (K, len(hs)) array, 0 where H_j lacks string k.  A coefficient at most
     ``_PAULI_ZERO`` times H_j's largest |c_kj| counts as absent.
 
-    When every operator carries the strings it was built from (``terms``, set
-    by :func:`enwit.hamiltonians.build_pauli`), the table comes from them in
-    O(terms): repeated strings are summed in term order.  Otherwise each
-    operator goes through :func:`_dense_pauli_coefficients`, O(n 4^n).
+    Each operator gives (code, coefficient) pairs, a string's code being its
+    base-4 number (site 0 most significant): from the strings it was built
+    from (``terms``, set by :func:`enwit.hamiltonians.build_pauli`) in
+    O(terms), else the nonzero entries of :func:`_dense_pauli_coefficients`,
+    O(n 4^n).  Sorting the codes gives the table's order, and ``np.bincount``
+    sums each operator's repeated strings in term order.
     """
-    if all(h.terms is not None for h in hs):
-        return _string_table(hs)
     n = hs[0].shape.n_sites
-    found, present = [], np.zeros(4**n, dtype=bool)
+    codes, values = [], []
     for h in hs:
-        coeffs = _dense_pauli_coefficients(h)
-        kept = np.flatnonzero(np.abs(coeffs) > _PAULI_ZERO * np.abs(coeffs).max())
-        found.append((kept, coeffs[kept]))
-        present[kept] = True
-    union = np.flatnonzero(present)
-    table = np.zeros((len(union), len(hs)))
-    for j, (kept, values) in enumerate(found):
-        table[np.searchsorted(union, kept), j] = values
-    return np.stack(np.unravel_index(union, (4,) * n), axis=1), table
+        if h.terms is not None:
+            letters = [t.letters.translate(_BASE4_DIGITS) for t in h.terms]
+            codes.append(np.array([int(s, 4) for s in letters], dtype=np.int64))
+            values.append(np.array([t.coefficient for t in h.terms], dtype=float))
+        else:
+            dense = _dense_pauli_coefficients(h)
+            codes.append(np.flatnonzero(dense))
+            values.append(dense[codes[-1]])
+    union, slot = np.unique(np.concatenate(codes), return_inverse=True)
+    owner = np.repeat(np.arange(len(hs)), [len(c) for c in codes])
+    table = np.bincount(
+        slot * len(hs) + owner, np.concatenate(values), minlength=len(union) * len(hs)
+    ).reshape(len(union), len(hs))
+    table[np.abs(table) <= _PAULI_ZERO * np.abs(table).max(axis=0, initial=0.0)] = 0.0
+    kept = table.any(axis=1)
+    return np.stack(np.unravel_index(union[kept], (4,) * n), axis=1), table[kept]
 
 
 def _dense_pauli_coefficients(h: HermitianOperator) -> np.ndarray:
@@ -84,26 +91,6 @@ def _dense_pauli_coefficients(h: HermitianOperator) -> np.ndarray:
     for _ in range(n):  # each pass contracts the leading axis and appends its Pauli axis
         t = np.tensordot(t, _PAULI_TRANSFORM, axes=([0], [1]))
     return t.real.ravel()
-
-
-def _string_table(hs: list[HermitianOperator]) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`pauli_terms` from the operators' ``terms``: no array of 4^n entries.
-
-    Each string is its base-4 code (site 0 most significant), so sorting the
-    codes gives the dense layout's order; ``np.bincount`` sums the repeated
-    strings of each operator in term order.
-    """
-    n = hs[0].shape.n_sites
-    terms = [t for h in hs for t in h.terms]
-    codes = np.array([int(t.letters.translate(_BASE4_DIGITS), 4) for t in terms], dtype=np.int64)
-    union, slot = np.unique(codes, return_inverse=True)
-    owner = np.repeat(np.arange(len(hs)), [len(h.terms) for h in hs])
-    table = np.bincount(
-        slot * len(hs) + owner, [t.coefficient for t in terms], minlength=len(union) * len(hs)
-    ).reshape(len(union), len(hs))
-    table[np.abs(table) <= _PAULI_ZERO * np.abs(table).max(axis=0, initial=0.0)] = 0.0
-    kept = table.any(axis=1)
-    return np.stack(np.unravel_index(union[kept], (4,) * n), axis=1), table[kept]
 
 
 def _states_to_bloch(states: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
 from typing import Optional, Sequence
@@ -36,12 +36,12 @@ from .sep_energy import SepEnergyReport, esep_search
 from .thermal import gibbs, ground_state
 from .witness import (
     EsepPolicy,
-    _sweep_fields,
     bound_sweep,
     make_witness,
     resolve_esep,
+    resolve_fields,
     robustness_lower_bound,
-    sweep_single_hamiltonian,
+    sweep_fields,
 )
 
 CSV_HEADER = "B,T,mean_energy,esep,A,bound_raw,bound_clipped,detected"
@@ -203,18 +203,16 @@ def _config(args: argparse.Namespace) -> argparse.Namespace:
     return cfg
 
 
-def _xxx_params(cfg: argparse.Namespace) -> Optional[XXXParams]:
-    if cfg.model != "xxx":
-        return None
-    if cfg.J is None:
-        raise ValueError("--J is required for the xxx model")
-    return XXXParams(cfg.J, cfg.B, cfg.sites, cfg.boundary)
-
-
-def _build_hamiltonian(cfg: argparse.Namespace) -> HermitianOperator:
-    params = _xxx_params(cfg)
-    if params is not None:
-        return build_xxx(params)
+def _fields(
+    cfg: argparse.Namespace, b_values: Sequence[float]
+) -> tuple[list[Optional[XXXParams]], list[HermitianOperator]]:
+    """Every field's parameters and Hamiltonian: the xxx chain at each B of
+    ``b_values``, or the one pauli-file operator, whose parameters are ``None``."""
+    if cfg.model == "xxx":
+        if cfg.J is None:
+            raise ValueError("--J is required for the xxx model")
+        fields = [XXXParams(cfg.J, b, cfg.sites, cfg.boundary) for b in b_values]
+        return fields, [build_xxx(p) for p in fields]
     if not cfg.pauli_file:
         raise ValueError("--pauli-file is required for the pauli-file model")
     try:
@@ -225,55 +223,50 @@ def _build_hamiltonian(cfg: argparse.Namespace) -> HermitianOperator:
     if not terms:
         raise ValueError(f"{cfg.pauli_file} contains no terms")
     n = len(terms[0].letters)
-    return build_pauli(SystemShape([2] * n), terms)
+    return [None], [build_pauli(SystemShape([2] * n), terms)]
 
 
-def _esep_report(cfg: argparse.Namespace, h: HermitianOperator) -> SepEnergyReport:
-    """E_sep for ``h`` under the configured policy."""
-    params = _xxx_params(cfg)
-    return resolve_esep(cfg.policy, h, params=params, restarts=cfg.restarts, seed=cfg.seed)
-
-
-def _warn_if_one_restart(cfg: argparse.Namespace, agreeing: int, where: str = "") -> None:
-    """Under the exact policy, warn on stderr when one restart alone reached the best E_sep.
+def _warn_if_one_restart(report: SepEnergyReport, where: str = "") -> None:
+    """Warn on stderr when a search's one restart alone reached its best E_sep.
 
     The search is local, so such a value may lie above the true E_sep.
     """
-    if cfg.policy.kind == "exact" and agreeing == 1:
+    if report.restarts_agreeing == 1:
         message = f"warning: a single restart reached this esep{where}; raise --restarts"
         print(message, file=sys.stderr)
 
 
-def _print_agreement(cfg: argparse.Namespace, report: SepEnergyReport) -> None:
-    """Under the exact policy, how many restarts reached the best E_sep."""
-    if cfg.policy.kind == "exact":
-        print(f"restarts_agreeing = {report.restarts_agreeing}")
-    _warn_if_one_restart(cfg, report.restarts_agreeing)
+def _esep_reports(
+    cfg: argparse.Namespace,
+    params: list[Optional[XXXParams]],
+    hs: list[HermitianOperator],
+    where: Sequence[str] = ("",),
+) -> list[SepEnergyReport]:
+    """E_sep of each field of ``hs`` under ``--policy``; ``where[j]`` names ``hs[j]``.
 
-
-def _refute_fixed(cfg: argparse.Namespace, hs: list[HermitianOperator], fields=("",)) -> None:
-    """Under ``fixed:<v>``, refuse v when a product state of any of ``hs`` has an energy below it.
-
-    Such a state proves that v is not E_sep.  "Below" means by more than
-    ``FIXED_REFUTATION_TOL`` times that H's sum of |Pauli coefficients| (the
-    search's ``coefficient_sum``, at least H's largest absolute row sum), so
-    the verdict does not depend on the energy unit.  One search, with the
-    command's ``--restarts`` and ``--seed``, covers all of ``hs``;
-    ``fields[j]`` names ``hs[j]``.
+    Under ``fixed:<v>``, v is refused first when a product state of any
+    field has an energy below it, which proves that v is not E_sep.
+    "Below" means by more than ``FIXED_REFUTATION_TOL`` times that H's sum
+    of |Pauli coefficients| (the search's ``coefficient_sum``, at least H's
+    largest absolute row sum), so the verdict does not depend on the energy
+    unit; one search, with the command's ``--restarts`` and ``--seed``,
+    covers all of ``hs``.  Then the policy is resolved
+    (:func:`resolve_fields`), and each single-restart E_sep is warned about.
     """
-    if cfg.policy.kind != "fixed":
-        return
-    found_all = esep_search(hs, restarts=cfg.restarts, seed=cfg.seed)
-    for found, where in zip(found_all, fields):
-        tol = FIXED_REFUTATION_TOL * found.coefficient_sum
-        if found.esep < cfg.policy.value - tol:
-            angles = ", ".join(
-                "({:.6f}, {:.6f})".format(*states.bloch_angles(r)) for r in found.minimizer
-            )
-            raise ValueError(
-                f"fixed esep {cfg.policy.value:g} is refuted{where}: the product state with Bloch "
-                f"angles (theta, phi) = {angles} has energy {found.esep:.10g}"
-            )
+    if cfg.policy.kind == "fixed":
+        for found, at in zip(esep_search(hs, restarts=cfg.restarts, seed=cfg.seed), where):
+            if found.esep < cfg.policy.value - FIXED_REFUTATION_TOL * found.coefficient_sum:
+                angles = ", ".join(
+                    "({:.6f}, {:.6f})".format(*states.bloch_angles(r)) for r in found.minimizer
+                )
+                raise ValueError(
+                    f"fixed esep {cfg.policy.value:g} is refuted{at}: the product state with "
+                    f"Bloch angles (theta, phi) = {angles} has energy {found.esep:.10g}"
+                )
+    reports = resolve_fields(cfg.policy, hs, params, cfg.restarts, cfg.seed)
+    for report, at in zip(reports, where):
+        _warn_if_one_restart(report, at)
+    return reports
 
 
 def _fmt(x: float, digits: int) -> str:
@@ -335,7 +328,7 @@ def _write_sweep_csv(path: str, cells: np.recarray, digits: int) -> None:
 
 
 def cmd_spectrum(cfg: argparse.Namespace) -> int:
-    dec = eig(_build_hamiltonian(cfg))
+    dec = eig(_fields(cfg, [cfg.B])[1][0])
     d = cfg.precision
     print(f"e_min = {_fmt(dec.e_min, d)}")
     print(f"e_max = {_fmt(dec.e_max, d)}")
@@ -344,14 +337,13 @@ def cmd_spectrum(cfg: argparse.Namespace) -> int:
 
 
 def cmd_esep(cfg: argparse.Namespace) -> int:
-    h = _build_hamiltonian(cfg)
-    report = _esep_report(cfg, h)
-    _refute_fixed(cfg, [h])
+    [report] = _esep_reports(cfg, *_fields(cfg, [cfg.B]))
     d = cfg.precision
     print(f"esep = {_fmt(report.esep, d)}")
     print(f"source = {report.source}")
     print(f"restarts_used = {report.restarts_used}")
-    _print_agreement(cfg, report)
+    if report.restarts_used > 0:
+        print(f"restarts_agreeing = {report.restarts_agreeing}")
     print(f"converged = {str(report.converged).lower()}")
     if report.gradient_norm is not None:
         print(f"gradient_norm = {report.gradient_norm:.3e}")
@@ -364,13 +356,13 @@ def cmd_esep(cfg: argparse.Namespace) -> int:
 
 
 def cmd_witness(cfg: argparse.Namespace) -> int:
-    h = _build_hamiltonian(cfg)
-    report = _esep_report(cfg, h)
-    _refute_fixed(cfg, [h])
-    w = make_witness(h, report)
+    params, hs = _fields(cfg, [cfg.B])
+    [report] = _esep_reports(cfg, params, hs)
+    w = make_witness(hs[0], report)
     d = cfg.precision
     print(f"esep = {_fmt(w.esep, d)} (source = {report.source})")
-    _print_agreement(cfg, report)
+    if report.restarts_used > 0:
+        print(f"restarts_agreeing = {report.restarts_agreeing}")
     print(f"e_min = {_fmt(w.e_min, d)}")
     print(f"e_max = {_fmt(w.e_max, d)}")
     print(f"A = {_fmt(w.normalizer_a, d)}")
@@ -381,19 +373,10 @@ def cmd_witness(cfg: argparse.Namespace) -> int:
 
 
 def cmd_bound_sweep(cfg: argparse.Namespace) -> int:
-    t_values = cfg.t_grid.values()
-    params = _xxx_params(cfg)
-    if params is not None:
-        b_values = cfg.b_grid.values()
-        hs = [build_xxx(replace(params, field_b=b)) for b in b_values]
-        _refute_fixed(cfg, hs, [f" at B = {b:g}" for b in b_values])  # one search over all
-        cells = _sweep_fields(params, hs, cfg.policy, t_values, b_values, cfg.restarts, cfg.seed)
-    else:
-        h = _build_hamiltonian(cfg)
-        _refute_fixed(cfg, [h])
-        cells = sweep_single_hamiltonian(h, _esep_report(cfg, h), t_values, b_value=0.0)
-    for b in dict.fromkeys(cells.b[cells.restarts_agreeing == 1].tolist()):
-        _warn_if_one_restart(cfg, 1, f" at B = {b:g}")
+    b_values = cfg.b_grid.values()  # [0.0] for the pauli-file model, which takes no B
+    params, hs = _fields(cfg, b_values)
+    reports = _esep_reports(cfg, params, hs, [f" at B = {b:g}" for b in b_values])
+    cells = sweep_fields(hs, reports, cfg.t_grid.values(), b_values)
     path = cfg.out or "bound_sweep.csv"
     _write_sweep_csv(path, cells, cfg.precision)
     print(f"wrote {path} ({len(cells)} rows)")
@@ -403,12 +386,12 @@ def cmd_bound_sweep(cfg: argparse.Namespace) -> int:
 def cmd_robustness(cfg: argparse.Namespace) -> int:
     with_bound = cfg.model == "xxx" and cfg.J is not None
     needs_h = with_bound or cfg.state in ("thermal", "ground")
-    h = _build_hamiltonian(cfg) if needs_h else None
+    [params], [h] = _fields(cfg, [cfg.B]) if needs_h else ([None], [None])
     rho = _state_from_spec(cfg, h)
     if with_bound:  # refuse a bad E_sep before any output
-        report = _esep_report(cfg, h)
+        report = resolve_esep(cfg.policy, h, params, cfg.restarts, cfg.seed)
         w = make_witness(h, report)
-        _warn_if_one_restart(cfg, report.restarts_agreeing)
+        _warn_if_one_restart(report)
     cert = rg_exact_2q(rho)
     print(f"rg_value = {cert.rg_value:.5f}")
     print(f"duality_gap = {cert.duality_gap:.3e}")
@@ -425,12 +408,11 @@ def cmd_robustness(cfg: argparse.Namespace) -> int:
 
 
 def cmd_measure(cfg: argparse.Namespace) -> int:
-    h = _build_hamiltonian(cfg)
-    report = _esep_report(cfg, h)
-    _refute_fixed(cfg, [h])
+    params, hs = _fields(cfg, [cfg.B])
+    [report] = _esep_reports(cfg, params, hs)
+    [h] = hs
     rho = _state_from_spec(cfg, h)
     w = make_witness(h, report)
-    _warn_if_one_restart(cfg, report.restarts_agreeing)
     est = measure_energy(h, rho, cfg.shots, cfg.seed)
     interval = bound_with_confidence(w, est, cfg.z)
     d = cfg.precision

@@ -175,7 +175,7 @@ class SystemShape:
         return math.prod(self.local_dims)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HermitianOperator:
     """A dense Hermitian matrix acting on a tensor-product space.
 
@@ -190,7 +190,7 @@ class HermitianOperator:
 
     shape: SystemShape
     entries: np.ndarray = field(repr=False)
-    terms: Optional[tuple] = field(default=None, repr=False, compare=False)
+    terms: Optional[tuple] = field(default=None, repr=False)
 
     def __init__(self, shape: SystemShape, entries: np.ndarray, terms: Optional[Sequence] = None):
         mat = np.asarray(entries, dtype=np.complex128)
@@ -327,7 +327,7 @@ class DensityMatrix:
         return DensityMatrix.from_entries(shape, np.outer(v, v.conj()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     """Ascending eigenvalues with orthonormal eigenvectors, kept per exact sector.
 

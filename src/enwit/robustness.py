@@ -88,7 +88,7 @@ _EYE = np.eye(4, dtype=np.complex128)
 _MINUS_EYE = -_EYE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RobustnessCertificate:
     """A primal/dual pair bracketing R_g within ``duality_gap``."""
 

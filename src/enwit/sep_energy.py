@@ -41,7 +41,7 @@ class Partition:
         return Partition(tuple((i,) for i in range(n_sites)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SepEnergyReport:
     esep: float
     minimizer: Optional[np.ndarray]  # read-only (n, 3): one unit Bloch vector per site

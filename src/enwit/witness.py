@@ -9,7 +9,8 @@ A sweep is one array pass over its (F fields, T temperatures) grid: one
 witness per field, then the mean energies of every field from one stacked
 Boltzmann table (:func:`enwit.thermal.energy_table`), the range checks and
 bounds in one call, and each column of the ``SWEEP_DTYPE`` record array
-written once.  :func:`sweep_single_hamiltonian` is the same pass with F = 1.
+written once (:func:`sweep_fields`).  :func:`resolve_fields` is the one place
+an ``EsepPolicy`` is turned into E_sep reports.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ class WitnessSpec:
     largest |eigenvalue| of H; that makes the witness vacuous but still valid.
     """
 
-    hamiltonian: HermitianOperator
     esep: float
     e_min: float
     e_max: float
@@ -78,7 +78,6 @@ def make_witness(h: HermitianOperator, esep_report: SepEnergyReport) -> WitnessS
     if a <= DEGENERATE_NORMALIZER * min(1.0, scale):
         raise ValueError("constant Hamiltonian: the energy witness does not exist")
     return WitnessSpec(
-        hamiltonian=h,
         esep=esep,
         e_min=dec.e_min,
         e_max=dec.e_max,
@@ -143,6 +142,39 @@ class EsepPolicy:
         return EsepPolicy(t)
 
 
+def resolve_fields(
+    policy: EsepPolicy,
+    hs: Sequence[HermitianOperator],
+    params: Sequence[Optional[XXXParams]],
+    restarts: int = 32,
+    seed: int = 0,
+) -> list[SepEnergyReport]:
+    """One SepEnergyReport per Hamiltonian of ``hs``, according to the policy.
+
+    ``params[j]`` describes ``hs[j]`` as an XXX chain, or is ``None`` for
+    any other model.  ``exact`` runs one :func:`esep_search` over all of
+    ``hs``; ``fixed`` wraps its value once per field; ``closed-form``
+    evaluates the two-site formula at each ``params[j]``.
+    """
+    if policy.kind == "exact":
+        return esep_search(hs, restarts=restarts, seed=seed)
+    if policy.kind == "fixed":
+        return [esep_reference(policy.value) for _ in hs]
+    if any(p is None for p in params):
+        raise ValueError("closed-form policy needs the xxx model")
+    return [
+        SepEnergyReport(
+            esep=esep_closed_form_xxx(p),
+            minimizer=closed_form_ansatz_xxx(p),
+            restarts_used=0,
+            restarts_agreeing=0,
+            converged=True,
+            source="closed-form",
+        )
+        for p in params
+    ]
+
+
 def resolve_esep(
     policy: EsepPolicy,
     h: HermitianOperator,
@@ -150,24 +182,8 @@ def resolve_esep(
     restarts: int = 32,
     seed: int = 0,
 ) -> SepEnergyReport:
-    """Produce a SepEnergyReport for ``h`` according to the policy.
-
-    ``exact`` runs :func:`esep_search` on ``h`` alone.
-    """
-    if policy.kind == "fixed":
-        return esep_reference(policy.value)
-    if policy.kind == "closed-form":
-        if params is None:
-            raise ValueError("closed-form policy needs the xxx model")
-        return SepEnergyReport(
-            esep=esep_closed_form_xxx(params),
-            minimizer=closed_form_ansatz_xxx(params),
-            restarts_used=0,
-            restarts_agreeing=0,
-            converged=True,
-            source="closed-form",
-        )
-    return esep_search([h], restarts=restarts, seed=seed)[0]
+    """:func:`resolve_fields` for the one Hamiltonian ``h``."""
+    return resolve_fields(policy, [h], [params], restarts, seed)[0]
 
 
 SWEEP_DTYPE = np.dtype(
@@ -185,21 +201,25 @@ SWEEP_DTYPE = np.dtype(
 )
 
 
-def _sweep(
+def sweep_fields(
     hs: list[HermitianOperator],
     reports: Sequence[SepEnergyReport],
-    t: np.ndarray,
+    t_grid: Sequence[float],
     b_values: Sequence[float],
 ) -> np.recarray:
-    """Bound columns of the fields ``hs`` (E_sep from ``reports``) at every temperature of ``t``.
+    """Bound columns of the built fields ``hs`` at every temperature of ``t_grid``.
 
-    One witness per field, then one array pass over the (F, T) grid: the
-    thermal means of all fields from one :func:`energy_table`, the range
-    checks and bounds in one :func:`_bound`, and each ``SWEEP_DTYPE`` column
-    written once.  T = 0 is served by each field's ground state.  Each H is
-    popped off ``hs`` as soon as its numbers are read, so its cached
-    spectrum goes with it.
+    Field j is ``hs[j]``, with E_sep from ``reports[j]``, and is printed at
+    B = ``b_values[j]``.  One witness per field, then one array pass over
+    the (F, T) grid: the thermal means of all fields from one
+    :func:`energy_table`, the range checks and bounds in one :func:`_bound`,
+    and each ``SWEEP_DTYPE`` column written once.  Returns a ``SWEEP_DTYPE``
+    record array, rows field-major then T; ``bound_raw`` is unclipped.
+    T = 0 is served by each field's ground state.  ``hs`` is emptied: each
+    H is popped off as soon as its numbers are read, so, unless the caller
+    keeps it, its cached spectrum goes with it.
     """
+    t = np.array(t_grid, dtype=float)
     if not (t >= 0.0).all():
         raise ValueError("temperatures must be >= 0")
     positive = t > 0.0
@@ -210,6 +230,7 @@ def _sweep(
         spectra.append(eig(h).eigenvalues)
         if not positive.all():
             ground.append(expectation(h, ground_state(h)))
+        del h  # the last field is released too
     mean = np.empty((len(ws), t.size))
     mean[:, positive] = energy_table(np.stack(spectra), t[positive])[1]
     if ground:
@@ -231,21 +252,6 @@ def _sweep(
     return cells
 
 
-def sweep_single_hamiltonian(
-    h: HermitianOperator,
-    esep_report: SepEnergyReport,
-    t_grid: Sequence[float],
-    b_value: float = 0.0,
-) -> np.recarray:
-    """Bound columns along a temperature grid for one fixed Hamiltonian.
-
-    Returns a record array of ``SWEEP_DTYPE``, one row per temperature;
-    ``bound_raw`` is unclipped.  A temperature of exactly 0 is served by the
-    ground state.  This is :func:`bound_sweep`'s array pass for one field.
-    """
-    return _sweep([h], [esep_report], np.fromiter(t_grid, dtype=float), [b_value])
-
-
 def bound_sweep(
     params: XXXParams,
     policy: EsepPolicy,
@@ -256,11 +262,9 @@ def bound_sweep(
 ) -> np.recarray:
     """Robustness lower bounds on a (B, T) grid of thermal Heisenberg states.
 
-    Every field's H is built from ``params`` first and E_sep resolved per the
-    policy (``exact``: one :func:`esep_search` over all fields).  Then one
-    array pass covers the whole grid: each field's witness, the thermal
-    means of all fields from one stacked table, and the bounds and record
-    columns, each computed once.  Returns a ``SWEEP_DTYPE`` record array,
+    Builds every field's H from ``params``, resolves E_sep for all of them
+    per the policy (:func:`resolve_fields`), and sweeps them in one array
+    pass (:func:`sweep_fields`).  Returns a ``SWEEP_DTYPE`` record array,
     rows B-major then T.
     """
     t_list = [float(t) for t in t_grid]
@@ -271,28 +275,7 @@ def bound_sweep(
         y < x for x, y in zip(b_list, b_list[1:])
     ):
         raise ValueError("grids must be ascending")
-    hs = [build_xxx(replace(params, field_b=b)) for b in b_list]
-    return _sweep_fields(params, hs, policy, t_list, b_list, restarts, seed)
-
-
-def _sweep_fields(
-    params: XXXParams,
-    hs: list[HermitianOperator],
-    policy: EsepPolicy,
-    t_list: list[float],
-    b_list: list[float],
-    restarts: int,
-    seed: int,
-) -> np.recarray:
-    """:func:`bound_sweep` once every field's H is built: ``hs[j]`` is ``params`` at ``b_list[j]``.
-
-    The CLI builds the fields itself to refute a ``fixed:`` E_sep first, and
-    hands that list in here, so no field is built twice.
-    """
-    if policy.kind == "exact":
-        reports = esep_search(hs, restarts, seed)
-    else:
-        reports = [
-            resolve_esep(policy, h, params=replace(params, field_b=b)) for h, b in zip(hs, b_list)
-        ]
-    return _sweep(hs, reports, np.array(t_list), b_list)
+    fields = [replace(params, field_b=b) for b in b_list]
+    hs = [build_xxx(p) for p in fields]
+    reports = resolve_fields(policy, hs, fields, restarts, seed)
+    return sweep_fields(hs, reports, t_list, b_list)

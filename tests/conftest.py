@@ -96,9 +96,8 @@ def random_ansatz(n, rng):
     return _states_to_bloch(z[:, 0] + 1j * z[:, 1])
 
 
-def normalized_witness(w):
-    """(H - esep I)/A of a WitnessSpec; its eigenvalues are at most 1."""
-    h = w.hamiltonian
+def normalized_witness(h, w):
+    """(H - esep I)/A of H's WitnessSpec w; its eigenvalues are at most 1."""
     return HermitianOperator(h.shape, (h.entries - w.esep * np.eye(h.dim)) / w.normalizer_a)
 
 

@@ -167,7 +167,7 @@ def test_criterion_07_witness_validity_on_product_states():
     for b in (0.0, 1.3):
         h = build_xxx(XXXParams(1.0, b))
         w = make_witness(h, esep_seesaw(h, SINGLETONS, restarts=32, seed=31))
-        wmat = normalized_witness(w).entries
+        wmat = normalized_witness(h, w).entries
         vecs = np.stack([full_vector(random_ansatz(2, rng)) for _ in range(1000)])
         vals = np.einsum("ij,jk,ik->i", vecs.conj(), wmat, vecs).real
         assert vals.min() >= -1e-9

@@ -1,5 +1,7 @@
 import math
 import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,19 @@ from enwit.cli import (
     main,
 )
 from enwit.witness import SWEEP_DTYPE, EsepPolicy
+
+
+# the README's "Command line" sh block, one argv per `enwit` command, `\` continuations joined
+_README_CLI = re.search(
+    r"^## Command line\n.*?```sh\n(.*?)```",
+    (Path(__file__).resolve().parent.parent / "README.md").read_text(),
+    re.S | re.M,
+).group(1)
+README_COMMANDS = [
+    shlex.split(line)[1:]
+    for line in _README_CLI.replace("\\\n", " ").splitlines()
+    if line.startswith("enwit ")
+]
 
 
 def run(argv, capsys):
@@ -597,7 +612,7 @@ class TestRefutedFixedValue:
         code, out, err = run(argv, capsys)
         assert code == 2
         assert out == ""
-        assert err.startswith("error: fixed esep 0.5 is refuted: ")
+        assert err.startswith("error: fixed esep 0.5 is refuted at B = 0: ")
         assert [f.name for f in tmp_path.iterdir()] == ["h.txt"]
 
     def test_sweep_names_the_refuting_field(self, tmp_path, monkeypatch, capsys):
@@ -1257,3 +1272,18 @@ def unit_in_last_digit(printed: str) -> float:
     if "." in s:
         return 10.0 ** (-(len(s.split(".")[1])))
     return 1.0
+
+
+class TestReadmeCommands:
+    """Every example of the README's command-line section runs and exits 0."""
+
+    def test_finds_the_examples(self):
+        assert len(README_COMMANDS) == 9
+
+    @pytest.mark.parametrize(
+        "argv", README_COMMANDS, ids=[f"{k}-{a[0]}" for k, a in enumerate(README_COMMANDS)]
+    )
+    def test_example_exits_0(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(argv, capsys)
+        assert code == 0, err

@@ -14,11 +14,13 @@ from enwit import (
     build_xxx,
     eig,
     esep_reference,
+    esep_search,
     expectation,
     gibbs,
     ground_state,
     make_witness,
     measure_energy,
+    rg_exact_2q,
 )
 from enwit.errors import NumericalError
 from enwit.hamiltonians import _xxx_terms
@@ -395,3 +397,30 @@ def test_eig_non_convergence_is_numerical_error(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", diverge)
     with pytest.raises(NumericalError):
         eig(op1(PAULI["Z"]))
+
+
+# one value type holding arrays, built from a fresh H
+ARRAY_HOLDERS = {
+    "HermitianOperator": lambda h: h,
+    "SpectralDecomposition": eig,
+    "SepEnergyReport": lambda h: esep_search([h], restarts=4)[0],
+    "RobustnessCertificate": lambda h: rg_exact_2q(singlet()),
+}
+
+
+@pytest.mark.parametrize("kind", list(ARRAY_HOLDERS))
+def test_array_holding_types_compare_by_identity(kind):
+    """== is identity and hash works, where comparing the array fields used to raise."""
+    x, y = (ARRAY_HOLDERS[kind](build_xxx(XXXParams(1.0, 0.3))) for _ in "xy")
+    assert type(x).__name__ == kind
+    assert x == x
+    assert not (x == y)
+    assert hash(x) == hash(x) and hash(x) != hash(y)
+    assert len({x, y}) == 2
+
+
+def test_witness_spec_compares_by_value():
+    """Only numbers define a witness, so equal builds are equal and hash alike."""
+    w1, w2 = (make_witness(build_xxx(XXXParams(1.0, 0.3)), esep_reference(-2.0)) for _ in "ab")
+    assert w1 == w2
+    assert hash(w1) == hash(w2)

@@ -193,6 +193,23 @@ class TestPauliTerms:
         scale = np.array([sum(abs(t.coefficient) for t in h.terms) for h in hs])
         assert (np.abs(table - dense_table) <= 1e-15 * scale).all()
 
+    def test_mixed_list_takes_each_column_from_its_source(self, monkeypatch):
+        """The strings of an operator that has them, the dense transform of one without:
+        each column has the bits of that operator's table alone."""
+        built = _pauli_operator("0.1 XYZ", "0.2 XYZ", "-1.25 IZI", "0.5 ZZX")
+        dense = HermitianOperator(built.shape, _pauli_operator("0.3 XYZ", "0.7 YII").entries)
+        alone = [pauli_terms([h]) for h in (built, dense)]
+        transformed = []
+        real = bloch._dense_pauli_coefficients
+        monkeypatch.setattr(
+            bloch, "_dense_pauli_coefficients", lambda h: transformed.append(h) or real(h)
+        )
+        letters, table = pauli_terms([built, dense])
+        assert transformed == [dense]
+        for column, (own_letters, own_table) in zip(table.T, alone):
+            got = {tuple(row): c for row, c in zip(letters.tolist(), column) if c != 0.0}
+            assert got == dict(zip(map(tuple, own_letters.tolist()), own_table[:, 0]))
+
     def test_search_on_build_pauli_operators_skips_the_dense_transform(self, monkeypatch):
         def refuse(h):
             raise AssertionError("the dense Pauli transform ran")

@@ -1,5 +1,7 @@
+import gc
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -20,11 +22,11 @@ from enwit import (
     make_witness,
     robustness_lower_bound,
 )
-from enwit import thermal
+from enwit import thermal, witness
 from enwit.errors import NumericalError
 from enwit.sep_energy import esep_search
 from enwit.thermal import ground_state
-from enwit.witness import SWEEP_DTYPE, resolve_esep, sweep_single_hamiltonian
+from enwit.witness import SWEEP_DTYPE, resolve_esep, sweep_fields
 
 from conftest import PAULI, ansatz_energy, full_vector, normalized_witness, random_ansatz
 
@@ -46,13 +48,14 @@ class TestMakeWitness:
         h = HermitianOperator(SystemShape([2]), PAULI["Z"])
         w = make_witness(h, esep_reference(-1.0))
         assert w.normalizer_a == pytest.approx(2.0, abs=1e-12)
-        vals = eig(normalized_witness(w)).eigenvalues
+        vals = eig(normalized_witness(h, w)).eigenvalues
         assert np.allclose(vals, [0.0, 1.0], atol=1e-12)
 
     def test_normalized_witness_below_identity(self, h_xxx):
         for esep in (-2.5, -1.0, 0.3):
-            w = make_witness(h_xxx(1.0, 0.7), esep_reference(esep))
-            top = eig(normalized_witness(w)).e_max
+            h = h_xxx(1.0, 0.7)
+            w = make_witness(h, esep_reference(esep))
+            top = eig(normalized_witness(h, w)).e_max
             assert top <= 1.0 + 1e-10
 
     def test_conservative_flagging(self, h_xxx):
@@ -118,7 +121,7 @@ class TestWitnessValidity:
         h = h_xxx()
         part = Partition.singletons(2)
         w = make_witness(h, esep_seesaw(h, part, restarts=32, seed=1))
-        wmat = normalized_witness(w).entries
+        wmat = normalized_witness(h, w).entries
         rng = np.random.default_rng(2)
         vecs = np.stack([full_vector(random_ansatz(2, rng)) for _ in range(1000)])
         vals = np.einsum("ij,jk,ik->i", vecs.conj(), wmat, vecs).real
@@ -128,7 +131,7 @@ class TestWitnessValidity:
         h = h_xxx()
         w = make_witness(h, esep_reference(-1.0))
         tr_w_rho = np.einsum(
-            "ij,ji->", normalized_witness(w).entries, singlet.entries
+            "ij,ji->", normalized_witness(h, w).entries, singlet.entries
         ).real
         rep = robustness_lower_bound(w, expectation(h, singlet))
         assert tr_w_rho == pytest.approx(-rep.bound, abs=1e-12)
@@ -175,10 +178,10 @@ class TestSweep:
     def test_rejects_nan_temperature(self, h_xxx):
         # NaN fails both t < 0 and t > 0; it must not be served by the ground state
         with pytest.raises(ValueError, match="temperatures"):
-            sweep_single_hamiltonian(h_xxx(), esep_reference(-2.0), [math.nan])
+            sweep_fields([h_xxx()], [esep_reference(-2.0)], [math.nan], [0.0])
 
     def test_temperature_zero_uses_ground_state(self, h_xxx):
-        cells = sweep_single_hamiltonian(h_xxx(), esep_reference(-2.0), [0.0])
+        cells = sweep_fields([h_xxx()], [esep_reference(-2.0)], [0.0], [0.0])
         assert cells[0].mean_energy == pytest.approx(-3.0, abs=1e-12)
 
     def test_rejects_unsorted_grids(self):
@@ -204,16 +207,14 @@ FIGURE_TEMPS = [float(t) for t in np.linspace(0.01, 4.0, 400)]
 
 
 def per_field_sweeps(policy, temps, fields, restarts=32, seed=0):
-    """bound_sweep's rows, built one field at a time by sweep_single_hamiltonian."""
+    """bound_sweep's rows, built one field at a time by sweep_fields."""
     params = [XXXParams(1.0, b) for b in fields]
     hs = [build_xxx(p) for p in params]
     if policy.kind == "exact":
         reports = esep_search(hs, restarts, seed)
     else:
         reports = [resolve_esep(policy, h, params=p) for h, p in zip(hs, params)]
-    parts = [
-        sweep_single_hamiltonian(h, rep, temps, b_value=b) for h, rep, b in zip(hs, reports, fields)
-    ]
+    parts = [sweep_fields([h], [rep], temps, [b]) for h, rep, b in zip(hs, reports, fields)]
     return np.concatenate(parts)
 
 
@@ -232,6 +233,23 @@ def edit_mean_of_field(field, edit):
 
 class TestStackedSweep:
     """bound_sweep's one array pass gives the bits of one sweep per field."""
+
+    def test_fields_are_released_before_the_table(self, monkeypatch):
+        """Each swept H, with its cached spectrum, is freed once its numbers are read."""
+        fields = [0.0, 0.5, 1.0]
+        hs = [build_xxx(XXXParams(1.0, b, 4, "periodic")) for b in fields]
+        refs = [weakref.ref(h) for h in hs]
+        alive = []
+        real = witness.energy_table
+
+        def table(spectra, temps):
+            gc.collect()
+            alive.extend(r() is not None for r in refs)
+            return real(spectra, temps)
+
+        monkeypatch.setattr(witness, "energy_table", table)
+        sweep_fields(hs, [esep_reference(-2.0)] * 3, [0.5, 1.0], fields)
+        assert alive == [False, False, False]
 
     @pytest.mark.parametrize("policy", ["closed-form", "exact", "fixed:-1.5"])
     def test_equals_per_field_sweeps(self, policy):
