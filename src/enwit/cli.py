@@ -7,8 +7,10 @@ Every option is declared once, in ``_OPTION_SPECS``, whose parser converts
 and checks flag and file values alike (``bad value for <key>``; NaN and
 infinities fail).  Each command takes only the options ``_COMMANDS`` lists
 for it and refuses any other (``<command> does not take <flag>``).  Rules on
-the physics inputs, such as J > 0, are the library's and exit 2 as well.  The
-pauli-file model refuses the XXX chain's options (``_XXX_ONLY_OPTIONS``).
+the physics inputs, such as J > 0, are the library's and exit 2 as well, as
+does a file that cannot be read or written.  The pauli-file model refuses
+the XXX chain's options (``_XXX_ONLY_OPTIONS``), and the xxx model refuses
+pauli-file.
 Every command with ``--policy`` but ``robustness`` (which checks the bound
 against the exact R_g) refuses a ``fixed:`` E_sep that a product state undercuts.
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
@@ -37,6 +39,7 @@ from .thermal import gibbs, ground_state
 from .witness import (
     EsepPolicy,
     bound_sweep,
+    energy_bound,
     make_witness,
     resolve_esep,
     resolve_fields,
@@ -148,11 +151,7 @@ def _parse(key: str, text: str, where: str = ""):
 
 def _read_config_file(path: str, command: str, options: Sequence[str]) -> dict:
     values = {}
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ValueError(f"cannot read config file {path}: {exc}") from exc
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -194,6 +193,8 @@ def _config(args: argparse.Namespace) -> argparse.Namespace:
         for key in _XXX_ONLY_OPTIONS:
             if key in given:
                 raise ValueError(f"{key} does not apply to the pauli-file model")
+    elif "pauli-file" in given:
+        raise ValueError("pauli-file does not apply to the xxx model")
     cfg = argparse.Namespace(
         **{key.replace("-", "_"): given.get(key, _OPTION_SPECS[key][1]) for key in options}
     )
@@ -215,11 +216,7 @@ def _fields(
         return fields, [build_xxx(p) for p in fields]
     if not cfg.pauli_file:
         raise ValueError("--pauli-file is required for the pauli-file model")
-    try:
-        text = Path(cfg.pauli_file).read_text()
-    except OSError as exc:
-        raise ValueError(f"cannot read {cfg.pauli_file}: {exc}") from exc
-    terms = parse_pauli_terms(text)
+    terms = parse_pauli_terms(Path(cfg.pauli_file).read_text())
     if not terms:
         raise ValueError(f"{cfg.pauli_file} contains no terms")
     n = len(terms[0].letters)
@@ -289,10 +286,11 @@ def _state_from_spec(cfg: argparse.Namespace, h: Optional[HermitianOperator]) ->
 def _write_sweep_csv(path: str, cells: np.recarray, digits: int) -> None:
     """Emit the sweep as CSV with LF endings, ``_CSV_CHUNK`` rows at a time.
 
-    The bound columns are recomputed from the rounded mean/esep/A columns, so
-    the printed table is self-consistent: a reader recomputing bound_raw from
-    the file reproduces the column to the last printed digit, and ``detected``
-    is true exactly when the printed bound_clipped is positive.
+    The bound columns are recomputed from the rounded mean/esep/A columns
+    (:func:`energy_bound` on the values parsed back), so the printed table
+    is self-consistent: a reader recomputing bound_raw from the file
+    reproduces the column to the last printed digit, and ``detected`` is
+    true exactly when the printed bound_clipped is positive.
 
     A chunk formats each float column with one ``%`` operation on a repeated
     ``%.{digits}g`` template (the same strings as ``format``), parses the
@@ -319,9 +317,9 @@ def _write_sweep_csv(path: str, cells: np.recarray, digits: int) -> None:
             at = [i[rows] for i in index]
             b, t, esep, a = (s[i].tolist() for s, i in zip(strings, at))
             mean = fmt(cells.mean_energy[rows])
-            bound = (esep_v[at[2]] - np.array(mean, dtype=float)) / a_v[at[3]]
+            bound, positive = energy_bound(esep_v[at[2]], a_v[at[3]], np.array(mean, dtype=float))
             bound_s = fmt(bound)
-            positive = (bound > 0.0).tolist()
+            positive = positive.tolist()
             clipped = [s if p else "0" for s, p in zip(bound_s, positive)]
             detected = ["true\n" if p else "false\n" for p in positive]  # it ends the row
             fh.write("".join(map(",".join, zip(b, t, mean, esep, a, bound_s, clipped, detected))))
@@ -496,7 +494,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "reproduce-figure":
             return cmd_reproduce_figure(args.out_dir, _parse("precision", args.precision))
         return _COMMANDS[args.command][0](_config(args))
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

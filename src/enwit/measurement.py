@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .operators import DensityMatrix, HermitianOperator, eig
-from .witness import WitnessSpec
+from .witness import WitnessSpec, energy_bound
 
 
 @dataclass(frozen=True)
@@ -103,6 +103,6 @@ def bound_with_confidence(w: WitnessSpec, est: EnergyEstimate, z: float) -> Boun
     """
     if not 0.0 <= z < math.inf:
         raise ValueError("z must be nonnegative and finite")
-    lo = (w.esep - est.mean - z * est.stderr) / w.normalizer_a
-    hi = (w.esep - est.mean + z * est.stderr) / w.normalizer_a
-    return BoundInterval(lo=lo, hi=hi, detected=lo > 0.0)
+    lo, detected = energy_bound(w.esep, w.normalizer_a, est.mean, z * est.stderr)
+    hi, _ = energy_bound(w.esep, w.normalizer_a, est.mean, -z * est.stderr)
+    return BoundInterval(lo=lo, hi=hi, detected=detected)

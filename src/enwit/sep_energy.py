@@ -7,13 +7,14 @@ minimization is all that is needed.  Two routes are provided:
 * :func:`esep_search` (:func:`esep_seesaw` for one H) -- local search with
   random restarts on qubit Hamiltonians, one Bloch vector per site:
   Riemannian Newton on (S^2)^n (see :mod:`enwit.bloch`),
-* :func:`esep_closed_form_xxx` -- the analytic value for the two-site
-  Heisenberg model in a field, with the bond counted once.
+* :func:`esep_closed_form_xxx` -- the analytic value and minimizer for the
+  two-site Heisenberg model in a field, with the bond counted once.
 
 The test suite keeps a brute-force nested-grid scan, independent of the
 search, as its oracle.
 
-Externally supplied values enter through :func:`esep_reference`.
+Externally supplied values enter through :func:`esep_reference`.  Every
+route returns a :class:`SepEnergyReport`, and only this module builds one.
 """
 
 from __future__ import annotations
@@ -141,36 +142,33 @@ def esep_search(
     return reports
 
 
-def _closed_form_check(p: XXXParams) -> None:
-    """Refuse parameters whose Hamiltonian is not J s1.s2 + B(sz1 + sz2)."""
-    if p.n_sites != 2:
-        raise ValueError("closed form is only defined for n_sites = 2")
-
-
-def esep_closed_form_xxx(p: XXXParams) -> float:
-    """Exact E_sep of the two-site Heisenberg model in a field.
+def esep_closed_form_xxx(p: XXXParams) -> SepEnergyReport:
+    """Exact E_sep of the two-site Heisenberg model in a field, with an analytic minimizer.
 
     The optimal product pair has both Bloch vectors at polar angle theta with
     cos(theta) = -B/(2J) and opposite azimuths, giving -J - B^2/(2J); past
     |B| = 2J the pair polarizes along the field and the value is J - 2|B|.
     """
-    _closed_form_check(p)
+    if p.n_sites != 2:
+        raise ValueError("closed form is only defined for n_sites = 2")
     j, b = p.coupling_j, p.field_b
     if abs(b) <= 2.0 * j:
-        return -j - b * b / (2.0 * j)
-    return j - 2.0 * abs(b)
-
-
-def closed_form_ansatz_xxx(p: XXXParams) -> np.ndarray:
-    """Bloch vectors (2, 3) of an analytic minimizer realizing :func:`esep_closed_form_xxx`."""
-    _closed_form_check(p)
-    j, b = p.coupling_j, p.field_b
-    if abs(b) <= 2.0 * j:
+        esep = -j - b * b / (2.0 * j)
         z = -b / (2.0 * j)
         x = math.sqrt((1.0 - z) * (1.0 + z))
-        return _frozen_array(np.array([[x, 0.0, z], [-x, 0.0, z]]))
-    pole = -1.0 if b > 0 else 1.0
-    return _frozen_array(np.array([[0.0, 0.0, pole], [0.0, 0.0, pole]]))
+        r = [[x, 0.0, z], [-x, 0.0, z]]
+    else:
+        esep = j - 2.0 * abs(b)
+        pole = -1.0 if b > 0 else 1.0
+        r = [[0.0, 0.0, pole], [0.0, 0.0, pole]]
+    return SepEnergyReport(
+        esep=esep,
+        minimizer=_frozen_array(np.array(r)),
+        restarts_used=0,
+        restarts_agreeing=0,
+        converged=True,
+        source="closed-form",
+    )
 
 
 def esep_reference(value: float) -> SepEnergyReport:

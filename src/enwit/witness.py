@@ -7,10 +7,11 @@ R_g >= (E_sep - <H>)/A.
 
 A sweep is one array pass over its (F fields, T temperatures) grid: one
 witness per field, then the mean energies of every field from one stacked
-Boltzmann table (:func:`enwit.thermal.energy_table`), the range checks and
-bounds in one call, and each column of the ``SWEEP_DTYPE`` record array
-written once (:func:`sweep_fields`).  :func:`resolve_fields` is the one place
-an ``EsepPolicy`` is turned into E_sep reports.
+Boltzmann table (:func:`enwit.thermal.energy_table`), the range check and
+the bounds in one call each, and each column of the ``SWEEP_DTYPE`` record
+array written once (:func:`sweep_fields`).  :func:`resolve_fields` is the one
+place an ``EsepPolicy`` is turned into E_sep reports, and :func:`energy_bound`
+the one place a bound and its detection are formed.
 """
 
 from __future__ import annotations
@@ -23,13 +24,7 @@ import numpy as np
 
 from .hamiltonians import XXXParams, build_xxx
 from .operators import HermitianOperator, eig, expectation
-from .sep_energy import (
-    SepEnergyReport,
-    closed_form_ansatz_xxx,
-    esep_closed_form_xxx,
-    esep_reference,
-    esep_search,
-)
+from .sep_energy import SepEnergyReport, esep_closed_form_xxx, esep_reference, esep_search
 from .thermal import energy_table, ground_state
 
 DEGENERATE_NORMALIZER = 1e-12
@@ -61,11 +56,8 @@ class WitnessSpec:
 class BoundReport:
     """The robustness lower bound at one mean energy (unclipped; may be negative)."""
 
-    mean_energy: float
-    esep: float
     bound: float
     detected: bool
-    entanglement_gap: float
 
 
 def make_witness(h: HermitianOperator, esep_report: SepEnergyReport) -> WitnessSpec:
@@ -86,34 +78,39 @@ def make_witness(h: HermitianOperator, esep_report: SepEnergyReport) -> WitnessS
     )
 
 
-def _bound(esep, e_min, e_max, a, mean: np.ndarray) -> np.ndarray:
-    """(esep - <H>)/A for an (F, T) table of mean energies, row f within field f's spectral range.
+def energy_bound(esep, a, mean, margin=0.0):
+    """The bound (esep - <H> - margin)/A and whether it detects (bound > 0).
 
-    The witness numbers are scalars or (F, 1) columns.  Each range is widened
+    Scalars or arrays that broadcast; ``margin`` is subtracted after
+    esep - <H>, so a margin of 0 leaves every bit of the bound as it is.
+    No range check is made here (see :func:`_check_range`).
+    """
+    bound = (esep - mean - margin) / a
+    return bound, bound > 0.0
+
+
+def _check_range(e_min, e_max, mean: np.ndarray) -> None:
+    """Refuse an (F, T) table of mean energies with a row f outside field f's spectral range.
+
+    The spectral ends are scalars or (F, 1) columns.  Each range is widened
     by ``MEAN_RANGE_TOL`` times the largest |eigenvalue| of its H, so the
-    check does not depend on the energy unit; the refusal names the first
-    mean outside its range, field-major.
+    check does not depend on the energy unit; a NaN mean is outside every
+    range.  The refusal names the first mean outside its range, field-major.
     """
     slack = MEAN_RANGE_TOL * np.maximum(-e_min, e_max)
-    outside = (mean < e_min - slack) | (mean > e_max + slack)
+    outside = ~((mean >= e_min - slack) & (mean <= e_max + slack))
     if outside.any():
         f, k = np.argwhere(outside)[0]
         lo, hi = (np.broadcast_to(e, mean.shape)[f, k] for e in (e_min, e_max))
         raise ValueError(f"mean energy {mean[f, k]} lies outside the spectral range [{lo}, {hi}]")
-    return (esep - mean) / a
 
 
 def robustness_lower_bound(w: WitnessSpec, mean_energy: float) -> BoundReport:
-    """Evaluate (esep - <H>)/A for a measured or computed mean energy."""
+    """Evaluate (esep - <H>)/A for a measured or computed mean energy in H's spectral range."""
     m = float(mean_energy)
-    bound = float(_bound(w.esep, w.e_min, w.e_max, w.normalizer_a, np.array([[m]]))[0, 0])
-    return BoundReport(
-        mean_energy=m,
-        esep=w.esep,
-        bound=bound,
-        detected=bound > 0.0,
-        entanglement_gap=w.entanglement_gap,
-    )
+    _check_range(w.e_min, w.e_max, np.array([[m]]))
+    bound, detected = energy_bound(w.esep, w.normalizer_a, m)
+    return BoundReport(bound=bound, detected=detected)
 
 
 @dataclass(frozen=True)
@@ -154,7 +151,8 @@ def resolve_fields(
     ``params[j]`` describes ``hs[j]`` as an XXX chain, or is ``None`` for
     any other model.  ``exact`` runs one :func:`esep_search` over all of
     ``hs``; ``fixed`` wraps its value once per field; ``closed-form``
-    evaluates the two-site formula at each ``params[j]``.
+    evaluates the two-site formula at each ``params[j]``.  Every report is
+    built in :mod:`enwit.sep_energy`.
     """
     if policy.kind == "exact":
         return esep_search(hs, restarts=restarts, seed=seed)
@@ -162,17 +160,7 @@ def resolve_fields(
         return [esep_reference(policy.value) for _ in hs]
     if any(p is None for p in params):
         raise ValueError("closed-form policy needs the xxx model")
-    return [
-        SepEnergyReport(
-            esep=esep_closed_form_xxx(p),
-            minimizer=closed_form_ansatz_xxx(p),
-            restarts_used=0,
-            restarts_agreeing=0,
-            converged=True,
-            source="closed-form",
-        )
-        for p in params
-    ]
+    return [esep_closed_form_xxx(p) for p in params]
 
 
 def resolve_esep(
@@ -212,9 +200,10 @@ def sweep_fields(
     Field j is ``hs[j]``, with E_sep from ``reports[j]``, and is printed at
     B = ``b_values[j]``.  One witness per field, then one array pass over
     the (F, T) grid: the thermal means of all fields from one
-    :func:`energy_table`, the range checks and bounds in one :func:`_bound`,
-    and each ``SWEEP_DTYPE`` column written once.  Returns a ``SWEEP_DTYPE``
-    record array, rows field-major then T; ``bound_raw`` is unclipped.
+    :func:`energy_table`, the range check, the bounds in one
+    :func:`energy_bound`, and each ``SWEEP_DTYPE`` column written once.
+    Returns a ``SWEEP_DTYPE`` record array, rows field-major then T;
+    ``bound_raw`` is unclipped.
     T = 0 is served by each field's ground state.  ``hs`` is emptied: each
     H is popped off as soon as its numbers are read, so, unless the caller
     keeps it, its cached spectrum goes with it.
@@ -238,15 +227,16 @@ def sweep_fields(
     esep, e_min, e_max, a = np.array(
         [[w.esep, w.e_min, w.e_max, w.normalizer_a] for w in ws]
     ).T[..., None]  # (F, 1) columns
-    bound = _bound(esep, e_min, e_max, a, mean).ravel()
+    _check_range(e_min, e_max, mean)
+    bound, detected = energy_bound(esep, a, mean)
     cells = np.recarray(mean.size, dtype=SWEEP_DTYPE)
     cells.b = np.repeat(b_values, t.size)
     cells.t = np.tile(t, len(ws))
     cells.mean_energy = mean.ravel()
     cells.esep = np.repeat(esep, t.size)
     cells.normalizer_a = np.repeat(a, t.size)
-    cells.bound_raw = bound
-    cells.detected = bound > 0.0
+    cells.bound_raw = bound.ravel()
+    cells.detected = detected.ravel()
     cells.entanglement_gap = np.repeat(esep - e_min, t.size)
     cells.restarts_agreeing = np.repeat([r.restarts_agreeing for r in reports], t.size)
     return cells

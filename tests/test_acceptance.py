@@ -144,7 +144,7 @@ def test_criterion_06_esep_correctness():
     for b in np.linspace(-4.0, 4.0, 41):
         p = XXXParams(1.0, float(b))
         h = build_xxx(p)
-        exact = esep_closed_form_xxx(p)
+        exact = esep_closed_form_xxx(p).esep
         if abs(b) <= 2.0:
             assert exact == pytest.approx(-1.0 - b * b / 2.0, abs=1e-12)
         else:
@@ -206,7 +206,7 @@ def test_criterion_09_affine_invariance():
     for b in np.linspace(0.0, 2.0, 41):
         p = XXXParams(1.0, float(b))
         h = build_xxx(p)
-        esep = esep_closed_form_xxx(p)
+        esep = esep_closed_form_xxx(p).esep
         w1 = make_witness(h, esep_reference(esep))
         h2 = HermitianOperator(Q2, 2.0 * h.entries + 5.0 * np.eye(4))
         w2 = make_witness(h2, esep_reference(2.0 * esep + 5.0))

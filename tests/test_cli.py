@@ -576,6 +576,16 @@ class TestSweepCsvWriter:
         rows = (tmp_path / "new.csv").read_text().splitlines()[1:]
         assert rows == ["2,0.01,-3,-3,8,0,0,false", "2,0.01,-3.5,-3,8,0.0625,0.0625,true"]
 
+    def test_bound_raw_at_precision_17_is_the_library_bound(self, tmp_path):
+        """17 digits round-trip every input, so the recomputed column is the library's bits."""
+        t_values = GridSpec(0.01, 4.0, 400).values()
+        b_values = GridSpec(0.0, 2.0, 41).values()
+        cells = bound_sweep(self.TWO_SITE, EsepPolicy("closed-form"), t_values, b_values)
+        path = tmp_path / "s.csv"
+        _write_sweep_csv(str(path), cells, 17)
+        printed = np.loadtxt(path, delimiter=",", skiprows=1, usecols=5)
+        assert printed.view(np.int64).tolist() == cells.bound_raw.view(np.int64).tolist()
+
 
 class TestRefutedFixedValue:
     """E_sep = -1 for s1.s2 at B = 0, so fixed:0.5 is no separability energy."""
@@ -892,7 +902,7 @@ class TestConfigFile:
     # option -> (value, flags that complete the option)
     SETTINGS = {
         "model": ("pauli-file", []),
-        "pauli-file": ("h.txt", []),
+        "pauli-file": ("h.txt", ["--model", "pauli-file"]),
         "J": ("2.5", []),
         "B": ("0.5", []),
         "B-min": ("0.25", ["--B-max", "1", "--B-steps", "3"]),
@@ -1225,6 +1235,43 @@ class TestReproduceFigure:
         )
         assert code == 2
         assert "bad value for precision" in err
+        assert out == ""
+
+
+class TestConfigurationExitCode:
+    def test_sweep_into_a_missing_directory_exits_2(self, tmp_path, capsys):
+        out_file = tmp_path / "no" / "x.csv"
+        argv = ["bound-sweep", "--J", "1", "--T", "1", "--policy", "fixed:-2"]
+        code, out, err = run(argv + ["--out", str(out_file)], capsys)
+        assert code == 2
+        assert err.startswith("error: ") and str(out_file) in err
+        assert out == ""
+
+    def test_figure_into_a_file_exits_2(self, tmp_path, capsys):
+        blocker = tmp_path / "f"
+        blocker.write_text("")
+        code, out, err = run(["reproduce-figure", "--out-dir", str(blocker)], capsys)
+        assert code == 2
+        assert err.startswith("error: ") and str(blocker) in err
+        assert out == ""
+
+    @pytest.mark.parametrize("flag", ["--config", "--pauli-file"])
+    def test_missing_input_file_exits_2(self, flag, tmp_path, capsys):
+        missing = tmp_path / "absent.txt"
+        code, out, err = run(["spectrum", "--model", "pauli-file", flag, str(missing)], capsys)
+        assert code == 2
+        assert err.startswith("error: ") and str(missing) in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv", [["esep", "--J", "1", "--policy", "exact"], ["spectrum"]], ids=["esep", "spectrum"]
+    )
+    def test_xxx_model_refuses_pauli_file(self, argv, tmp_path, capsys):
+        pf = tmp_path / "h.txt"
+        pf.write_text("1.0 XX\n1.0 YY\n1.0 ZZ\n")
+        code, out, err = run(argv + ["--pauli-file", str(pf)], capsys)
+        assert code == 2
+        assert "pauli-file does not apply to the xxx model" in err
         assert out == ""
 
 

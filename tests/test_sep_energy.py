@@ -31,7 +31,6 @@ from enwit.bloch import (
     bloch_search,
     pauli_terms,
 )
-from enwit.sep_energy import closed_form_ansatz_xxx
 from enwit.states import bloch_angles
 
 from conftest import PAULI, _bloch_to_states, ansatz_energy, block_dims, dm_chain, random_ansatz
@@ -246,7 +245,7 @@ class TestBlochSearch:
         for b in np.linspace(0.0, 2.0, 41):
             p = XXXParams(1.0, float(b))
             rep = esep_seesaw(build_xxx(p), SINGLETONS, restarts=32, seed=seed)
-            assert abs(rep.esep - esep_closed_form_xxx(p)) < 1e-11, b
+            assert abs(rep.esep - esep_closed_form_xxx(p).esep) < 1e-11, b
             assert rep.converged, b
 
     def test_certificate_numbers(self, h_xxx):
@@ -360,7 +359,7 @@ class TestStackedSearch:
     def test_two_site_field_grid(self, seed):
         params = [XXXParams(1.0, float(b)) for b in np.linspace(0.0, 2.0, 41)]
         hs = [build_xxx(p) for p in params]
-        exact = [esep_closed_form_xxx(p) for p in params]
+        exact = [esep_closed_form_xxx(p).esep for p in params]
         self.assert_matches_single_searches(hs, SINGLETONS, 32, seed, exact)
 
     @pytest.mark.parametrize("n", [4, 6])
@@ -673,29 +672,45 @@ class TestGrid:
             assert see <= grid + 1e-9
 
 
+def test_every_esep_function_returns_reports():
+    import inspect
+
+    from enwit import sep_energy
+
+    functions = {
+        name: f
+        for name, f in vars(sep_energy).items()
+        if name.startswith("esep_") and inspect.isfunction(f)
+    }
+    assert {"esep_closed_form_xxx", "esep_reference", "esep_search"} <= set(functions)
+    for name, f in functions.items():
+        returns = inspect.signature(f).return_annotation
+        assert returns in ("SepEnergyReport", "list[SepEnergyReport]"), name
+
+
 class TestClosedForm:
     @pytest.mark.parametrize(
         "b,expected",
         [(0.0, -1.0), (1.0, -1.5), (2.0, -3.0), (3.0, -5.0), (-3.0, -5.0)],
     )
     def test_values(self, b, expected):
-        assert esep_closed_form_xxx(XXXParams(1.0, b)) == pytest.approx(expected, abs=1e-12)
+        assert esep_closed_form_xxx(XXXParams(1.0, b)).esep == pytest.approx(expected, abs=1e-12)
 
     def test_branch_continuity(self):
         inner = -1.0 - 2.0**2 / 2.0
         outer = 1.0 - 2.0 * 2.0
-        assert inner == outer == esep_closed_form_xxx(XXXParams(1.0, 2.0))
+        assert inner == outer == esep_closed_form_xxx(XXXParams(1.0, 2.0)).esep
 
     def test_rejects_chains(self):
         with pytest.raises(ValueError):
-            esep_closed_form_xxx(XXXParams(1.0, 0.0, n_sites=3))
+            esep_closed_form_xxx(XXXParams(1.0, 0.0, n_sites=3)).esep
 
     def test_ansatz_attains_value(self):
         for b in (0.0, 0.5, 1.9, 2.5, -2.5):
             p = XXXParams(1.0, b)
             h = build_xxx(p)
-            energy = ansatz_energy(h, closed_form_ansatz_xxx(p))
-            assert energy == pytest.approx(esep_closed_form_xxx(p), abs=1e-12)
+            energy = ansatz_energy(h, esep_closed_form_xxx(p).minimizer)
+            assert energy == pytest.approx(esep_closed_form_xxx(p).esep, abs=1e-12)
 
 
 class TestReference:

@@ -15,6 +15,7 @@ from enwit import (
     bound_sweep,
     build_xxx,
     eig,
+    esep_closed_form_xxx,
     esep_reference,
     esep_seesaw,
     expectation,
@@ -24,9 +25,10 @@ from enwit import (
 )
 from enwit import thermal, witness
 from enwit.errors import NumericalError
+from enwit.measurement import EnergyEstimate, bound_with_confidence
 from enwit.sep_energy import esep_search
 from enwit.thermal import ground_state
-from enwit.witness import SWEEP_DTYPE, resolve_esep, sweep_fields
+from enwit.witness import SWEEP_DTYPE, energy_bound, resolve_esep, sweep_fields
 
 from conftest import PAULI, ansatz_energy, full_vector, normalized_witness, random_ansatz
 
@@ -105,6 +107,11 @@ class TestRobustnessLowerBound:
         e_min = np.nextafter(w.e_min, -np.inf)
         assert robustness_lower_bound(w, e_min).bound == pytest.approx(1.0, rel=1e-12)
 
+    def test_rejects_nan_mean(self):
+        w = make_witness(build_xxx(XXXParams(1.0)), esep_reference(-1.0))
+        with pytest.raises(ValueError, match="mean energy nan lies outside the spectral range"):
+            robustness_lower_bound(w, float("nan"))
+
     def test_bound_capped_by_normalized_gap(self, h_xxx):
         h = h_xxx(1.0, 0.9)
         part = Partition.singletons(2)
@@ -114,6 +121,28 @@ class TestRobustnessLowerBound:
             _, pt = gibbs(h, t)
             assert robustness_lower_bound(w, pt.mean_energy).bound <= cap + 1e-12
         assert cap <= 1.0 + 1e-10
+
+
+class TestEnergyBound:
+    """``energy_bound`` forms every single bound, bit for bit."""
+
+    @staticmethod
+    def bits(x) -> bytes:
+        return np.float64(x).tobytes()
+
+    @pytest.mark.parametrize("b", [0.0, 0.7, 2.0, 2.5])
+    def test_single_bounds_are_energy_bound(self, b):
+        p = XXXParams(1.0, b)
+        w = make_witness(build_xxx(p), esep_closed_form_xxx(p))
+        means = np.random.default_rng(31).uniform(w.e_min, w.e_max, 50)
+        for m in [w.e_min, w.esep, w.e_max, *means.tolist()]:
+            bound, detected = energy_bound(w.esep, w.normalizer_a, m)
+            assert self.bits(bound) == self.bits((w.esep - m) / w.normalizer_a)
+            report = robustness_lower_bound(w, m)
+            assert (self.bits(report.bound), report.detected) == (self.bits(bound), detected)
+            interval = bound_with_confidence(w, EnergyEstimate(m, 0.25, 10, 0), 0.0)
+            assert self.bits(interval.lo) == self.bits(interval.hi) == self.bits(bound)
+            assert interval.detected == detected
 
 
 class TestWitnessValidity:
