@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
 from typing import Optional, Sequence
@@ -52,24 +51,17 @@ _CSV_CHUNK = 4096  # rows formatted and written at a time
 FIXED_REFUTATION_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    lo: float
-    hi: float
-    steps: int
-
-    def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError("grid steps must be >= 1")
-        if self.lo > self.hi:
-            raise ValueError("grid min must not exceed max")
-        if self.lo == self.hi and self.steps > 1:
-            raise ValueError("grid min equals max, so its points would repeat; give one point")
-
-    def values(self) -> list[float]:
-        if self.steps == 1:
-            return [self.lo]
-        return [self.lo + (self.hi - self.lo) * k / (self.steps - 1) for k in range(self.steps)]
+def _grid(lo: float, hi: float, steps: int) -> list[float]:
+    """``steps`` evenly spaced values from ``lo`` to ``hi``; ``[lo]`` for one step."""
+    if steps < 1:
+        raise ValueError("grid steps must be >= 1")
+    if lo > hi:
+        raise ValueError("grid min must not exceed max")
+    if lo == hi and steps > 1:
+        raise ValueError("grid min equals max, so its points would repeat; give one point")
+    if steps == 1:
+        return [lo]
+    return [lo + (hi - lo) * k / (steps - 1) for k in range(steps)]
 
 
 def _number(kind: type, lo: float = -math.inf, hi: float = math.inf):
@@ -121,9 +113,9 @@ _OPTION_SPECS: dict = {
     "B-min": (_number(float), None, None),
     "B-max": (_number(float), None, None),
     "B-steps": (_number(int), None, None),
-    "T": (_number(float), 1.0, None),
-    "T-min": (_number(float), None, None),
-    "T-max": (_number(float), None, None),
+    "T": (_number(float, 0.0), 1.0, None),
+    "T-min": (_number(float, 0.0), None, None),
+    "T-max": (_number(float, 0.0), None, None),
     "T-steps": (_number(int), None, None),
     "sites": (_number(int), 2, None),
     "boundary": (_one_of("open", "periodic"), "open", None),
@@ -131,6 +123,7 @@ _OPTION_SPECS: dict = {
     "restarts": (_number(int, 1), 32, None),
     "seed": (_number(int), 0, None),
     "out": (str, None, "output path for CSV commands"),
+    "out-dir": (str, ".", "directory for the figure's two CSVs"),
     "precision": (_number(int, 6, 17), 10, "significant digits for printed floats"),
     "state": (_state_spec, "thermal", "singlet | thermal | ground | product:th,ph[,th,ph]"),
     "shots": (_number(int, 1), 100000, None),
@@ -167,18 +160,18 @@ def _read_config_file(path: str, command: str, options: Sequence[str]) -> dict:
     return values
 
 
-def _grid_from(given: dict, prefix: str) -> GridSpec:
+def _grid_from(given: dict, prefix: str) -> list[float]:
     """bound-sweep's B or T grid: the single value ``prefix`` or ``prefix``-min/max/steps."""
     keys = [f"{prefix}-min", f"{prefix}-max", f"{prefix}-steps"]
     present = [key for key in keys if key in given]
     if not present:
         value = given.get(prefix, _OPTION_SPECS[prefix][1])
-        return GridSpec(value, value, 1)
+        return [value]
     if prefix in given:
         raise ValueError(f"give either --{prefix} or --{prefix}-min/max/steps, not both")
     if len(present) < len(keys):
         raise ValueError(f"--{prefix}-min/max/steps must be given together")
-    return GridSpec(*(given[key] for key in keys))
+    return _grid(*(given[key] for key in keys))
 
 
 def _config(args: argparse.Namespace) -> argparse.Namespace:
@@ -371,10 +364,10 @@ def cmd_witness(cfg: argparse.Namespace) -> int:
 
 
 def cmd_bound_sweep(cfg: argparse.Namespace) -> int:
-    b_values = cfg.b_grid.values()  # [0.0] for the pauli-file model, which takes no B
+    b_values = cfg.b_grid  # [0.0] for the pauli-file model, which takes no B
     params, hs = _fields(cfg, b_values)
     reports = _esep_reports(cfg, params, hs, [f" at B = {b:g}" for b in b_values])
-    cells = sweep_fields(hs, reports, cfg.t_grid.values(), b_values)
+    cells = sweep_fields(hs, reports, cfg.t_grid, b_values)
     path = cfg.out or "bound_sweep.csv"
     _write_sweep_csv(path, cells, cfg.precision)
     print(f"wrote {path} ({len(cells)} rows)")
@@ -382,19 +375,21 @@ def cmd_bound_sweep(cfg: argparse.Namespace) -> int:
 
 
 def cmd_robustness(cfg: argparse.Namespace) -> int:
-    with_bound = cfg.model == "xxx" and cfg.J is not None
-    needs_h = with_bound or cfg.state in ("thermal", "ground")
+    # H is built when a model is named (pauli-file, or --J for xxx) or the state needs
+    # one; whenever it is, the energy bound is printed and checked against R_g
+    named = cfg.model == "pauli-file" or cfg.J is not None
+    needs_h = named or cfg.state in ("thermal", "ground")
     [params], [h] = _fields(cfg, [cfg.B]) if needs_h else ([None], [None])
     rho = _state_from_spec(cfg, h)
-    if with_bound:  # refuse a bad E_sep before any output
+    if h is not None:  # refuse a bad E_sep, or a state that does not fit H, before any output
         report = resolve_esep(cfg.policy, h, params, cfg.restarts, cfg.seed)
         w = make_witness(h, report)
+        bound = robustness_lower_bound(w, expectation(h, rho))
         _warn_if_one_restart(report)
     cert = rg_exact_2q(rho)
     print(f"rg_value = {cert.rg_value:.5f}")
     print(f"duality_gap = {cert.duality_gap:.3e}")
-    if with_bound:
-        bound = robustness_lower_bound(w, expectation(h, rho))
+    if h is not None:
         ok = bound.bound <= cert.rg_value + 1e-6
         print(f"energy_bound = {bound.bound:.5f} ({'<=' if ok else '>!'} rg_value)")
         if not ok:
@@ -426,25 +421,25 @@ FIGURE_PRESET_FILE = "figure_preset_b0.csv"
 FIGURE_CLOSED_FORM_FILE = "figure_closed_form.csv"
 
 
-def cmd_reproduce_figure(out_dir: str, digits: int = 10) -> int:
+def cmd_reproduce_figure(cfg: argparse.Namespace) -> int:
     """Write the two reference sweep CSVs (see the README's figure guide).
 
     File 1: B = 0 column under the fixed reference value E_sep = -2.
     File 2: the full 41-point field grid under the exact closed form.
     """
-    t_values = GridSpec(0.01, 4.0, 400).values()
-    b_values = GridSpec(0.0, 2.0, 41).values()
+    t_values = _grid(0.01, 4.0, 400)
+    b_values = _grid(0.0, 2.0, 41)
     params = XXXParams(1.0, 0.0, 2, "open")
 
     preset = bound_sweep(params, EsepPolicy("fixed", -2.0), t_values, [0.0])
     closed = bound_sweep(params, EsepPolicy("closed-form"), t_values, b_values)
 
-    out = Path(out_dir)
+    out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path1 = out / FIGURE_PRESET_FILE
     path2 = out / FIGURE_CLOSED_FORM_FILE
-    _write_sweep_csv(str(path1), preset, digits)
-    _write_sweep_csv(str(path2), closed, digits)
+    _write_sweep_csv(str(path1), preset, cfg.precision)
+    _write_sweep_csv(str(path2), closed, cfg.precision)
     print(f"wrote {path1} ({len(preset)} rows)")
     print(f"wrote {path2} ({len(closed)} rows)")
     return 0
@@ -462,6 +457,7 @@ _COMMANDS = {
     "bound-sweep": (cmd_bound_sweep, _MODEL + _GRIDS + _SEARCH + ("out", "precision")),
     "robustness": (cmd_robustness, _MODEL + ("T",) + _SEARCH + ("state",)),
     "measure": (cmd_measure, _MODEL + ("T",) + _SEARCH + ("state", "shots", "z", "precision")),
+    "reproduce-figure": (cmd_reproduce_figure, ("out-dir", "precision")),
 }
 
 
@@ -474,15 +470,12 @@ def _make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, options) in _COMMANDS.items():
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, allow_abbrev=False)  # --out is not short for --out-dir
         p.add_argument("--config", help="config file of 'key: value' lines; flags override")
         for key in options:
             parse, _, help_text = _OPTION_SPECS[key]
             metavar = getattr(parse, "metavar", None)
             p.add_argument(f"--{key}", dest=key.replace("-", "_"), metavar=metavar, help=help_text)
-    fig = sub.add_parser("reproduce-figure")
-    fig.add_argument("--out-dir", dest="out_dir", default=".")
-    fig.add_argument("--precision", default="10")
     return parser
 
 
@@ -491,8 +484,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if undeclared:
             raise ValueError(f"{args.command} does not take {undeclared[0].split('=')[0]}")
-        if args.command == "reproduce-figure":
-            return cmd_reproduce_figure(args.out_dir, _parse("precision", args.precision))
         return _COMMANDS[args.command][0](_config(args))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

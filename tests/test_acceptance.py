@@ -29,7 +29,7 @@ from enwit import (
     rg_exact_2q,
     robustness_lower_bound,
 )
-from enwit.cli import cmd_reproduce_figure, main
+from enwit.cli import main
 from enwit.operators import HermitianOperator
 from enwit.states import singlet
 
@@ -247,8 +247,8 @@ FIGURE_SHA256 = {
 def test_criterion_11_reproducible_figure_output(tmp_path, capsys):
     dir_a = tmp_path / "a"
     dir_b = tmp_path / "b"
-    assert cmd_reproduce_figure(str(dir_a)) == 0
-    assert cmd_reproduce_figure(str(dir_b)) == 0
+    assert main(["reproduce-figure", "--out-dir", str(dir_a)]) == 0
+    assert main(["reproduce-figure", "--out-dir", str(dir_b)]) == 0
     capsys.readouterr()
     names = list(FIGURE_SHA256)
     for name in names:

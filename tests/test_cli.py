@@ -1,3 +1,4 @@
+import argparse
 import math
 import re
 import shlex
@@ -12,8 +13,8 @@ from enwit.cli import (
     _COMMANDS,
     _CSV_CHUNK,
     _OPTION_SPECS,
-    GridSpec,
     _config,
+    _grid,
     _make_parser,
     _write_sweep_csv,
     main,
@@ -502,10 +503,10 @@ class TestSweepCsvWriter:
 
     @pytest.mark.parametrize("digits", [6, 10, 17])
     def test_figure_grids(self, tmp_path, digits):
-        t_values = GridSpec(0.01, 4.0, 400).values()
+        t_values = _grid(0.01, 4.0, 400)
         preset = bound_sweep(self.TWO_SITE, EsepPolicy("fixed", -2.0), t_values, [0.0])
         closed = bound_sweep(
-            self.TWO_SITE, EsepPolicy("closed-form"), t_values, GridSpec(0.0, 2.0, 41).values()
+            self.TWO_SITE, EsepPolicy("closed-form"), t_values, _grid(0.0, 2.0, 41)
         )
         # the 41-field grid spans several chunks, and a chunk ends inside a field
         assert len(closed) > 2 * _CSV_CHUNK and _CSV_CHUNK % 400 != 0
@@ -578,8 +579,8 @@ class TestSweepCsvWriter:
 
     def test_bound_raw_at_precision_17_is_the_library_bound(self, tmp_path):
         """17 digits round-trip every input, so the recomputed column is the library's bits."""
-        t_values = GridSpec(0.01, 4.0, 400).values()
-        b_values = GridSpec(0.0, 2.0, 41).values()
+        t_values = _grid(0.01, 4.0, 400)
+        b_values = _grid(0.0, 2.0, 41)
         cells = bound_sweep(self.TWO_SITE, EsepPolicy("closed-form"), t_values, b_values)
         path = tmp_path / "s.csv"
         _write_sweep_csv(str(path), cells, 17)
@@ -738,6 +739,26 @@ class TestRobustnessCommand:
         code, _, err = run(argv + ["--restarts", "8"], capsys)
         assert code == 0
         assert err == ""
+
+    @pytest.mark.parametrize("model", ["xxx", "pauli-file"])
+    def test_state_that_does_not_fit_h_exits_2_with_nothing_printed(self, model, tmp_path, capsys):
+        """<H> is formed before R_g, so a three-qubit H with the singlet prints nothing."""
+        if model == "xxx":
+            given = ["--J", "1", "--sites", "3"]
+        else:
+            pf = tmp_path / "h.txt"
+            pf.write_text("1.0 XXI\n1.0 IYY\n0.5 ZIZ\n")
+            given = ["--model", "pauli-file", "--pauli-file", str(pf)]
+        code, out, err = run(["robustness", "--state", "singlet"] + given, capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: shape mismatch: operator (2, 2, 2) vs state (2, 2)\n"
+
+    def test_pauli_file_model_without_a_file_exits_2(self, capsys):
+        code, out, err = run(["robustness", "--state", "singlet", "--model", "pauli-file"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --pauli-file is required for the pauli-file model\n"
 
     def test_unsound_bound_exits_3(self, capsys):
         """A fixed E_sep above the product-state minimum lets the bound exceed R_g."""
@@ -918,6 +939,7 @@ class TestConfigFile:
         "restarts": ("5", []),
         "seed": ("11", []),
         "out": ("x.csv", []),
+        "out-dir": ("fig", []),
         "precision": ("12", []),
         "state": ("singlet", []),
         "shots": ("7", []),
@@ -958,6 +980,32 @@ class TestConfigFile:
         assert f"bad value for {key}" in err
         assert out == ""
 
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["measure", "--J", "1", "--policy", "fixed:-2"], "T"),
+            (["bound-sweep", "--J", "1", "--policy", "fixed:-2", "--T-max", "1", "--T-steps",
+              "3"], "T-min"),
+            (["bound-sweep", "--J", "1", "--policy", "fixed:-2", "--T-min", "0", "--T-steps",
+              "1"], "T-max"),
+        ],
+        ids=["measure-T", "bound-sweep-T-min", "bound-sweep-T-max"],
+    )
+    def test_negative_temperature_exits_2(self, argv, key, source, tmp_path, monkeypatch, capsys):
+        """T = 0 is the ground state; a temperature below 0 is refused as an option value."""
+        monkeypatch.chdir(tmp_path)
+        if source == "flag":
+            given = [f"--{key}", "-1"]
+        else:
+            (tmp_path / "run.cfg").write_text(f"{key}: -1\n")
+            given = ["--config", "run.cfg"]
+        code, out, err = run(argv + given, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {'run.cfg:1: ' * (source == 'file')}bad value for {key}: ")
+        assert run(argv + [f"--{key}", "0"], capsys)[0] == 0
+
     def test_bad_precision_exits_2(self, capsys):
         code, _, _ = run(
             ["spectrum", "--model", "xxx", "--J", "1", "--B", "0", "--precision", "3"],
@@ -981,15 +1029,16 @@ class TestCommandTable:
     @pytest.mark.parametrize("command, key", UNDECLARED, ids=[f"{c}-{k}" for c, k in UNDECLARED])
     def test_undeclared_option_exits_2(self, command, key, source, tmp_path, capsys):
         value = TestConfigFile.SETTINGS[key][0]
+        takes_j = "J" in _COMMANDS[command][1]
         if source == "flag":
             given = [f"--{key}", value]
             expected = f"error: {command} does not take --{key}\n"
         else:
             cfg_file = tmp_path / "run.cfg"
-            cfg_file.write_text(f"J: 1\n{key}: {value}\n")
+            cfg_file.write_text(f"J: 1\n{key}: {value}\n" if takes_j else f"{key}: {value}\n")
             given = ["--config", str(cfg_file)]
-            expected = f"error: {cfg_file}:2: {command} does not take {key}\n"
-        code, out, err = run([command, "--J", "1"] + given, capsys)
+            expected = f"error: {cfg_file}:{1 + takes_j}: {command} does not take {key}\n"
+        code, out, err = run([command] + ["--J", "1"] * takes_j + given, capsys)
         assert code == 2
         assert out == ""
         assert err == expected
@@ -1001,7 +1050,7 @@ class TestCommandTable:
              "--out", "x.csv"],
             ["witness", "--J", "1", "--B", "0", "--policy", "fixed:-2", "--T", "0.5",
              "--state", "singlet"],
-            ["reproduce-figure", "--config", "run.cfg"],
+            ["reproduce-figure", "--J", "1"],
         ],
         ids=["spectrum", "witness", "reproduce-figure"],
     )
@@ -1012,6 +1061,10 @@ class TestCommandTable:
         assert out == ""
         assert err.startswith(f"error: {argv[0]} does not take --")
         assert list(tmp_path.iterdir()) == []
+
+    def test_subcommands_are_the_command_table(self):
+        [sub] = [a for a in _make_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        assert list(sub.choices) == list(_COMMANDS)
 
     @pytest.mark.parametrize("command", list(_COMMANDS))
     def test_help_lists_declared_options(self, command, capsys):
@@ -1228,6 +1281,19 @@ class TestReproduceFigure:
         assert closed_col[3.64] > 0.0
         assert closed_col[3.65] == 0.0
 
+
+    def test_config_file_gives_the_flag_files(self, tmp_path, capsys):
+        flags, by_file = tmp_path / "flags", tmp_path / "file"
+        argv = ["reproduce-figure", "--out-dir", str(flags), "--precision", "7"]
+        assert run(argv, capsys)[0] == 0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"out-dir: {by_file}\nprecision: 7\n")
+        assert run(["reproduce-figure", "--config", str(cfg)], capsys)[0] == 0
+        names = sorted(p.name for p in flags.iterdir())
+        assert names == ["figure_closed_form.csv", "figure_preset_b0.csv"]
+        assert sorted(p.name for p in by_file.iterdir()) == names
+        for name in names:
+            assert (flags / name).read_bytes() == (by_file / name).read_bytes()
 
     def test_bad_precision_exits_2(self, tmp_path, capsys):
         code, out, err = run(
