@@ -48,9 +48,15 @@ At this size the time is per-call overhead, of ``numpy.linalg`` and of the
 numpy glue between its calls, not arithmetic on 4 x 4 matrices.  An
 iteration makes one inverse and one Cholesky factorization of the (4, 4, 4)
 stack (X, S, Z1, Z2), two 16 x 16 solves and two stacked ``eigvalsh``; the
-rest is kept to few numpy calls: the 16 x 16 matrix is one broadcast
-product and one flat gather, the partial transposes of dX and dZ1 one
-gather, the primal value a diagonal view and the dual Tr(rho Z1) - Tr rho.
+rest is kept to few numpy calls.  One broadcast product and one flat gather
+give the 16 x 16 matrix's X half Kx, the matrix of sym(X^-1 D Z1), and its
+S half; their sum is the matrix.  So dZ1 = sym(base - unvec(Kx vec(dX))) is
+one matrix-vector product, and the four steps (dX, PT(dX), dZ1, -PT(dZ1))
+are one gather from a (2, 16) buffer of vec(dX) and vec(dZ1) times a +-1
+sign vector.  The primal value is a diagonal view and the dual one dot of
+conj(vec rho) with vec(Z1), less Tr rho.  Every stack stays C-contiguous:
+sym(M) is formed as conj(M)^T + M, because conj(M^T) keeps the transposed
+layout, and with the inverse in that layout a solve took about 8% longer.
 Two 16 x 16 solves are kept rather than one explicit inverse: the matrix's
 condition number grows like 1/mu^2, and inv(A) b is not backward stable
 there (with it the singlet stalls at a gap of about 1e-7).  A solve takes one
@@ -85,7 +91,8 @@ _TARGET_GAP = 1e-8
 _STEP_FRACTION = 0.98  # of the largest step that keeps a block positive semidefinite
 _ITERATION_CAP = 100
 _EYE = np.eye(4, dtype=np.complex128)
-_MINUS_EYE = -_EYE
+_EYE_VEC = _EYE.reshape(16)
+_MINUS_EYE_VEC = -_EYE_VEC
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,31 +125,38 @@ def _require_two_qubits(rho: DensityMatrix) -> None:
 _PT_PERM = _partial_transpose_entries(
     np.arange(16).reshape(4, 4), _TWO_QUBIT_DIMS, _PT_BLOCK
 ).reshape(16)
+_SWAP = np.arange(16).reshape(4, 4).T.reshape(16)  # vec(M^T) == vec(M)[_SWAP]
 
 
 def _newton_gather() -> np.ndarray:
     """Flat indices into the (2, 16, 16) products Y kron Z^T of the X and S sides.
 
-    The 16 x 16 matrix is half the sum of the four gathered terms: Y kron Z^T and
-    Z kron Y^T of the X side, and both again of the S side, conjugated by PT.
-    Z kron Y^T is Y kron Z^T read at swapped, transposed indices, (Z kron
-    Y^T)[(i, j), (k, l)] = (Y kron Z^T)[(l, k), (j, i)], and the products of
-    equal factors are equal to the bit.
+    Entry [t, s] gathers term t of side s: Y kron Z^T for t = 0 and Z kron
+    Y^T for t = 1, of the X side (s = 0) and of the S side conjugated by PT
+    (s = 1).  Each side's half of the 16 x 16 matrix is half the sum of its
+    two terms.  Z kron Y^T is Y kron Z^T read at swapped, transposed indices,
+    (Z kron Y^T)[(i, j), (k, l)] = (Y kron Z^T)[(l, k), (j, i)], and the
+    products of equal factors are equal to the bit.
     """
-    swap = np.arange(16).reshape(4, 4).T.reshape(16)  # vec(M^T) == vec(M)[swap]
     rows, cols = np.arange(16)[:, None], np.arange(16)[None, :]
     pt_rows, pt_cols = _PT_PERM[rows], _PT_PERM[cols]
-    return np.stack(
+    return np.array(
         [
-            rows * 16 + cols,
-            swap[cols] * 16 + swap[rows],
-            256 + pt_rows * 16 + pt_cols,
-            256 + swap[pt_cols] * 16 + swap[pt_rows],
+            [rows * 16 + cols, 256 + pt_rows * 16 + pt_cols],
+            [_SWAP[cols] * 16 + _SWAP[rows], 256 + _SWAP[pt_cols] * 16 + _SWAP[pt_rows]],
         ]
     )
 
 
 _NEWTON_GATHER = _newton_gather()
+
+# (dX, PT(dX), dZ1, -PT(dZ1)) read from the rows (vec dX, vec dZ1) of a (2, 16) buffer
+_STEP_GATHER = np.concatenate([np.arange(16), _PT_PERM, 16 + np.arange(16), 16 + _PT_PERM])
+_STEP_SIGNS = np.repeat([1.0, 1.0, 1.0, -1.0], 16)
+# (X, PT(rho + X), W, PT(W)) read from the rows (vec X, vec(rho + X), vec W) of a (3, 16) stack
+_CERTIFICATE_GATHER = np.concatenate(
+    [np.arange(16), 16 + _PT_PERM, 32 + np.arange(16), 32 + _PT_PERM]
+)
 
 
 def _pt(mat: np.ndarray) -> np.ndarray:
@@ -151,40 +165,50 @@ def _pt(mat: np.ndarray) -> np.ndarray:
 
 
 def _sym(mat: np.ndarray) -> np.ndarray:
-    out = np.swapaxes(mat, -1, -2).conj()
-    out += mat
+    out = mat.conj().swapaxes(-1, -2) + mat  # C-contiguous, as mat is
     out *= 0.5
     return out
 
 
+def _sym_vec(vec: np.ndarray, out: np.ndarray) -> None:
+    """Writes vec(sym(M)) to ``out``, for the row-major vec of a 4 x 4 matrix M."""
+    np.conjugate(vec[_SWAP], out)
+    out += vec
+    out *= 0.5
+
+
 def _operator(inv: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """The 16 x 16 matrix of D -> sym(X^-1 D Z1) + PT(sym(S^-1 PT(D) Z2)) on row-major vec(D)."""
+    """The halves (Kx, Ks) of the 16 x 16 matrix of D -> sym(X^-1 D Z1) + PT(sym(S^-1 PT(D) Z2)).
+
+    On row-major vec(D), Kx is the matrix of sym(X^-1 D Z1), Ks that of
+    PT(sym(S^-1 PT(D) Z2)), and the Newton matrix is Kx + Ks.
+    """
     # vec(Y D Z) = (Y kron Z^T) vec(D), for (Y, Z) = (X^-1, Z1) and (S^-1, Z2)
     kron = inv[:2, :, None, :, None] * blocks[2:, None, :, None, :].swapaxes(2, 4)
     terms = kron.reshape(512)[_NEWTON_GATHER]
-    return (terms[0] + terms[1] + (terms[2] + terms[3])) * 0.5
+    halves = terms[0] + terms[1]
+    halves *= 0.5
+    return halves
 
 
-def _direction(op, inv, blocks, centre=None) -> np.ndarray:
+def _steps(
+    op: np.ndarray, kx: np.ndarray, rhs: np.ndarray, base: np.ndarray, pair: np.ndarray
+) -> np.ndarray:
     """Steps (dX, dS, dZ1, dZ2) toward X Z1 = S Z2 = sigma mu I.
 
-    ``centre`` holds sigma mu (X^-1, S^-1) less sym(X^-1 dX dZ1) and
-    sym(S^-1 dS dZ2) of the predicted step; the predictor (sigma = 0) has none.
+    vec(dX) solves ``op`` vec(dX) = ``rhs``, and vec(dZ1) = vec(sym(M)) for
+    vec(M) = ``base`` - Kx vec(dX), where ``base`` is vec(sigma mu X^-1 - Z1)
+    less that of sym(X^-1 dX dZ1) of the predicted step.  ``pair`` is a
+    (2, 16) buffer for vec(dX) and vec(dZ1); one gather reads the four steps
+    from it.
     """
-    if centre is None:
-        rhs, dz1 = _MINUS_EYE, -blocks[2]
-    else:
-        rhs, dz1 = centre[0] + _pt(centre[1]) - _EYE, centre[0] - blocks[2]
-    steps = np.empty((4, 4, 4), dtype=np.complex128)
+    dx, dz1 = pair
     # dX is made Hermitian before it enters dZ1: near the optimum the operator
     # is nearly singular on anti-Hermitian D, so the solve's anti-Hermitian
-    # round-off is large, and sym(X^-1 D Z1) does not remove it
-    steps[0] = dx = _sym(np.linalg.solve(op, rhs.reshape(16)).reshape(4, 4))
-    steps[2] = _sym(dz1 - inv[0] @ dx @ blocks[2])
-    flat = steps.reshape(4, 16)
-    flat[1::2] = flat[0::2, _PT_PERM]  # dS = PT(dX), and PT(dZ1) before its sign
-    steps[3] *= -1.0
-    return steps
+    # round-off is large, and Kx does not remove it
+    _sym_vec(np.linalg.solve(op, rhs), dx)
+    _sym_vec(base - kx @ dx, dz1)
+    return (pair.reshape(32)[_STEP_GATHER] * _STEP_SIGNS).reshape(4, 4, 4)
 
 
 def _step_length(adjoint: np.ndarray, whitener: np.ndarray, delta: np.ndarray) -> float:
@@ -255,10 +279,13 @@ def _path_following(rho_mat, pt_rho, lowest: float, trace: Optional[list]):
     blocks[1] = pt_rho + blocks[0]
     blocks[2:] = 0.5 * _EYE
     x_diagonal = blocks.reshape(64)[:16:5].real
+    z1 = blocks.reshape(4, 16)[2]
+    rho_conj = rho_mat.reshape(16).conj()
     trace_rho = float(rho_mat.reshape(16)[::5].real.sum())
+    pair = np.empty((2, 16), dtype=np.complex128)
     for iteration in range(_ITERATION_CAP + 1):
         primal = float(x_diagonal.sum())
-        dual = float(np.vdot(rho_mat, blocks[2]).real) - trace_rho  # -Tr(W rho), W = I - Z1
+        dual = float((rho_conj @ z1).real) - trace_rho  # -Tr(W rho), W = I - Z1
         gap = primal - dual
         if trace is not None:
             trace.append((gap / 8.0, primal, dual))
@@ -267,14 +294,17 @@ def _path_following(rho_mat, pt_rho, lowest: float, trace: Optional[list]):
         try:
             inv = _sym(np.linalg.inv(blocks))
             whitener = np.linalg.cholesky(inv)
-            adjoint = np.swapaxes(whitener, -1, -2).conj()
-            op = _operator(inv, blocks)
-            predicted = _direction(op, inv, blocks)
+            adjoint = whitener.conj().swapaxes(-1, -2)
+            kx, ks = _operator(inv, blocks)
+            op = kx + ks
+            predicted = _steps(op, kx, _MINUS_EYE_VEC, -z1, pair)
             trial = blocks + _step_length(adjoint, whitener, predicted) * predicted
             gap_aff = float(np.vdot(trial[2:], trial[:2]).real)  # Tr(X Z1) + Tr(S Z2)
             centre = (gap_aff / gap) ** 3 * gap / 8.0 * inv[:2]
             centre -= _sym(inv[:2] @ predicted[:2] @ predicted[2:])
-            delta = _direction(op, inv, blocks, centre)
+            cx, cs = centre.reshape(2, 16)
+            rhs = cx + cs[_PT_PERM] - _EYE_VEC
+            delta = _steps(op, kx, rhs, cx - z1, pair)
             step = _step_length(adjoint, whitener, delta)
         except np.linalg.LinAlgError:
             break  # the last iterate is still feasible; its gap decides
@@ -283,7 +313,8 @@ def _path_following(rho_mat, pt_rho, lowest: float, trace: Optional[list]):
 
 
 def _check_certificate(rho_mat: np.ndarray, xm: np.ndarray, w: np.ndarray) -> None:
-    eigs = np.linalg.eigvalsh(np.stack([xm, _pt(rho_mat + xm), w, _pt(w)]))
+    stack = np.stack([xm, rho_mat + xm, w]).reshape(48)[_CERTIFICATE_GATHER]
+    eigs = np.linalg.eigvalsh(stack.reshape(4, 4, 4))
     checks = {
         "primal mixing not PSD": float(eigs[0, 0]),
         "mixed state not PPT": float(eigs[1, 0]),

@@ -259,21 +259,50 @@ class TestZeroCertificate:
         assert not x.any() and not w.any()
 
 
+def _hermitian(rng, shape=(4, 4)):
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return g + np.swapaxes(g, -1, -2).conj()
+
+
 class TestNewtonOperator:
     def test_matches_matrix_products(self):
-        """The 16 x 16 matrix applied to vec(D) equals the operator built from 4 x 4 products."""
+        """Each half of the 16 x 16 matrix, and their sum, applied to vec(D) equals the
+        operator built from 4 x 4 products; the X half gives dZ1 in the iteration."""
         from enwit.robustness import _operator, _pt
 
         rng = np.random.default_rng(11)
         for _ in range(5):
             blocks = np.stack([_random_pd(rng) for _ in range(4)])
             inv = np.linalg.inv(blocks)
-            op = _operator(inv, blocks)
+            kx, ks = _operator(inv, blocks)
             for _ in range(4):
-                g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-                d = g + g.conj().T
-                direct = _sym(inv[0] @ d @ blocks[2]) + _pt(_sym(inv[1] @ _pt(d) @ blocks[3]))
-                assert np.abs(op @ d.reshape(16) - direct.reshape(16)).max() <= 1e-12
+                d = _hermitian(rng)
+                x_side = _sym(inv[0] @ d @ blocks[2]).reshape(16)
+                s_side = _pt(_sym(inv[1] @ _pt(d) @ blocks[3])).reshape(16)
+                vec = d.reshape(16)
+                assert np.abs(kx @ vec - x_side).max() <= 1e-12
+                assert np.abs(ks @ vec - s_side).max() <= 1e-12
+                assert np.abs((kx + ks) @ vec - (x_side + s_side)).max() <= 1e-12
+
+    def test_steps_from_one_gather(self):
+        """The four steps gathered from (vec dX, vec dZ1) equal the explicit stack
+        (dX, PT(dX), dZ1, -PT(dZ1)), with dX = sym(solve) and dZ1 = sym(base - X^-1 dX Z1)."""
+        from enwit.robustness import _operator, _pt, _steps
+
+        rng = np.random.default_rng(15)
+        for _ in range(5):
+            blocks = np.stack([_random_pd(rng) for _ in range(4)])
+            inv = _sym(np.linalg.inv(blocks))
+            kx, ks = _operator(inv, blocks)
+            op = kx + ks
+            rhs, base = _hermitian(rng, (2, 4, 4))
+            steps = _steps(op, kx, rhs.reshape(16), base.reshape(16), np.empty((2, 16), complex))
+            dx = _sym(np.linalg.solve(op, rhs.reshape(16)).reshape(4, 4))
+            dz1 = _sym(base - inv[0] @ dx @ blocks[2])
+            expected = np.stack([dx, _pt(dx), dz1, -_pt(dz1)])
+            assert np.abs(steps - expected).max() <= 1e-12
+            assert np.array_equal(steps[1], _pt(steps[0]))
+            assert np.array_equal(steps[3], -_pt(steps[2]))
 
 
 class TestStepLength:

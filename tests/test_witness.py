@@ -187,6 +187,23 @@ class TestSweep:
         cells = bound_sweep(XXXParams(1.0, 0.0), EsepPolicy("exact"), [0.01], [0.0])
         assert cells[0].bound_raw == pytest.approx(1.0, abs=1e-3)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 12: under exact, detected is set from a bound of search round-off",
+    )
+    def test_exact_policy_does_not_detect_from_round_off(self):
+        """At B = 2J and T = 0.01 the true E_sep, -3, equals <H>, so the true bound is 0;
+        the search's E_sep lies about 1e-12 above -3 and gives a bound of about 1e-13."""
+        cells = bound_sweep(
+            XXXParams(1.0, 0.0, 2, "open"),
+            EsepPolicy("exact"),
+            [0.01],
+            [2.0],
+            restarts=32,
+            seed=0,
+        )
+        assert not cells.detected[0]
+
     def test_exact_policy_zero_crossing(self):
         t_star = 4.0 / math.log(3.0)
         cells = bound_sweep(
